@@ -26,7 +26,7 @@ from .pipeline import (
     loop, pool_examples, run_grid,
 )
 from .saturation import (
-    Limits, ProofSearchRecord, ProofState, factors, prove, resolvents,
+    Limits, ProofSearchRecord, factors, prove, resolvents,
     subsumes, unify,
 )
 from .svm import (

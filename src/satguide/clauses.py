@@ -61,10 +61,12 @@ class FrozenSignature:
     """Immutable snapshot of a signature, taken when a model is trained.
 
     The feature space of a model is fixed by this snapshot: symbols
-    registered later do not get feature indices.
+    registered later do not get feature indices.  The Skolem prefixes are
+    part of it, since they decide which symbols label as the Skolem marker.
     """
 
     symbols: tuple[Symbol, ...]
+    skolem_prefixes: tuple[str, ...] = DEFAULT_SKOLEM_PREFIXES
 
     @property
     def size(self) -> int:
@@ -144,13 +146,12 @@ class Signature:
         return MARKER_DISPLAY.get(sym_id, self._symbols[sym_id].name)
 
     def freeze(self) -> FrozenSignature:
-        return FrozenSignature(tuple(self._symbols))
+        return FrozenSignature(tuple(self._symbols), self.skolem_prefixes)
 
     @classmethod
-    def from_frozen(cls, frozen: FrozenSignature,
-                    skolem_prefixes: tuple[str, ...] = DEFAULT_SKOLEM_PREFIXES) -> "Signature":
-        """A live signature whose ids extend the frozen snapshot."""
-        sig = cls(skolem_prefixes)
+    def from_frozen(cls, frozen: FrozenSignature) -> "Signature":
+        """A live signature whose ids and Skolem prefixes extend the snapshot."""
+        sig = cls(frozen.skolem_prefixes)
         for sym in frozen.symbols[len(_MARKERS):]:
             got = sig.intern_symbol(sym.name, sym.arity, sym.kind)
             if got != sym.id:

@@ -21,7 +21,7 @@ from .features import (
     write_examples,
 )
 from .guidance import parse_strategy
-from .svm import EmptyClass, SolverConfig
+from .svm import EmptyClass, SignatureTooLarge, SolverConfig
 
 log = logging.getLogger("satguide")
 
@@ -112,54 +112,32 @@ def cmd_extract(args) -> int:
                 f"record {path} has outcome {record.outcome}, not a proof")
         pools.append(record)
     examples = pipeline.pool_examples(pools, sig)
-    if args.boost > 1:
-        examples = pipeline.boost(examples, args.boost)
     ts = pipeline.training_set(examples, sig)
+    if args.boost > 1:
+        ts = pipeline.boost_rows(ts, args.boost)
     with open(args.output, "w", encoding="utf-8") as fp:
         write_examples(fp, ((label, vec) for vec, label in ts.examples))
     sig_path = args.signature or args.output + ".sig"
-    _write_signature(sig.freeze(), sig_path)
+    svm.save_signature(sig.freeze(), sig_path)
+    n_pos = sum(label > 0 for _, label in ts.examples)
     print(f"wrote {len(ts.examples)} examples "
-          f"({len(examples.positives)} positive, {len(examples.negatives)} negative) "
+          f"({n_pos} positive, {len(ts.examples) - n_pos} negative) "
           f"to {args.output}; signature to {sig_path}")
     return 0
 
 
-def _write_signature(frozen, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(f"symbols {frozen.size}\n")
-        for sym in frozen.symbols:
-            fp.write(f"{sym.id} {sym.name} {sym.arity} {sym.kind}\n")
-
-
-def _read_signature(path: str):
-    from .clauses import FrozenSignature, Symbol
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            header = fp.readline().split()
-            if len(header) != 2 or header[0] != "symbols":
-                raise FormatError(f"{path}: expected 'symbols <n>' header")
-            symbols = []
-            for _ in range(int(header[1])):
-                cells = fp.readline().split()
-                if len(cells) != 4:
-                    raise FormatError(f"{path}: truncated symbol table")
-                symbols.append(Symbol(int(cells[0]), cells[1],
-                                      int(cells[2]), cells[3]))
-        return FrozenSignature(tuple(symbols))
-    except OSError as exc:
-        raise UsageError(f"cannot read signature {path}: {exc.strerror}") from exc
-
-
 def cmd_train(args) -> int:
     sig_path = args.signature or args.examples + ".sig"
-    frozen = _read_signature(sig_path)
+    try:
+        frozen = svm.load_signature(sig_path)
+    except OSError as exc:
+        raise UsageError(f"cannot read signature {sig_path}: {exc.strerror}") from exc
     with open(args.examples, "r", encoding="utf-8") as fp:
         rows = read_examples(fp, frozen.dimension, args.examples)
     ts = svm.TrainingSet(rows, frozen.dimension)
     try:
         model = svm.train_vectors(ts, frozen, _solver_config(args))
-    except EmptyClass as exc:
+    except (EmptyClass, SignatureTooLarge) as exc:
         raise UsageError(f"{args.examples}: {exc}") from exc
     svm.save_model(model, args.output)
     print(f"trained on {len(rows)} examples; model written to {args.output} "

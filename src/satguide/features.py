@@ -109,29 +109,24 @@ def feature_index(triple: FeatureTriple, frozen: FrozenSignature) -> int:
     """Bijective index of a feature triple in [1, (size+1)^3].
 
     Symbol ids code as themselves, EPSILON codes as ``size``; the index is
-    code1*base^2 + code2*base + code3 + 1 with base = size + 1.
+    computed by :func:`vectorize`.
     """
-    base = frozen.base
-    size = frozen.size
-    index = 0
     for component in triple:
-        if component == EPSILON:
-            code = size
-        elif 0 <= component < size:
-            code = component
-        else:
+        if component != EPSILON and not 0 <= component < frozen.size:
             raise UnknownSymbol(f"symbol id {component} is not in the frozen signature")
-        index = index * base + code
-    return index + 1
+    ((index, _),) = vectorize({triple: 1}, frozen).entries
+    return index
 
 
 def vectorize(counts: FeatureMultiset, frozen: FrozenSignature,
               stats: dict | None = None) -> SparseVector:
     """Fixed-index sparse encoding of a feature multiset.
 
-    Triples naming symbols outside the frozen signature are dropped; the
-    drop is tallied in ``stats['dropped_triples']`` when a stats dict is
-    given, so signature mismatch is observable.
+    A triple's index is code1*base^2 + code2*base + code3 + 1 with
+    base = size + 1, where symbol ids code as themselves and EPSILON codes
+    as ``size``.  Triples naming symbols outside the frozen signature are
+    dropped; the drop is tallied in ``stats['dropped_triples']`` when a
+    stats dict is given, so signature mismatch is observable.
     """
     base = frozen.base
     size = frozen.size

@@ -23,10 +23,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .clauses import Clause, Signature
-from .features import clause_features, vectorize
 from .guidance import LEARNED, Strategy, baseline_strategy, learned_cef
 from .saturation import Limits, OUTCOME_PROOF, ProofSearchRecord, prove
-from .svm import Model, SolverConfig, TrainingSet, accuracy, train
+from .svm import (
+    Model, SolverConfig, TrainingSet, accuracy, train, train_vectors,
+    vectorize_examples,
+)
 from .tptp import parse_problem
 
 log = logging.getLogger("satguide")
@@ -51,8 +53,6 @@ class ExampleSet:
 class GridSpec:
     gammas: list[float]
     frequencies: list[int]
-    include_model_alone: bool = True
-    include_baseline_alone: bool = True
 
     def __post_init__(self):
         if not self.gammas or not self.frequencies:
@@ -148,14 +148,19 @@ def boost(examples: ExampleSet, k: int) -> ExampleSet:
     )
 
 
+def boost_rows(ts: TrainingSet, k: int) -> TrainingSet:
+    """:func:`boost` for vectorized examples: every positive row ``k`` times,
+    then the negative rows, in their order."""
+    if k < 1:
+        raise ValueError("boost factor must be >= 1")
+    positives = [row for row in ts.examples if row[1] > 0]
+    negatives = [row for row in ts.examples if row[1] < 0]
+    return TrainingSet(positives * k + negatives, ts.dimension)
+
+
 def training_set(examples: ExampleSet, sig: Signature) -> TrainingSet:
     """Vectorize an example set against the signature's current snapshot."""
-    frozen = sig.freeze()
-    rows = [(vectorize(clause_features(c, sig), frozen), 1)
-            for c in examples.positives]
-    rows.extend((vectorize(clause_features(c, sig), frozen), -1)
-                for c in examples.negatives)
-    return TrainingSet(rows, frozen.dimension)
+    return vectorize_examples(examples.positives, examples.negatives, sig)
 
 
 def train_from_examples(examples: ExampleSet, sig: Signature,
@@ -250,18 +255,15 @@ def grid_strategies(model: Model, base: Strategy, grid: GridSpec,
     alone; frequency f adds the learned CEF to the base entries with
     frequency f.
     """
-    rows = []
-    if grid.include_baseline_alone:
-        rows.append(StrategyResult(BASE_ALONE, None, BASE_ALONE, base))
+    rows = [StrategyResult(BASE_ALONE, None, BASE_ALONE, base)]
     for gamma in grid.gammas:
         cef = learned_cef(model, gamma, model_path)
         for freq in grid.frequencies:
             strategy = Strategy(base.entries + ((freq, cef),))
             rows.append(StrategyResult(f"f{freq}:g{gamma:g}", gamma,
                                        str(freq), strategy))
-        if grid.include_model_alone:
-            rows.append(StrategyResult(f"finf:g{gamma:g}", gamma,
-                                       MODEL_ALONE, Strategy(((1, cef),))))
+        rows.append(StrategyResult(f"finf:g{gamma:g}", gamma,
+                                   MODEL_ALONE, Strategy(((1, cef),))))
     return rows
 
 
@@ -283,40 +285,29 @@ def run_grid(problems, model: Model, base: Strategy, grid: GridSpec,
     return GridResult(rows, list(grid.gammas), list(grid.frequencies))
 
 
-def _grid_cells(result: GridResult) -> tuple[list[str], dict]:
+def _grid_rows(result: GridResult) -> list[list[str]]:
+    """Header plus one row per gamma of solved counts; the base strategy's
+    count fills every row's "0" column."""
     columns = [BASE_ALONE] + [str(f) for f in result.frequencies] + [MODEL_ALONE]
-    cells: dict[tuple[str, str], str] = {}
-    for row in result.rows:
-        gamma_key = "-" if row.gamma is None else f"{row.gamma:g}"
-        cells[(gamma_key, row.frequency)] = str(len(row.solved))
-    return columns, cells
+    cells = {(f"{row.gamma:g}", row.frequency): str(len(row.solved))
+             for row in result.rows if row.gamma is not None}
+    base_cell = str(len(result.by_key(BASE_ALONE).solved))
+    rows = [["gamma"] + columns]
+    for gamma in result.gammas:
+        key = f"{gamma:g}"
+        rows.append([key, base_cell] + [cells[(key, col)] for col in columns[1:]])
+    return rows
 
 
 def grid_table_csv(result: GridResult) -> str:
     """Solved counts as CSV: one row per gamma, one column per frequency."""
-    columns, cells = _grid_cells(result)
     out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["gamma"] + columns)
-    base_cell = cells.get(("-", BASE_ALONE), "-")
-    for gamma in result.gammas:
-        key = f"{gamma:g}"
-        writer.writerow([key] + [cells.get((key, col), base_cell if col == BASE_ALONE else "-")
-                                 for col in columns])
+    csv.writer(out).writerows(_grid_rows(result))
     return out.getvalue()
 
 
 def grid_table_text(result: GridResult) -> str:
-    columns, cells = _grid_cells(result)
-    base_cell = cells.get(("-", BASE_ALONE), "-")
-    header = ["gamma"] + columns
-    lines = ["\t".join(header)]
-    for gamma in result.gammas:
-        key = f"{gamma:g}"
-        row = [key] + [cells.get((key, col), base_cell if col == BASE_ALONE else "-")
-                       for col in columns]
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+    return "".join("\t".join(row) + "\n" for row in _grid_rows(result))
 
 
 def greedy_cover(items) -> list:
@@ -395,14 +386,15 @@ def loop(problems, base: Strategy | None, rounds: int, grid: GridSpec,
         if not pool.positives or not pool.negatives:
             log.warning("round %d: not enough examples to train", round_no)
             return None
-        boosted = boost(pool, boost_k)
-        model = train_from_examples(boosted, sig, cfg)
+        # featurized once: the model trains on the boosted rows and is
+        # scored on the unboosted ones
         ts = training_set(pool, sig)
+        model = train_vectors(boost_rows(ts, boost_k), sig.freeze(), cfg)
         acc = accuracy(model, ts)
         report.rounds.append(RoundReport(
             round=round_no, solved=set(solved_total), new_solved=new_solved,
-            cover=cover_keys, n_positive=len(boosted.positives),
-            n_negative=len(boosted.negatives), accuracy=acc.accuracy,
+            cover=cover_keys, n_positive=boost_k * len(pool.positives),
+            n_negative=len(pool.negatives), accuracy=acc.accuracy,
             positive_recall=acc.positive_recall,
             negative_recall=acc.negative_recall, grid_csv=grid_csv))
         report.models.append(model)

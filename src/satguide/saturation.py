@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .clauses import (
     App, Clause, EQUALITY, Literal, ROLE_DERIVED, ROLE_INPUT, Signature,
@@ -46,21 +46,6 @@ class Limits:
     # caps on generated clauses; larger ones are discarded (and counted)
     max_literals: int = 8
     max_depth: int = 6
-
-
-@dataclass
-class ProofState:
-    """Live state of one search: disjoint processed/unprocessed sets.
-
-    ``step`` counts given-clause selections and always equals
-    ``len(processed)``; a clause id is never in both sets.
-    """
-
-    processed: dict[int, Clause] = field(default_factory=dict)
-    unprocessed: dict[int, Clause] = field(default_factory=dict)
-    step: int = 0
-    limits: Limits = field(default_factory=Limits)
-    stats: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -414,11 +399,12 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     if not problem:
         raise ValueError("problem must contain at least one clause")
     started = time.monotonic()
-    state = ProofState(limits=limits, stats={
-        "generated": 0, "processed": 0, "kept": 0, "subsumed": 0,
-        "discarded": 0, "tautologies": 0, "equality_axioms": 0,
-        "dropped_triples": 0})
-    stats = state.stats
+    stats = {"generated": 0, "processed": 0, "kept": 0, "subsumed": 0,
+             "discarded": 0, "tautologies": 0, "equality_axioms": 0,
+             "dropped_triples": 0}
+    # disjoint: a clause id is never in both
+    processed: dict[int, Clause] = {}
+    unprocessed: dict[int, Clause] = {}
     clauses: dict[int, Clause] = {}
     dag: dict[int, tuple[int, ...]] = {}
     given_sequence: list[int] = []
@@ -438,7 +424,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         return clause
 
     def admit(clause: Clause) -> None:
-        state.unprocessed[clause.id] = clause
+        unprocessed[clause.id] = clause
         for queue in queues:
             queue.add(clause)
         stats["kept"] += 1
@@ -459,26 +445,25 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         outcome = OUTCOME_PROOF
 
     while outcome is None:
-        if not state.unprocessed:
+        if not unprocessed:
             outcome = OUTCOME_SATURATED
             break
-        if state.step >= limits.max_processed \
+        if stats["processed"] >= limits.max_processed \
                 or stats["generated"] >= limits.max_generated:
             outcome = OUTCOME_RESOURCE_OUT
             break
         if limits.timeout is not None and time.monotonic() - started > limits.timeout:
             outcome = OUTCOME_RESOURCE_OUT
             break
-        given = queues[next_entry_index(strategy, state.step)].pop(state.unprocessed)
+        given = queues[next_entry_index(strategy, stats["processed"])].pop(unprocessed)
         assert given is not None, "unprocessed nonempty but queue is dry"
-        del state.unprocessed[given.id]
-        state.processed[given.id] = given
+        del unprocessed[given.id]
+        processed[given.id] = given
         given_sequence.append(given.id)
-        state.step += 1
         stats["processed"] += 1
 
         candidates = []
-        for partner in state.processed.values():
+        for partner in processed.values():
             candidates.extend(resolvents(given, partner))
         candidates.extend(factors(given))
         for cand in candidates:
@@ -491,7 +476,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
                 stats["tautologies"] += 1
                 continue
             if any(subsumes(old, cand, limits.max_literals)
-                   for old in state.processed.values()):
+                   for old in processed.values()):
                 stats["subsumed"] += 1
                 continue
             clause = register(cand.literals, cand.parents, ROLE_DERIVED)

@@ -12,11 +12,14 @@ implementation's own choices and are exposed as flags.
 from __future__ import annotations
 
 import io
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clauses import Clause, FrozenSignature, Signature, Symbol
+from .clauses import (
+    DEFAULT_SKOLEM_PREFIXES, Clause, FrozenSignature, Signature, Symbol,
+)
 from .features import FormatError, SparseVector, clause_features, vectorize
 
 POS = "pos"
@@ -147,15 +150,33 @@ def solve_l2svm(vectors, labels, dimension: int,
 
 def train_vectors(ts: TrainingSet, frozen: FrozenSignature,
                   cfg: SolverConfig | None = None) -> Model:
-    """Train on an already-vectorized example set."""
+    """Train on an already-vectorized example set.
+
+    Every training entry point ends here, so each refuses a set that lacks
+    a label and a signature past ``cfg.max_signature`` symbols.
+    """
     cfg = cfg or SolverConfig()
     labels = [label for _, label in ts.examples]
     if 1 not in labels or -1 not in labels:
         raise EmptyClass("empty class: need at least one example of each label")
+    if frozen.size > cfg.max_signature:
+        raise SignatureTooLarge(
+            f"signature has {frozen.size} symbols (cap {cfg.max_signature}); "
+            "prune the signature or raise the cap")
     vectors = [vec for vec, _ in ts.examples]
     w, info = solve_l2svm(vectors, labels, ts.dimension, cfg)
     return Model(w, ts.dimension, frozen, cfg.c, info.epochs,
                  info.final_violation, cfg.seed)
+
+
+def vectorize_examples(positives, negatives, sig: Signature) -> TrainingSet:
+    """Label positives +1 and negatives -1, in that order, and vectorize
+    them against the signature's current snapshot."""
+    frozen = sig.freeze()
+    rows = [(vectorize(clause_features(clause, sig), frozen), label)
+            for clauses, label in ((positives, 1), (negatives, -1))
+            for clause in clauses]
+    return TrainingSet(rows, frozen.dimension)
 
 
 def train(pos, neg, sig: Signature, cfg: SolverConfig | None = None) -> Model:
@@ -164,20 +185,7 @@ def train(pos, neg, sig: Signature, cfg: SolverConfig | None = None) -> Model:
     Freezes the signature, so the model's feature space is fixed at the
     current symbol table.
     """
-    cfg = cfg or SolverConfig()
-    if not pos or not neg:
-        raise EmptyClass("empty class: need both positive and negative clauses")
-    if sig.size > cfg.max_signature:
-        raise SignatureTooLarge(
-            f"signature has {sig.size} symbols (cap {cfg.max_signature}); "
-            "prune the signature or raise the cap")
-    frozen = sig.freeze()
-    examples = []
-    for clause in pos:
-        examples.append((vectorize(clause_features(clause, sig), frozen), 1))
-    for clause in neg:
-        examples.append((vectorize(clause_features(clause, sig), frozen), -1))
-    return train_vectors(TrainingSet(examples, frozen.dimension), frozen, cfg)
+    return train_vectors(vectorize_examples(pos, neg, sig), sig.freeze(), cfg)
 
 
 def score_vector(model: Model, vec: SparseVector) -> float:
@@ -241,6 +249,55 @@ def accuracy(model: Model, ts: TrainingSet) -> AccuracyReport:
     )
 
 
+def _write_symbol_table(fp, frozen: FrozenSignature) -> None:
+    """The signature block shared by model files and ``.sig`` files."""
+    fp.write(f"skolem-prefixes {json.dumps(list(frozen.skolem_prefixes))}\n")
+    fp.write(f"symbols {frozen.size}\n")
+    for sym in frozen.symbols:
+        fp.write(f"{sym.id} {sym.name} {sym.arity} {sym.kind}\n")
+
+
+def _read_symbol_table(fp, path: str) -> FrozenSignature:
+    """Inverse of :func:`_write_symbol_table`.
+
+    Files written before the Skolem prefixes were recorded have no
+    ``skolem-prefixes`` line and read with the default prefixes.
+    """
+    line = _read_line(fp, path)
+    prefixes = DEFAULT_SKOLEM_PREFIXES
+    if line.startswith("skolem-prefixes "):
+        prefixes = json.loads(_header_value(line, "skolem-prefixes", path))
+        if not isinstance(prefixes, list) \
+                or not all(isinstance(p, str) for p in prefixes):
+            raise FormatError(f"{path}: bad Skolem prefixes {line!r}")
+        line = _read_line(fp, path)
+    n_symbols = int(_header_value(line, "symbols", path))
+    symbols = []
+    for _ in range(n_symbols):
+        cells = _read_line(fp, path).split()
+        if len(cells) != 4:
+            raise FormatError(f"{path}: bad symbol row {cells!r}")
+        symbols.append(Symbol(int(cells[0]), cells[1], int(cells[2]), cells[3]))
+        if symbols[-1].id != len(symbols) - 1:
+            raise FormatError(f"{path}: symbol ids must be dense")
+    return FrozenSignature(tuple(symbols), tuple(prefixes))
+
+
+def save_signature(frozen: FrozenSignature, path: str) -> None:
+    """Write a ``.sig`` file: the symbol table alone."""
+    with open(path, "w", encoding="utf-8") as fp:
+        _write_symbol_table(fp, frozen)
+
+
+def load_signature(path: str) -> FrozenSignature:
+    """Inverse of :func:`save_signature`; raises FormatError on corrupt files."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return _read_symbol_table(fp, path)
+    except ValueError as exc:
+        raise FormatError(f"{path}: corrupt signature file ({exc})") from exc
+
+
 def save_model(model: Model, path: str) -> None:
     """Text serialization: header, symbol table, sparse nonzero weights."""
     with open(path, "w", encoding="utf-8") as fp:
@@ -250,9 +307,7 @@ def save_model(model: Model, path: str) -> None:
         fp.write(f"epochs {model.epochs}\n")
         fp.write(f"violation {model.final_violation!r}\n")
         fp.write(f"seed {model.seed}\n")
-        fp.write(f"symbols {model.signature.size}\n")
-        for sym in model.signature.symbols:
-            fp.write(f"{sym.id} {sym.name} {sym.arity} {sym.kind}\n")
+        _write_symbol_table(fp, model.signature)
         nonzero = np.nonzero(model.w)[0]
         fp.write(f"weights {len(nonzero)}\n")
         for j in nonzero:
@@ -279,7 +334,7 @@ def load_model(path: str) -> Model:
 def _read_line(fp, path: str) -> str:
     line = fp.readline()
     if not line:
-        raise FormatError(f"{path}: truncated model file")
+        raise FormatError(f"{path}: truncated file")
     return line.rstrip("\n")
 
 
@@ -291,16 +346,7 @@ def _parse_model(fp: io.TextIOBase, path: str) -> Model:
     epochs = int(_header_value(_read_line(fp, path), "epochs", path))
     violation = float(_header_value(_read_line(fp, path), "violation", path))
     seed = int(_header_value(_read_line(fp, path), "seed", path))
-    n_symbols = int(_header_value(_read_line(fp, path), "symbols", path))
-    symbols = []
-    for _ in range(n_symbols):
-        cells = _read_line(fp, path).split()
-        if len(cells) != 4:
-            raise FormatError(f"{path}: bad symbol row {cells!r}")
-        symbols.append(Symbol(int(cells[0]), cells[1], int(cells[2]), cells[3]))
-        if symbols[-1].id != len(symbols) - 1:
-            raise FormatError(f"{path}: symbol ids must be dense")
-    frozen = FrozenSignature(tuple(symbols))
+    frozen = _read_symbol_table(fp, path)
     if frozen.dimension != dimension:
         raise FormatError(
             f"{path}: dimension {dimension} does not match signature "

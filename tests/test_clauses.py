@@ -5,7 +5,7 @@ import random
 import pytest
 
 from satguide.clauses import (
-    ArityClash, KIND_FUNCTION, KIND_PREDICATE, NEG_MARKER, POS_MARKER,
+    ArityClash, DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION, KIND_PREDICATE, NEG_MARKER, POS_MARKER,
     SKOLEM_MARKER, Signature, VAR_MARKER, clause_len, weighted_symbol_count,
 )
 from satguide.tptp import parse_problem
@@ -54,18 +54,22 @@ def test_skolem_detection_by_prefix():
 
 
 def test_freeze_and_thaw_round_trip():
-    sig = Signature()
-    sig.intern_symbol("f", 2, KIND_FUNCTION)
-    sig.intern_symbol("p", 1, KIND_PREDICATE)
-    frozen = sig.freeze()
-    assert frozen.size == 6
-    assert frozen.base == 7
-    assert frozen.dimension == 343
-    thawed = Signature.from_frozen(frozen)
-    assert thawed.size == sig.size
-    assert thawed.name_of(4) == "f"
-    # the thawed signature keeps growing past the snapshot
-    assert thawed.intern_symbol("q", 0, KIND_PREDICATE) == 6
+    for prefixes in (DEFAULT_SKOLEM_PREFIXES, ("f",)):
+        sig = Signature(prefixes)
+        sig.intern_symbol("f", 2, KIND_FUNCTION)
+        sig.intern_symbol("p", 1, KIND_PREDICATE)
+        frozen = sig.freeze()
+        assert frozen.size == 6
+        assert frozen.base == 7
+        assert frozen.dimension == 343
+        assert frozen.skolem_prefixes == prefixes
+        thawed = Signature.from_frozen(frozen)
+        assert thawed.size == sig.size
+        assert thawed.name_of(4) == "f"
+        assert thawed.skolem_prefixes == prefixes
+        assert thawed.feature_label(4) == sig.feature_label(4)
+        # the thawed signature keeps growing past the snapshot
+        assert thawed.intern_symbol("q", 0, KIND_PREDICATE) == 6
 
 
 def test_clause_len_counts_symbols_not_polarity():

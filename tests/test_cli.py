@@ -7,6 +7,10 @@ from pathlib import Path
 import pytest
 
 from satguide.cli import main
+from satguide.clauses import Signature
+from satguide.features import clause_features, format_multiset
+from satguide.svm import load_model
+from satguide.tptp import parse_problem
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 DATA = Path(__file__).parent / "data"
@@ -87,6 +91,25 @@ def test_full_pipeline_prove_extract_train_eval(tmp_path, capsys):
     assert "accuracy:" in out
     assert "positive recall:" in out
     assert "negative recall:" in out
+
+
+def test_model_keeps_the_skolem_prefixes_it_was_trained_with(tmp_path, capsys):
+    problem = tmp_path / "h.p"
+    problem.write_text("cnf(d1, axiom, (junk0(e))).\n"
+                       "cnf(d2, axiom, (~junk0(X) | junk1(X))).\n"
+                       "cnf(f1, axiom, (p(h(c0)))).\n"
+                       "cnf(goal, negated_conjecture, (~p(h(c0)))).\n")
+    record = tmp_path / "rec.json"
+    assert run(capsys, "prove", str(problem), "--record", str(record))[0] == 0
+    examples = tmp_path / "ex.txt"
+    assert run(capsys, "extract", str(record), "-o", str(examples),
+               "--skolem-prefixes", "h")[0] == 0
+    model = tmp_path / "model.bin"
+    assert run(capsys, "train", str(examples), "-o", str(model))[0] == 0
+    sig = Signature.from_frozen(load_model(str(model)).signature)
+    clause = parse_problem("cnf(c, axiom, (p(h(c0)))).", sig)[0]
+    assert format_multiset(clause_features(clause, sig), sig) \
+        == "{(⊕,p,⊙) ↦ 1, (p,⊙,c0) ↦ 1}"
 
 
 def test_prove_with_learned_strategy(tmp_path, capsys):

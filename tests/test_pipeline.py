@@ -1,5 +1,6 @@
 """Example extraction, boosting, grids, greedy cover, and the retrain loop."""
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -344,3 +345,33 @@ def test_boosting_shifts_positive_recall(trained_on_corpus):
     boosted = accuracy(boosted_model, ts)
     assert boosted.positive_recall > plain.positive_recall
     assert plain.accuracy >= boosted.accuracy
+
+
+# sha256 of model.w.tobytes() and (accuracy, positive recall, negative
+# recall) per trained round, recorded before the loop featurized each pooled
+# clause once instead of twice; the weights must stay bit-identical.  The
+# default limits stall after round 0; a processed cap of 40 leaves problems
+# for the grid to win, so three models are trained.
+LOOP_PINS = {
+    (1, 1000): (
+        ["dd5b32138a389d90d897158e9fc965b4686366df4ee995ba91674ebff27273eb"],
+        [(1.0, 1.0, 1.0)]),
+    (2, 40): (
+        ["48e783fb65eb25652e0a64356192b1dd67f4d3e42ab6ff08d62e660b522882b2",
+         "5e0ae297e5f340eeae8d910245ab1de9c761104d79414b6ef2c5c4c16b83cb6a",
+         "42901a1183ba9da590cb8d951db9e1c03d8eac8e860deb59e963195cb1ab33e9"],
+        [(1.0, 1.0, 1.0),
+         (0.9490861618798956, 0.9867549668874173, 0.9245689655172413),
+         (0.9207207207207208, 0.9756554307116105, 0.8697916666666666)]),
+}
+
+
+@pytest.mark.parametrize("rounds,cap", sorted(LOOP_PINS))
+def test_loop_weights_are_pinned(corpus, rounds, cap):
+    grid = GridSpec(gammas=[0.0, 0.2, 8.0], frequencies=[1, 5, 10, 30, 50])
+    report = loop(corpus, None, rounds, grid, boost_k=2,
+                  limits=Limits(max_processed=cap))
+    digests = [hashlib.sha256(m.w.tobytes()).hexdigest() for m in report.models]
+    scores = [(r.accuracy, r.positive_recall, r.negative_recall)
+              for r in report.rounds if r.n_positive]
+    assert (digests, scores) == LOOP_PINS[(rounds, cap)]

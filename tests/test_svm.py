@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from oracles import svm_primal_value, svm_reference_minimizer
-from satguide.clauses import Signature
-from satguide.features import FormatError, SparseVector
+from satguide.cli import main
+from satguide.clauses import DEFAULT_SKOLEM_PREFIXES, Signature
+from satguide.features import FormatError, SparseVector, write_examples
 from satguide.svm import (
     EmptyClass, Model, NEG, NonFinite, POS, SignatureTooLarge, SolverConfig,
     TrainingSet, accuracy, load_model, predict, predict_vector, save_model,
-    score_vector, solve_l2svm, train,
+    save_signature, score_vector, solve_l2svm, train, vectorize_examples,
 )
 from satguide.tptp import parse_problem
 
@@ -143,7 +144,7 @@ def test_train_and_predict_on_clauses():
         assert predict(clause, model, sig) == NEG
 
 
-def test_train_requires_both_classes_and_sane_signature():
+def test_train_requires_both_classes_and_sane_signature(tmp_path, capsys):
     sig = Signature()
     pos, neg = clause_sets(sig)
     with pytest.raises(EmptyClass):
@@ -152,6 +153,17 @@ def test_train_requires_both_classes_and_sane_signature():
         train([], neg, sig)
     with pytest.raises(SignatureTooLarge):
         train(pos, neg, sig, SolverConfig(max_signature=3))
+    # the train subcommand applies the same cap to a .sig file
+    examples = tmp_path / "ex.txt"
+    with open(examples, "w", encoding="utf-8") as fp:
+        write_examples(fp, ((label, vec) for vec, label in
+                            vectorize_examples(pos, neg, sig).examples))
+    save_signature(sig.freeze(), str(examples) + ".sig")
+    code = main(["train", str(examples), "-o", str(tmp_path / "m.bin"),
+                 "--max-signature", "3"])
+    assert code != 0
+    assert "cap 3" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_predict_tie_is_negative():
@@ -206,6 +218,21 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.c == model.c and loaded.epochs == model.epochs
     for clause in pos + neg:
         assert predict(clause, loaded, sig) == predict(clause, model, sig)
+
+
+def test_model_without_skolem_prefixes_reads_the_defaults(tmp_path):
+    sig = Signature(("bad",))
+    pos, neg = clause_sets(sig)
+    model = train(pos, neg, sig)
+    path = tmp_path / "model.bin"
+    save_model(model, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    old_format = [line for line in lines if not line.startswith("skolem-prefixes")]
+    assert len(old_format) == len(lines) - 1
+    path.write_text("".join(old_format))
+    loaded = load_model(str(path))
+    assert loaded.signature.symbols == model.signature.symbols
+    assert loaded.signature.skolem_prefixes == DEFAULT_SKOLEM_PREFIXES
 
 
 def test_load_model_rejects_corrupt_files(tmp_path):

@@ -28,9 +28,6 @@ DEFAULT_SKOLEM_PREFIXES = ("sko", "esk")
 
 EQUALITY = "="
 
-ROLE_INPUT = "input"
-ROLE_DERIVED = "derived"
-
 
 class ArityClash(Exception):
     """A symbol name was re-registered with a different arity or kind."""
@@ -185,15 +182,13 @@ class Clause:
     """A disjunction of literals.
 
     ``id`` is assigned per context (file order when parsed, creation order
-    inside a proof search) and ``age`` equals ``id``; ``parents`` only ever
-    reference smaller ids.  Clauses are not mutated after construction.
+    inside a proof search); ``parents`` only ever reference smaller ids.
+    Clauses are not mutated after construction.
     """
 
     id: int
     literals: tuple[Literal, ...]
     parents: tuple[int, ...] = ()
-    age: int = 0
-    role: str = ROLE_INPUT
 
 
 def term_len(t: Term) -> int:

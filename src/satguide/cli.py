@@ -64,6 +64,18 @@ def _limits(args) -> saturation.Limits:
         max_depth=args.max_depth)
 
 
+def _comma_list(text: str, flag: str, convert=str) -> list:
+    """The nonempty items of a comma-separated flag value, converted."""
+    try:
+        return [convert(item) for item in text.split(",") if item]
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} {text!r}: {exc}") from exc
+
+
+def _skolem_signature(args) -> Signature:
+    return Signature(tuple(_comma_list(args.skolem_prefixes, "--skolem-prefixes")))
+
+
 def _strategy(spec: str):
     try:
         return parse_strategy(spec)
@@ -72,7 +84,7 @@ def _strategy(spec: str):
 
 
 def cmd_featurize(args) -> int:
-    sig = Signature(tuple(args.skolem_prefixes.split(",")))
+    sig = _skolem_signature(args)
     clauses = tptp.parse_problem(_read_text(args.problem), sig, args.problem)
     for clause in clauses:
         counts = clause_features(clause, sig)
@@ -100,7 +112,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    sig = Signature(tuple(args.skolem_prefixes.split(",")))
+    sig = _skolem_signature(args)
     pools = []
     for path in args.records:
         try:
@@ -162,26 +174,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_gammas(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x]
-    except ValueError as exc:
-        raise UsageError(f"bad --gammas {text!r}: {exc}") from exc
-
-
-def _parse_frequencies(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError as exc:
-        raise UsageError(f"bad --frequencies {text!r}: {exc}") from exc
+def _grid_spec(args) -> pipeline.GridSpec:
+    return pipeline.GridSpec(_comma_list(args.gammas, "--gammas", float),
+                             _comma_list(args.frequencies, "--frequencies", int))
 
 
 def cmd_grid(args) -> int:
     problems = pipeline.load_manifest(args.manifest)
     model = svm.load_model(args.model)
     base = _strategy(args.base_strategy)
-    grid = pipeline.GridSpec(_parse_gammas(args.gammas),
-                             _parse_frequencies(args.frequencies))
+    grid = _grid_spec(args)
     result = pipeline.run_grid(problems, model, base, grid, _limits(args),
                                jobs=args.jobs, model_path=args.model)
     table = pipeline.grid_table_text(result)
@@ -201,8 +203,7 @@ def cmd_grid(args) -> int:
 def cmd_loop(args) -> int:
     problems = pipeline.load_manifest(args.manifest)
     base = _strategy(args.base_strategy)
-    grid = pipeline.GridSpec(_parse_gammas(args.gammas),
-                             _parse_frequencies(args.frequencies))
+    grid = _grid_spec(args)
     report = pipeline.loop(problems, base, args.rounds, grid,
                            boost_k=args.boost, limits=_limits(args),
                            cfg=_solver_config(args), jobs=args.jobs)

@@ -115,7 +115,7 @@ def evaluate(clause: Clause, cef: CEF, sig: Signature,
     if cef.kind == CLAUSE_LEN:
         return float(clause_len(clause))
     if cef.kind == FIFO:
-        return float(clause.age)
+        return float(clause.id)
     if cef.kind == SYMBOL_COUNT:
         return weighted_symbol_count(clause)
     raise ValueError(f"unknown CEF kind {cef.kind!r}")

@@ -190,6 +190,7 @@ def run_problem(problem: CorpusProblem, strategy: Strategy,
     return prove(clauses, strategy, limits, sig, problem_id=problem.pid)
 
 
+# set once per pool worker, so tasks need not carry the strategies
 _POOL_STATE: dict = {}
 
 
@@ -209,18 +210,14 @@ def run_corpus(problems, strategies: dict[str, Strategy], limits: Limits,
                jobs: int = 1) -> dict[tuple[str, str], ProofSearchRecord]:
     """Run every (strategy, problem) pair, optionally in a process pool."""
     tasks = [(key, p.pid, p.path) for key in strategies for p in problems]
-    results: dict[tuple[str, str], ProofSearchRecord] = {}
     if jobs <= 1 or len(tasks) <= 1:
-        _pool_init(strategies, limits)
-        for task in tasks:
-            key, pid, record = _pool_run(task)
-            results[(key, pid)] = record
-    else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                                 initargs=(strategies, limits)) as pool:
-            for key, pid, record in pool.map(_pool_run, tasks):
-                results[(key, pid)] = record
-    return results
+        return {(key, pid): run_problem(CorpusProblem(pid, path),
+                                        strategies[key], limits)
+                for key, pid, path in tasks}
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
+                             initargs=(strategies, limits)) as pool:
+        return {(key, pid): record
+                for key, pid, record in pool.map(_pool_run, tasks)}
 
 
 @dataclass

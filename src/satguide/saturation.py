@@ -21,8 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .clauses import (
-    App, Clause, EQUALITY, Literal, ROLE_DERIVED, ROLE_INPUT, Signature,
-    Term, Var, clause_depth,
+    App, Clause, EQUALITY, Literal, Signature, Term, Var, clause_depth,
 )
 from .guidance import (
     CEF, LEARNED, Strategy, evaluate, format_strategy, next_entry_index,
@@ -34,8 +33,6 @@ OUTCOME_SATURATED = "saturated"
 OUTCOME_RESOURCE_OUT = "resource_out"
 
 RECORD_FORMAT = "proof-search-record v1"
-
-SUBSUMPTION_LITERAL_CAP = 8
 
 
 @dataclass
@@ -62,8 +59,7 @@ class ProofSearchRecord:
 
     def clause(self, cid: int, sig: Signature) -> Clause:
         literals = parse_clause_text(self.clause_texts[cid], sig)
-        role = ROLE_INPUT if not self.dag[cid] else ROLE_DERIVED
-        return Clause(cid, literals, self.dag[cid], age=cid, role=role)
+        return Clause(cid, literals, self.dag[cid])
 
 
 def _deref(t: Term, subst: dict) -> Term:
@@ -137,51 +133,38 @@ def apply_subst_literal(lit: Literal, subst: dict) -> Literal:
                    tuple(apply_subst(a, subst) for a in lit.args))
 
 
-def _term_vars(t: Term, out: set) -> None:
-    if isinstance(t, Var):
-        out.add(t.name)
-    else:
-        for a in t.args:
-            _term_vars(a, out)
+def _rename_variables(literals, rename) -> tuple[Literal, ...]:
+    """Replace every variable ``v`` by ``rename(v)``, left to right."""
+
+    def walk(t: Term) -> Term:
+        if isinstance(t, Var):
+            return rename(t)
+        return App(t.symbol, tuple(walk(a) for a in t.args))
+
+    return tuple(Literal(lit.positive, lit.predicate,
+                         tuple(walk(a) for a in lit.args))
+                 for lit in literals)
 
 
-def rename_apart(literals, taken_literals) -> tuple[Literal, ...]:
-    """Rename the variables of ``literals`` away from ``taken_literals``."""
-    taken: set = set()
-    for lit in taken_literals:
-        for a in lit.args:
-            _term_vars(a, taken)
-    own: set = set()
-    for lit in literals:
-        for a in lit.args:
-            _term_vars(a, own)
-    mapping = {}
-    for name in own:
-        if name not in taken:
-            continue
-        k = 0
-        while f"{name}_R{k}" in taken or f"{name}_R{k}" in own:
-            k += 1
-        mapping[name] = Var(f"{name}_R{k}")
-    if not mapping:
-        return tuple(literals)
-    return tuple(apply_subst_literal(lit, mapping) for lit in literals)
+def rename_apart(literals) -> tuple[Literal, ...]:
+    """Prime every variable (``X`` becomes ``X'``).
+
+    Parsed and normalized variable names never contain a quote, so the
+    result shares no variable with any stored clause.
+    """
+    return _rename_variables(literals, lambda v: Var(v.name + "'"))
 
 
 def normalize_variables(literals) -> tuple[Literal, ...]:
     """Rename variables to X0, X1, ... in first-occurrence order."""
-    mapping: dict[str, Term] = {}
+    mapping: dict[str, Var] = {}
 
-    def rename(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.name not in mapping:
-                mapping[t.name] = Var(f"X{len(mapping)}")
-            return mapping[t.name]
-        return App(t.symbol, tuple(rename(a) for a in t.args))
+    def fresh(v: Var) -> Var:
+        if v.name not in mapping:
+            mapping[v.name] = Var(f"X{len(mapping)}")
+        return mapping[v.name]
 
-    return tuple(Literal(lit.positive, lit.predicate,
-                         tuple(rename(a) for a in lit.args))
-                 for lit in literals)
+    return _rename_variables(literals, fresh)
 
 
 def _dedup_literals(literals) -> tuple[Literal, ...]:
@@ -196,22 +179,26 @@ def _dedup_literals(literals) -> tuple[Literal, ...]:
 
 def _derived(literals, parents: tuple[int, ...]) -> Clause:
     literals = normalize_variables(_dedup_literals(literals))
-    return Clause(-1, literals, parents, age=-1, role=ROLE_DERIVED)
+    return Clause(-1, literals, parents)
 
 
 def resolvents(given: Clause, partner: Clause) -> list[Clause]:
     """All binary resolvents of the two clauses (ids unassigned).
 
     The partner's variables are renamed apart internally, so the same
-    clause may be passed on both sides.
+    clause may be passed on both sides.  Most pairs have no complementary
+    literals, so the partner is renamed only once one is found.
     """
     out = []
-    partner_literals = rename_apart(partner.literals, given.literals)
+    partner_literals = None
     for i, lit_g in enumerate(given.literals):
-        for j, lit_p in enumerate(partner_literals):
-            if lit_g.positive == lit_p.positive:
+        for j, lit_p in enumerate(partner.literals):
+            if lit_g.positive == lit_p.positive \
+                    or lit_g.predicate != lit_p.predicate:
                 continue
-            subst = unify_atoms(lit_g, lit_p)
+            if partner_literals is None:
+                partner_literals = rename_apart(partner.literals)
+            subst = unify_atoms(lit_g, partner_literals[j])
             if subst is None:
                 continue
             rest = [apply_subst_literal(l, subst)
@@ -251,13 +238,9 @@ def _match_term(pattern: Term, target: Term, subst: dict) -> bool:
     return all(_match_term(a, b, subst) for a, b in zip(pattern.args, target.args))
 
 
-def subsumes(c: Clause, d: Clause, literal_cap: int = SUBSUMPTION_LITERAL_CAP) -> bool:
-    """Whether some substitution makes ``c`` a sub-multiset of ``d``.
-
-    Clauses with more than ``literal_cap`` literals are conservatively
-    reported as not subsuming (bounded search fallback).
-    """
-    if len(c.literals) > len(d.literals) or len(c.literals) > literal_cap:
+def subsumes(c: Clause, d: Clause) -> bool:
+    """Whether some substitution makes ``c`` a sub-multiset of ``d``."""
+    if len(c.literals) > len(d.literals):
         return False
     used = [False] * len(d.literals)
 
@@ -310,10 +293,7 @@ def equality_axioms(clauses, sig: Signature) -> list[tuple[Literal, ...]]:
     Returns an empty list when no clause mentions the equality predicate.
     """
     functions, predicates = _symbols_in_clauses(clauses)
-    eq = None
-    for pred in predicates:
-        if sig.name_of(pred) == EQUALITY:
-            eq = pred
+    eq = next((p for p in predicates if sig.name_of(p) == EQUALITY), None)
     if eq is None:
         return []
     x, y, z = Var("X"), Var("Y"), Var("Z")
@@ -323,24 +303,19 @@ def equality_axioms(clauses, sig: Signature) -> list[tuple[Literal, ...]]:
         (Literal(False, eq, (x, y)), Literal(False, eq, (y, z)),
          Literal(True, eq, (x, z))),
     ]
-    for fn in sorted(functions):
-        arity = sig.symbol(fn).arity
+    # congruence: functions first, then predicates, each in id order
+    for sym in sorted(functions) + sorted(predicates - {eq}):
+        arity = sig.symbol(sym).arity
         if arity == 0:
             continue
         xs = tuple(Var(f"X{k}") for k in range(arity))
         ys = tuple(Var(f"Y{k}") for k in range(arity))
         body = tuple(Literal(False, eq, (a, b)) for a, b in zip(xs, ys))
-        axioms.append(body + (Literal(True, eq, (App(fn, xs), App(fn, ys))),))
-    for pred in sorted(predicates):
-        if pred == eq:
-            continue
-        arity = sig.symbol(pred).arity
-        if arity == 0:
-            continue
-        xs = tuple(Var(f"X{k}") for k in range(arity))
-        ys = tuple(Var(f"Y{k}") for k in range(arity))
-        body = tuple(Literal(False, eq, (a, b)) for a, b in zip(xs, ys))
-        axioms.append(body + (Literal(False, pred, xs), Literal(True, pred, ys)))
+        if sym in functions:
+            head = (Literal(True, eq, (App(sym, xs), App(sym, ys))),)
+        else:
+            head = (Literal(False, sym, xs), Literal(True, sym, ys))
+        axioms.append(body + head)
     return axioms
 
 
@@ -348,17 +323,16 @@ class _CefQueue:
     """Lazy per-CEF ordering view over the unprocessed set.
 
     Clauses are parked in ``pending`` until this CEF is asked to select;
-    weights are then computed (memoized per CEF) and pushed on a heap.
+    each is then weighed once and pushed on a heap, ties broken by id.
     Heap entries for clauses that were selected by another CEF in the
     meantime are skipped on pop.
     """
 
-    def __init__(self, cef: CEF, sig: Signature, memo: dict, stats: dict):
+    def __init__(self, cef: CEF, sig: Signature, stats: dict):
         self.cef = cef
         self.sig = sig
-        self.memo = memo
         self.stats = stats
-        self.heap: list[tuple[float, int, int]] = []
+        self.heap: list[tuple[float, int]] = []
         self.pending: list[Clause] = []
 
     def add(self, clause: Clause) -> None:
@@ -366,23 +340,19 @@ class _CefQueue:
 
     def pop(self, unprocessed: dict) -> Clause | None:
         for clause in self.pending:
-            if clause.id not in unprocessed:
-                continue
-            w = self.memo.get(clause.id)
-            if w is None:
+            if clause.id in unprocessed:
                 w = evaluate(clause, self.cef, self.sig, self.stats)
-                self.memo[clause.id] = w
-            heapq.heappush(self.heap, (w, clause.age, clause.id))
+                heapq.heappush(self.heap, (w, clause.id))
         self.pending.clear()
         while self.heap:
-            _, _, cid = heapq.heappop(self.heap)
+            _, cid = heapq.heappop(self.heap)
             clause = unprocessed.get(cid)
             if clause is not None:
                 return clause
         return None
 
 
-def _memo_key(cef: CEF):
+def _queue_key(cef: CEF):
     if cef.kind == LEARNED:
         return (cef.kind, cef.gamma, id(cef.model))
     return (cef.kind,)
@@ -410,22 +380,22 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     given_sequence: list[int] = []
     empty_clause: int | None = None
 
-    memos: dict = {}
-    queues = []
+    # entries with equal CEFs share one queue: they would pick alike
+    queues: dict = {}
     for _, cef in strategy.entries:
-        memo = memos.setdefault(_memo_key(cef), {})
-        queues.append(_CefQueue(cef, sig, memo, stats))
+        queues.setdefault(_queue_key(cef), _CefQueue(cef, sig, stats))
+    entry_queues = [queues[_queue_key(cef)] for _, cef in strategy.entries]
 
-    def register(literals, parents, role) -> Clause:
+    def register(literals, parents) -> Clause:
         cid = len(clauses)
-        clause = Clause(cid, tuple(literals), tuple(parents), age=cid, role=role)
+        clause = Clause(cid, tuple(literals), tuple(parents))
         clauses[cid] = clause
         dag[cid] = clause.parents
         return clause
 
     def admit(clause: Clause) -> None:
         unprocessed[clause.id] = clause
-        for queue in queues:
+        for queue in queues.values():
             queue.add(clause)
         stats["kept"] += 1
 
@@ -435,7 +405,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         stats["equality_axioms"] = len(eq_axioms)
         input_literal_sets.extend(eq_axioms)
     for literals in input_literal_sets:
-        clause = register(literals, (), ROLE_INPUT)
+        clause = register(literals, ())
         if not clause.literals and empty_clause is None:
             empty_clause = clause.id
         admit(clause)
@@ -455,7 +425,8 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         if limits.timeout is not None and time.monotonic() - started > limits.timeout:
             outcome = OUTCOME_RESOURCE_OUT
             break
-        given = queues[next_entry_index(strategy, stats["processed"])].pop(unprocessed)
+        entry = next_entry_index(strategy, stats["processed"])
+        given = entry_queues[entry].pop(unprocessed)
         assert given is not None, "unprocessed nonempty but queue is dry"
         del unprocessed[given.id]
         processed[given.id] = given
@@ -475,11 +446,10 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             if is_tautology(cand):
                 stats["tautologies"] += 1
                 continue
-            if any(subsumes(old, cand, limits.max_literals)
-                   for old in processed.values()):
+            if any(subsumes(old, cand) for old in processed.values()):
                 stats["subsumed"] += 1
                 continue
-            clause = register(cand.literals, cand.parents, ROLE_DERIVED)
+            clause = register(cand.literals, cand.parents)
             if not clause.literals:
                 empty_clause = clause.id
                 outcome = OUTCOME_PROOF

@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 
 from .clauses import (
-    App, Clause, EQUALITY, KIND_FUNCTION, KIND_PREDICATE, Literal,
-    ROLE_INPUT, Signature, Term, Var,
+    App, Clause, EQUALITY, KIND_FUNCTION, KIND_PREDICATE, Literal, Signature,
+    Term, Var,
 )
 
 ACCEPTED_ROLES = ("axiom", "hypothesis", "negated_conjecture")
@@ -177,8 +177,7 @@ def parse_problem(text: str, sig: Signature, path: str = "<string>") -> list[Cla
     clauses = []
     while parser.peek()[0] != "eof":
         _, _, literals = parser.parse_cnf_statement()
-        cid = len(clauses)
-        clauses.append(Clause(cid, literals, (), age=cid, role=ROLE_INPUT))
+        clauses.append(Clause(len(clauses), literals))
     return clauses
 
 

@@ -58,6 +58,16 @@ def test_featurize_respects_skolem_prefixes(tmp_path, capsys):
     assert "(⊕,p,⊙)" in out
 
 
+@pytest.mark.parametrize("prefixes", ["sko,", ""])
+def test_empty_skolem_prefixes_are_dropped(tmp_path, capsys, prefixes):
+    problem = tmp_path / "ex.p"
+    problem.write_text("cnf(a, axiom, (p(f(c0)))).\n")
+    code, out, _ = run(capsys, "featurize", str(problem),
+                       "--skolem-prefixes", prefixes)
+    assert code == 0
+    assert out.splitlines()[1] == "{(⊕,p,f) ↦ 1, (p,f,c0) ↦ 1}"
+
+
 def test_prove_writes_a_record(tmp_path, capsys):
     problem = tmp_path / "chain.p"
     problem.write_text(CHAIN_PROBLEM)

@@ -112,7 +112,7 @@ def test_evaluate_dispatch(trained):
     sig, clauses, model = trained
     clause = clauses[0]
     clause17 = parse_problem("cnf(c, axiom, (good(q))).", sig)[0]
-    clause17.age = 17
+    clause17.id = 17
     assert evaluate(clause17, fifo_cef(), sig) == 17.0
     assert evaluate(clause, clause_len_cef(), sig) == 2.0
     pc = parse_problem("cnf(c, axiom, (good(X))).", sig)[0]
@@ -139,12 +139,11 @@ def test_argmin_invariance_under_weight_scaling(trained):
                for t in texts]
     for i, c in enumerate(clauses):
         c.id = i
-        c.age = i
     cef = learned_cef(model, 0.2)
 
     def argmin(scale):
         best = min(clauses,
-                   key=lambda c: (scale * evaluate(c, cef, sig), c.age, c.id))
+                   key=lambda c: (scale * evaluate(c, cef, sig), c.id))
         return best.id
 
     assert argmin(1.0) == argmin(3.5) == argmin(0.25)

@@ -1,13 +1,21 @@
 """Unification, inference rules, subsumption, and the given-clause loop."""
 
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import ground_entails
-from satguide.clauses import Signature, Var
-from satguide.guidance import Strategy, baseline_strategy, learned_cef
+from satguide.clauses import App, Clause, Literal, Signature, Var
+from satguide.guidance import (
+    Strategy, baseline_strategy, learned_cef, parse_strategy,
+)
+from satguide.pipeline import (
+    load_manifest, pool_examples, run_problem, train_from_examples,
+)
 from satguide.saturation import (
     Limits, OUTCOME_PROOF, OUTCOME_RESOURCE_OUT, OUTCOME_SATURATED,
     equality_axioms, factors, is_tautology, load_record, prove,
@@ -90,6 +98,42 @@ class TestResolvents:
         assert "~le(X0,X1) | le(f(f(X0)),X1)" in texts
 
 
+_TERM = st.recursive(st.sampled_from(["a", "b", "X", "Y", "Z"]),
+                     lambda inner: inner.map("f({})".format), max_leaves=3)
+_ATOM = st.one_of(st.builds("p({})".format, _TERM),
+                  st.builds("q({},{})".format, _TERM, _TERM))
+_CLAUSE = st.lists(st.builds("{}{}".format, st.sampled_from(["", "~"]), _ATOM),
+                   min_size=1, max_size=3).map(" | ".join)
+# target names for a renaming; several are the given clause's own names
+_NAMES = ["X", "Y", "Z", "X0", "X1", "U"]
+
+
+def _renamed(clause, mapping):
+    def walk(t):
+        if isinstance(t, Var):
+            return Var(mapping[t.name])
+        return App(t.symbol, tuple(walk(a) for a in t.args))
+
+    return Clause(clause.id, tuple(
+        Literal(lit.positive, lit.predicate, tuple(walk(a) for a in lit.args))
+        for lit in clause.literals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CLAUSE, _CLAUSE, st.booleans(), st.permutations(_NAMES))
+def test_resolvents_ignore_the_partners_variable_names(g_text, p_text, same,
+                                                        names):
+    sig = Signature()
+    g = parse_one(g_text, sig)
+    p = g if same else Clause(1, parse_one(p_text, sig).literals)
+    rho_p = _renamed(p, dict(zip("XYZ", names)))
+
+    def printed(clauses):
+        return [(format_clause(c, sig), c.parents) for c in clauses]
+
+    assert printed(resolvents(g, p)) == printed(resolvents(g, rho_p))
+
+
 class TestFactors:
     def test_basic_factoring(self):
         sig = Signature()
@@ -127,12 +171,11 @@ class TestSubsumes:
         assert not subsumes(double, single)
         assert subsumes(double, parse_one("p(a) | p(b)", sig))
 
-    def test_literal_cap_falls_back_to_false(self):
+    def test_wide_clauses_are_checked_exactly(self):
         sig = Signature()
-        wide = parse_one(" | ".join(f"p(a{i})" for i in range(9)), sig)
-        target = parse_one(" | ".join(f"p(a{i})" for i in range(9)), sig)
-        assert not subsumes(wide, target, literal_cap=8)
-        assert subsumes(wide, target, literal_cap=9)
+        wide = parse_one(" | ".join(f"p(X,a{i})" for i in range(9)), sig)
+        target = parse_one(" | ".join(f"p(b,a{i})" for i in range(9)), sig)
+        assert subsumes(wide, target)
 
 
 def test_tautology_detection():
@@ -455,3 +498,70 @@ def test_record_json_round_trip(tmp_path):
     assert set(raw) >= {"outcome", "given_sequence", "dag", "clauses", "stats"}
     with pytest.raises(ValueError):
         record_from_json({"format": "something else"})
+
+
+CORPUS = Path(__file__).parent / "fixtures" / "corpus"
+
+GROUP_RIGHT_IDENTITY = """
+cnf(left_identity, axiom, (m(u,X) = X)).
+cnf(left_inverse, axiom, (m(i(X),X) = u)).
+cnf(associativity, axiom, (m(m(X,Y),Z) = m(X,m(Y,Z)))).
+cnf(goal, negated_conjecture, (m(a,u) != a)).
+"""
+
+# sha256 over the records' JSON, in order; pinned so that a refactor of the
+# prover core shows up as soon as any record changes by one byte
+RECORD_DIGESTS = {
+    "fixture-baseline":
+        "8a0202f248b327a822fe963e002f8f221cce53419f6a5899b42f05abd40b44b7",
+    "fixture-repeated-cefs":
+        "30ca506285a9fea4636ddc7d0521ad3f1b34fb94b960112e18c2fdd648916420",
+    "group-right-identity":
+        "b65f06b342f1116ca66749c6b45de4b303d4c56bc52cda62f2ba93376bc6b43d",
+}
+
+
+def _records_digest(records):
+    h = hashlib.sha256()
+    for record in records:
+        h.update(json.dumps(record_to_json(record), sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def fixture_problems():
+    return load_manifest(str(CORPUS / "manifest.txt"))
+
+
+@pytest.fixture(scope="module")
+def fixture_baseline_records(fixture_problems):
+    return [run_problem(p, baseline_strategy(), Limits())
+            for p in fixture_problems]
+
+
+def test_fixture_baseline_records_are_pinned(fixture_baseline_records):
+    assert len(fixture_baseline_records) == 24
+    assert _records_digest(fixture_baseline_records) == \
+        RECORD_DIGESTS["fixture-baseline"]
+
+
+def test_repeated_cef_records_are_pinned(fixture_problems,
+                                         fixture_baseline_records):
+    sig = Signature()
+    model = train_from_examples(
+        pool_examples(fixture_baseline_records, sig), sig)
+    # two entries share one learned CEF, so they share one ordering
+    strategy = parse_strategy(
+        "2*Learned(m,gamma=0.2),5*ClauseLen,1*Fifo,3*Learned(m,gamma=0.2)",
+        model_loader=lambda path: model)
+    records = [run_problem(p, strategy, Limits()) for p in fixture_problems]
+    assert _records_digest(records) == RECORD_DIGESTS["fixture-repeated-cefs"]
+
+
+def test_group_problem_record_is_pinned():
+    sig = Signature()
+    record = prove(parse_problem(GROUP_RIGHT_IDENTITY, sig),
+                   baseline_strategy(), Limits(max_processed=40), sig, "group")
+    assert record.outcome == OUTCOME_RESOURCE_OUT
+    assert _records_digest([record]) == RECORD_DIGESTS["group-right-identity"]

@@ -23,7 +23,6 @@ def test_parse_problem_basics():
     sig = Signature()
     clauses = parse_problem(SAMPLE, sig, "sample.p")
     assert [c.id for c in clauses] == [0, 1, 2, 3, 4]
-    assert all(c.age == c.id for c in clauses)
     assert len(clauses[0].literals) == 2
     assert clauses[0].literals[0].positive
     assert not clauses[0].literals[1].positive

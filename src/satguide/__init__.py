@@ -30,8 +30,8 @@ from .saturation import (
     subsumes, unify,
 )
 from .svm import (
-    AccuracyReport, EmptyClass, Model, NonFinite, SolverConfig, TrainingSet,
-    accuracy, load_model, predict, save_model, train,
+    AccuracyReport, EmptyClass, Model, NonFinite, SolverConfig, accuracy,
+    load_model, predict, save_model, train,
 )
 from .tptp import ParseError, format_clause, parse_problem
 

@@ -21,7 +21,7 @@ from .features import (
     write_examples,
 )
 from .guidance import parse_strategy
-from .svm import EmptyClass, SignatureTooLarge, SolverConfig
+from .svm import EmptyClass, SolverConfig
 
 log = logging.getLogger("satguide")
 
@@ -53,8 +53,7 @@ def _read_text(path: str) -> str:
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(c=args.c, tolerance=args.tolerance,
-                        max_epochs=args.max_epochs, seed=args.seed,
-                        max_signature=args.max_signature)
+                        max_epochs=args.max_epochs, seed=args.seed)
 
 
 def _limits(args) -> saturation.Limits:
@@ -112,6 +111,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.boost < 1:
+        raise UsageError(f"--boost must be >= 1, not {args.boost}")
     sig = _skolem_signature(args)
     pools = []
     for path in args.records:
@@ -124,16 +125,14 @@ def cmd_extract(args) -> int:
                 f"record {path} has outcome {record.outcome}, not a proof")
         pools.append(record)
     examples = pipeline.pool_examples(pools, sig)
-    ts = pipeline.training_set(examples, sig)
-    if args.boost > 1:
-        ts = pipeline.boost_rows(ts, args.boost)
+    rows = pipeline.boost_rows(pipeline.training_set(examples, sig), args.boost)
     with open(args.output, "w", encoding="utf-8") as fp:
-        write_examples(fp, ((label, vec) for vec, label in ts.examples))
+        write_examples(fp, ((label, vec) for vec, label in rows))
     sig_path = args.signature or args.output + ".sig"
     svm.save_signature(sig.freeze(), sig_path)
-    n_pos = sum(label > 0 for _, label in ts.examples)
-    print(f"wrote {len(ts.examples)} examples "
-          f"({n_pos} positive, {len(ts.examples) - n_pos} negative) "
+    n_pos = sum(label > 0 for _, label in rows)
+    print(f"wrote {len(rows)} examples "
+          f"({n_pos} positive, {len(rows) - n_pos} negative) "
           f"to {args.output}; signature to {sig_path}")
     return 0
 
@@ -146,10 +145,9 @@ def cmd_train(args) -> int:
         raise UsageError(f"cannot read signature {sig_path}: {exc.strerror}") from exc
     with open(args.examples, "r", encoding="utf-8") as fp:
         rows = read_examples(fp, frozen.dimension, args.examples)
-    ts = svm.TrainingSet(rows, frozen.dimension)
     try:
-        model = svm.train_vectors(ts, frozen, _solver_config(args))
-    except (EmptyClass, SignatureTooLarge) as exc:
+        model = svm.train_vectors(rows, frozen, _solver_config(args))
+    except EmptyClass as exc:
         raise UsageError(f"{args.examples}: {exc}") from exc
     svm.save_model(model, args.output)
     print(f"trained on {len(rows)} examples; model written to {args.output} "
@@ -160,8 +158,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = svm.load_model(args.model)
     with open(args.examples, "r", encoding="utf-8") as fp:
-        rows = read_examples(fp, model.dimension, args.examples)
-    report = svm.accuracy(model, svm.TrainingSet(rows, model.dimension))
+        rows = read_examples(fp, model.signature.dimension, args.examples)
+    report = svm.accuracy(model, rows)
 
     def fmt(value):
         return "n/a" if value is None else f"{value:.4f}"
@@ -201,6 +199,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_loop(args) -> int:
+    if args.boost < 1:
+        raise UsageError(f"--boost must be >= 1, not {args.boost}")
     problems = pipeline.load_manifest(args.manifest)
     base = _strategy(args.base_strategy)
     grid = _grid_spec(args)
@@ -269,8 +269,6 @@ def _add_solver_flags(parser) -> None:
                         help="stop when the largest dual violation drops below this")
     parser.add_argument("--max-epochs", type=int, default=1000,
                         help="cap on coordinate-descent epochs")
-    parser.add_argument("--max-signature", type=int, default=200,
-                        help="refuse to train past this many symbols")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,8 +26,7 @@ from .clauses import Clause, Signature
 from .guidance import LEARNED, Strategy, baseline_strategy, learned_cef
 from .saturation import Limits, OUTCOME_PROOF, ProofSearchRecord, prove
 from .svm import (
-    Model, SolverConfig, TrainingSet, accuracy, train, train_vectors,
-    vectorize_examples,
+    Model, SolverConfig, accuracy, train, train_vectors, vectorize_examples,
 )
 from .tptp import parse_problem
 
@@ -148,17 +147,17 @@ def boost(examples: ExampleSet, k: int) -> ExampleSet:
     )
 
 
-def boost_rows(ts: TrainingSet, k: int) -> TrainingSet:
-    """:func:`boost` for vectorized examples: every positive row ``k`` times,
-    then the negative rows, in their order."""
+def boost_rows(rows: list, k: int) -> list:
+    """:func:`boost` for ``(vector, label)`` rows: every positive row ``k``
+    times, then the negative rows, in their order."""
     if k < 1:
         raise ValueError("boost factor must be >= 1")
-    positives = [row for row in ts.examples if row[1] > 0]
-    negatives = [row for row in ts.examples if row[1] < 0]
-    return TrainingSet(positives * k + negatives, ts.dimension)
+    positives = [row for row in rows if row[1] > 0]
+    negatives = [row for row in rows if row[1] < 0]
+    return positives * k + negatives
 
 
-def training_set(examples: ExampleSet, sig: Signature) -> TrainingSet:
+def training_set(examples: ExampleSet, sig: Signature) -> list:
     """Vectorize an example set against the signature's current snapshot."""
     return vectorize_examples(examples.positives, examples.negatives, sig)
 
@@ -385,9 +384,9 @@ def loop(problems, base: Strategy | None, rounds: int, grid: GridSpec,
             return None
         # featurized once: the model trains on the boosted rows and is
         # scored on the unboosted ones
-        ts = training_set(pool, sig)
-        model = train_vectors(boost_rows(ts, boost_k), sig.freeze(), cfg)
-        acc = accuracy(model, ts)
+        rows = training_set(pool, sig)
+        model = train_vectors(boost_rows(rows, boost_k), sig.freeze(), cfg)
+        acc = accuracy(model, rows)
         report.rounds.append(RoundReport(
             round=round_no, solved=set(solved_total), new_solved=new_solved,
             cover=cover_keys, n_positive=boost_k * len(pool.positives),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,31 +41,18 @@ class NonFinite(Exception):
     """The optimization produced non-finite values (bad input scaling)."""
 
 
-class SignatureTooLarge(Exception):
-    """The signature exceeds the configured cap; prune it before training."""
-
-
 @dataclass
 class SolverConfig:
     c: float = 1.0
     tolerance: float = 1e-3
     max_epochs: int = 1000
     seed: int = 0
-    # (size+1)^3 weights are stored densely; refuse absurd signatures
-    # instead of silently hashing.
-    max_signature: int = 200
 
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError("penalty c must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-
-
-@dataclass
-class TrainingSet:
-    examples: list[tuple[SparseVector, int]]
-    dimension: int
 
 
 @dataclass
@@ -78,8 +66,8 @@ class SolverInfo:
 
 @dataclass(eq=False)
 class Model:
-    w: np.ndarray
-    dimension: int
+    # the nonzero weights, keyed by feature index in [1, signature.dimension]
+    w: dict[int, float]
     signature: FrozenSignature
     c: float
     epochs: int
@@ -148,35 +136,40 @@ def solve_l2svm(vectors, labels, dimension: int,
     return w, SolverInfo(epochs, float(violation), converged, duals)
 
 
-def train_vectors(ts: TrainingSet, frozen: FrozenSignature,
+def train_vectors(rows, frozen: FrozenSignature,
                   cfg: SolverConfig | None = None) -> Model:
-    """Train on an already-vectorized example set.
+    """Train on ``(vector, label)`` rows; every training entry point ends
+    here, so each refuses rows that lack a label.
 
-    Every training entry point ends here, so each refuses a set that lacks
-    a label and a signature past ``cfg.max_signature`` symbols.
-    """
+    Solves over the features that occur, renumbered 1..m in index order:
+    coordinate descent never moves an untouched coordinate, so the weights
+    are those of the full feature space, bit for bit."""
     cfg = cfg or SolverConfig()
-    labels = [label for _, label in ts.examples]
+    labels = [label for _, label in rows]
     if 1 not in labels or -1 not in labels:
         raise EmptyClass("empty class: need at least one example of each label")
-    if frozen.size > cfg.max_signature:
-        raise SignatureTooLarge(
-            f"signature has {frozen.size} symbols (cap {cfg.max_signature}); "
-            "prune the signature or raise the cap")
-    vectors = [vec for vec, _ in ts.examples]
-    w, info = solve_l2svm(vectors, labels, ts.dimension, cfg)
-    return Model(w, ts.dimension, frozen, cfg.c, info.epochs,
-                 info.final_violation, cfg.seed)
+    features = sorted({i for vec, _ in rows for i, _ in vec.entries})
+    compact = {i: k for k, i in enumerate(features, start=1)}
+    vectors = [SparseVector(len(features),
+                            tuple((compact[i], v) for i, v in vec.entries))
+               for vec, _ in rows]
+    w, info = solve_l2svm(vectors, labels, len(features), cfg)
+    if not info.converged:
+        logging.getLogger("satguide").warning(
+            "SVM training stopped at max_epochs=%d without converging "
+            "(final violation %.2e)", info.epochs, info.final_violation)
+    weights = {features[k]: float(w[k]) for k in np.nonzero(w)[0]}
+    return Model(weights, frozen, cfg.c, info.epochs, info.final_violation,
+                 cfg.seed)
 
 
-def vectorize_examples(positives, negatives, sig: Signature) -> TrainingSet:
+def vectorize_examples(positives, negatives, sig: Signature) -> list:
     """Label positives +1 and negatives -1, in that order, and vectorize
     them against the signature's current snapshot."""
     frozen = sig.freeze()
-    rows = [(vectorize(clause_features(clause, sig), frozen), label)
+    return [(vectorize(clause_features(clause, sig), frozen), label)
             for clauses, label in ((positives, 1), (negatives, -1))
             for clause in clauses]
-    return TrainingSet(rows, frozen.dimension)
 
 
 def train(pos, neg, sig: Signature, cfg: SolverConfig | None = None) -> Model:
@@ -192,7 +185,7 @@ def score_vector(model: Model, vec: SparseVector) -> float:
     w = model.w
     total = 0.0
     for i, v in vec.entries:
-        total += w[i - 1] * v
+        total += w.get(i, 0.0) * v
     return float(total)
 
 
@@ -221,7 +214,7 @@ class AccuracyReport:
     negatives: int
 
 
-def accuracy(model: Model, ts: TrainingSet) -> AccuracyReport:
+def accuracy(model: Model, rows) -> AccuracyReport:
     """Fraction classified correctly, plus per-class recall.
 
     A recall is None when the example set has no examples of that class.
@@ -229,7 +222,7 @@ def accuracy(model: Model, ts: TrainingSet) -> AccuracyReport:
     correct = 0
     pos_total = pos_correct = 0
     neg_total = neg_correct = 0
-    for vec, label in ts.examples:
+    for vec, label in rows:
         got = predict_vector(model, vec)
         hit = (got == POS) == (label > 0)
         correct += hit
@@ -239,7 +232,7 @@ def accuracy(model: Model, ts: TrainingSet) -> AccuracyReport:
         else:
             neg_total += 1
             neg_correct += hit
-    n = len(ts.examples)
+    n = len(rows)
     return AccuracyReport(
         accuracy=correct / n if n else 0.0,
         positive_recall=pos_correct / pos_total if pos_total else None,
@@ -302,16 +295,15 @@ def save_model(model: Model, path: str) -> None:
     """Text serialization: header, symbol table, sparse nonzero weights."""
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(MODEL_FORMAT + "\n")
-        fp.write(f"dimension {model.dimension}\n")
+        fp.write(f"dimension {model.signature.dimension}\n")
         fp.write(f"c {model.c!r}\n")
         fp.write(f"epochs {model.epochs}\n")
         fp.write(f"violation {model.final_violation!r}\n")
         fp.write(f"seed {model.seed}\n")
         _write_symbol_table(fp, model.signature)
-        nonzero = np.nonzero(model.w)[0]
-        fp.write(f"weights {len(nonzero)}\n")
-        for j in nonzero:
-            fp.write(f"{j + 1} {float(model.w[j])!r}\n")
+        fp.write(f"weights {len(model.w)}\n")
+        for index, value in sorted(model.w.items()):
+            fp.write(f"{index} {value!r}\n")
         fp.write("end\n")
 
 
@@ -352,17 +344,20 @@ def _parse_model(fp: io.TextIOBase, path: str) -> Model:
             f"{path}: dimension {dimension} does not match signature "
             f"({frozen.dimension} expected)")
     nnz = int(_header_value(_read_line(fp, path), "weights", path))
-    w = np.zeros(dimension)
+    w = {}
+    last = 0
     for _ in range(nnz):
         cells = _read_line(fp, path).split()
         if len(cells) != 2:
             raise FormatError(f"{path}: bad weight row {cells!r}")
         index = int(cells[0])
-        if not 1 <= index <= dimension:
-            raise FormatError(f"{path}: weight index {index} out of range")
-        w[index - 1] = float(cells[1])
+        if not last < index <= dimension:
+            raise FormatError(f"{path}: weight index {index} out of range "
+                              "or not strictly increasing")
+        w[index] = float(cells[1])
+        last = index
     if _read_line(fp, path) != "end":
         raise FormatError(f"{path}: missing end marker")
-    if not np.isfinite(w).all():
+    if not np.isfinite(list(w.values())).all():
         raise FormatError(f"{path}: non-finite weights")
-    return Model(w, dimension, frozen, c, epochs, violation, seed)
+    return Model(w, frozen, c, epochs, violation, seed)

@@ -129,20 +129,19 @@ def test_criterion_04_prediction_rule_is_strict():
     sig.intern_symbol("a", 0, KIND_FUNCTION)
     frozen = sig.freeze()
     rng = random.Random(99)
-    model = Model(np.zeros(frozen.dimension), frozen.dimension, frozen,
-                  1.0, 0, 0.0, 0)
+    model = Model({}, frozen, 1.0, 0, 0.0, 0)
     for _ in range(500):
         nnz = rng.randint(0, 8)
         picks = sorted(rng.sample(range(1, frozen.dimension + 1), nnz))
         vec = SparseVector(frozen.dimension,
                            tuple((i, rng.randint(1, 4)) for i in picks))
         for i, _ in vec.entries:
-            model.w[i - 1] = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0])
+            model.w[i] = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0])
         score = score_vector(model, vec)
         assert predict_vector(model, vec) == (POS if score > 0.0 else NEG)
     # engineered exact ties classify negative
-    model.w[:] = 0.0
-    model.w[0], model.w[1] = 2.0, -1.0
+    model.w.clear()
+    model.w[1], model.w[2] = 2.0, -1.0
     tie = SparseVector(frozen.dimension, ((1, 1), (2, 2)))
     assert score_vector(model, tie) == 0.0
     assert predict_vector(model, tie) == NEG

@@ -152,6 +152,29 @@ def test_extract_boost_multiplies_positives(tmp_path, capsys):
     assert boost_pos == 10 * plain_pos
 
 
+def test_extract_boost_below_one_is_a_usage_error(tmp_path, capsys):
+    problem = tmp_path / "chain.p"
+    problem.write_text(CHAIN_PROBLEM)
+    record = tmp_path / "rec.json"
+    run(capsys, "prove", str(problem), "--record", str(record))
+    examples = tmp_path / "ex.txt"
+    code, _, err = run(capsys, "extract", str(record), "-o", str(examples),
+                       "--boost", "0")
+    assert code == 1 and "--boost" in err
+    assert not examples.exists()
+
+
+def test_loop_boost_below_one_is_a_usage_error(tmp_path, capsys):
+    # the problem file does not exist, so any corpus run would fail first
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"p0 {tmp_path / 'missing.p'}\n")
+    outdir = tmp_path / "out"
+    code, _, err = run(capsys, "loop", str(manifest), "--boost", "0",
+                       "-o", str(outdir))
+    assert code == 1 and "--boost" in err
+    assert not outdir.exists()
+
+
 def test_train_on_empty_class_is_a_usage_error(tmp_path, capsys):
     examples = tmp_path / "ex.txt"
     examples.write_text("")

@@ -4,6 +4,7 @@ import hashlib
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import brute_force_min_cover
@@ -347,7 +348,8 @@ def test_boosting_shifts_positive_recall(trained_on_corpus):
     assert plain.accuracy >= boosted.accuracy
 
 
-# sha256 of model.w.tobytes() and (accuracy, positive recall, negative
+# sha256 of each round's weights expanded to a dense float64 vector over all
+# (size+1)^3 feature indices, and (accuracy, positive recall, negative
 # recall) per trained round, recorded before the loop featurized each pooled
 # clause once instead of twice; the weights must stay bit-identical.  The
 # default limits stall after round 0; a processed cap of 40 leaves problems
@@ -371,7 +373,12 @@ def test_loop_weights_are_pinned(corpus, rounds, cap):
     grid = GridSpec(gammas=[0.0, 0.2, 8.0], frequencies=[1, 5, 10, 30, 50])
     report = loop(corpus, None, rounds, grid, boost_k=2,
                   limits=Limits(max_processed=cap))
-    digests = [hashlib.sha256(m.w.tobytes()).hexdigest() for m in report.models]
+    digests = []
+    for m in report.models:
+        w = np.zeros(m.signature.dimension)
+        for i, v in m.w.items():
+            w[i - 1] = v
+        digests.append(hashlib.sha256(w.tobytes()).hexdigest())
     scores = [(r.accuracy, r.positive_recall, r.negative_recall)
               for r in report.rounds if r.n_positive]
     assert (digests, scores) == LOOP_PINS[(rounds, cap)]

@@ -1,19 +1,20 @@
 """Linear classifier: solver, prediction, accuracy, persistence."""
 
+import logging
 import random
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import svm_primal_value, svm_reference_minimizer
-from satguide.cli import main
 from satguide.clauses import DEFAULT_SKOLEM_PREFIXES, Signature
-from satguide.features import FormatError, SparseVector, write_examples
+from satguide.features import FormatError, SparseVector
 from satguide.svm import (
-    EmptyClass, Model, NEG, NonFinite, POS, SignatureTooLarge, SolverConfig,
-    TrainingSet, accuracy, load_model, predict, predict_vector, save_model,
-    save_signature, score_vector, solve_l2svm, train, vectorize_examples,
+    EmptyClass, Model, NEG, NonFinite, POS, SolverConfig, accuracy,
+    load_model, predict, predict_vector, save_model, score_vector,
+    solve_l2svm, train,
 )
 from satguide.tptp import parse_problem
 
@@ -144,33 +145,50 @@ def test_train_and_predict_on_clauses():
         assert predict(clause, model, sig) == NEG
 
 
-def test_train_requires_both_classes_and_sane_signature(tmp_path, capsys):
+def test_train_requires_both_classes_and_sane_signature():
     sig = Signature()
     pos, neg = clause_sets(sig)
     with pytest.raises(EmptyClass):
         train(pos, [], sig)
     with pytest.raises(EmptyClass):
         train([], neg, sig)
-    with pytest.raises(SignatureTooLarge):
-        train(pos, neg, sig, SolverConfig(max_signature=3))
-    # the train subcommand applies the same cap to a .sig file
-    examples = tmp_path / "ex.txt"
-    with open(examples, "w", encoding="utf-8") as fp:
-        write_examples(fp, ((label, vec) for vec, label in
-                            vectorize_examples(pos, neg, sig).examples))
-    save_signature(sig.freeze(), str(examples) + ".sig")
-    code = main(["train", str(examples), "-o", str(tmp_path / "m.bin"),
-                 "--max-signature", "3"])
-    assert code != 0
-    assert "cap 3" in capsys.readouterr().err
-    assert not (tmp_path / "m.bin").exists()
+
+
+def test_large_signature_trains_and_round_trips(tmp_path):
+    sig = Signature()
+    text = "".join(f"cnf(c{k}, axiom, ({'good' if k % 2 else 'bad'}(c{k}))).\n"
+                   for k in range(260))
+    clauses = parse_problem(text, sig)
+    assert sig.freeze().size >= 250
+    pos, neg = clauses[1::2], clauses[0::2]
+    model = train(pos, neg, sig)
+    path = tmp_path / "model.bin"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    assert loaded.w == model.w and loaded.signature == model.signature
+    for clause in clauses:
+        assert predict(clause, loaded, sig) == predict(clause, model, sig)
+    assert all(predict(c, model, sig) == POS for c in pos)
+
+
+def test_unconverged_training_warns(caplog):
+    sig = Signature()
+    pos, neg = clause_sets(sig)
+    with caplog.at_level(logging.WARNING, logger="satguide"):
+        model = train(pos, neg, sig, SolverConfig(max_epochs=1, tolerance=1e-12))
+    assert model.epochs == 1
+    assert "stopped at max_epochs=1 without converging" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="satguide"):
+        train(pos, neg, sig)
+    assert caplog.text == ""
 
 
 def test_predict_tie_is_negative():
     sig = Signature()
     pos, neg = clause_sets(sig)
     model = train(pos, neg, sig)
-    model.w[:] = 0.0
+    model.w.clear()
     for clause in pos + neg:
         assert predict(clause, model, sig) == NEG
     empty = parse_problem("cnf(e, axiom, $false).", sig)[0]
@@ -179,10 +197,9 @@ def test_predict_tie_is_negative():
 
 def test_score_vector_golden():
     frozen = Signature().freeze()
-    model = Model(np.zeros(frozen.dimension), frozen.dimension, frozen,
-                  1.0, 0, 0.0, 0)
-    model.w[0] = 1.0
-    model.w[1] = -1.0
+    model = Model({}, frozen, 1.0, 0, 0.0, 0)
+    model.w[1] = 1.0
+    model.w[2] = -1.0
     vec = SparseVector(frozen.dimension, ((1, 2), (2, 1)))
     assert score_vector(model, vec) == 1.0
     assert predict_vector(model, vec) == POS
@@ -191,16 +208,15 @@ def test_score_vector_golden():
 
 def test_accuracy_reports_per_class_recall():
     frozen = Signature().freeze()
-    model = Model(np.zeros(frozen.dimension), frozen.dimension, frozen,
-                  1.0, 0, 0.0, 0)
+    model = Model({}, frozen, 1.0, 0, 0.0, 0)
     # all-zero weights classify everything negative
     rows = [(SparseVector(frozen.dimension, ((1, 1),)), -1) for _ in range(10)]
-    report = accuracy(model, TrainingSet(rows, frozen.dimension))
+    report = accuracy(model, rows)
     assert report.accuracy == 1.0
     assert report.positive_recall is None
     assert report.negative_recall == 1.0
     mixed = rows + [(SparseVector(frozen.dimension, ((2, 1),)), 1)] * 10
-    report = accuracy(model, TrainingSet(mixed, frozen.dimension))
+    report = accuracy(model, mixed)
     assert report.accuracy == 0.5
     assert report.positive_recall == 0.0
 
@@ -212,8 +228,7 @@ def test_model_save_load_round_trip(tmp_path):
     path = tmp_path / "model.bin"
     save_model(model, str(path))
     loaded = load_model(str(path))
-    assert np.array_equal(loaded.w, model.w)
-    assert loaded.dimension == model.dimension
+    assert loaded.w == model.w
     assert loaded.signature == model.signature
     assert loaded.c == model.c and loaded.epochs == model.epochs
     for clause in pos + neg:
@@ -252,12 +267,60 @@ def test_load_model_rejects_corrupt_files(tmp_path):
         load_model(str(not_model))
 
 
+def test_load_model_needs_strictly_increasing_weight_indices(tmp_path):
+    sig = Signature()
+    pos, neg = clause_sets(sig)
+    model = train(pos, neg, sig)
+    path = tmp_path / "model.bin"
+    save_model(model, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(k for k, line in enumerate(lines) if line.startswith("weights "))
+    n = int(lines[at].split()[1])
+    assert n >= 2
+    rows = lines[at + 1: at + 1 + n]
+    for bad_rows in (rows[:1] + rows, rows[1:2] + rows[:1] + rows[2:]):
+        bad = tmp_path / "bad.bin"
+        bad.write_text("".join(lines[:at] + [f"weights {len(bad_rows)}\n"]
+                               + bad_rows + lines[at + 1 + n:]))
+        with pytest.raises(FormatError, match="strictly increasing"):
+            load_model(str(bad))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_model_file_round_trip(tmp_path_factory, data):
+    sig = Signature()
+    parse_problem("cnf(a, axiom, (p(f(a,b)) | ~q(b))).", sig)
+    frozen = sig.freeze()
+    dim = frozen.dimension
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([5e-324, -1e-310, -2.5]))
+    w = data.draw(st.dictionaries(st.integers(1, dim), values, max_size=40))
+    w[1] = data.draw(values)
+    w[dim] = data.draw(values)
+    order = data.draw(st.permutations(sorted(w)))
+    model = Model({i: w[i] for i in order}, frozen,
+                  data.draw(st.floats(min_value=1e-3, max_value=1e3)),
+                  data.draw(st.integers(0, 1000)), data.draw(values),
+                  data.draw(st.integers(0, 2 ** 32)))
+    path = tmp_path_factory.getbasetemp() / "round_trip.bin"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    assert loaded.w == model.w
+    assert (loaded.c, loaded.epochs, loaded.final_violation, loaded.seed) \
+        == (model.c, model.epochs, model.final_violation, model.seed)
+    assert loaded.signature == model.signature
+    again = path.with_name("round_trip_again.bin")
+    save_model(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_prediction_cost_tracks_vector_size():
     # O(nnz) check with a generous bound: 50x the entries may cost at most
     # 500x the time (anything quadratic or dimension-bound would blow this)
     frozen = Signature().freeze()
     dim = 10 ** 6
-    model = Model(np.zeros(dim), dim, frozen, 1.0, 0, 0.0, 0)
+    model = Model({}, frozen, 1.0, 0, 0.0, 0)
     small = SparseVector(dim, tuple((i * 7 + 1, 1) for i in range(20)))
     large = SparseVector(dim, tuple((i * 7 + 1, 1) for i in range(1000)))
 

@@ -52,8 +52,11 @@ def _read_text(path: str) -> str:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(c=args.c, tolerance=args.tolerance,
-                        max_epochs=args.max_epochs, seed=args.seed)
+    try:
+        return SolverConfig(c=args.c, tolerance=args.tolerance,
+                            max_epochs=args.max_epochs, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"bad -c, --tolerance or --max-epochs: {exc}") from exc
 
 
 def _limits(args) -> saturation.Limits:
@@ -138,6 +141,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _solver_config(args)
     sig_path = args.signature or args.examples + ".sig"
     try:
         frozen = svm.load_signature(sig_path)
@@ -146,7 +150,7 @@ def cmd_train(args) -> int:
     with open(args.examples, "r", encoding="utf-8") as fp:
         rows = read_examples(fp, frozen.dimension, args.examples)
     try:
-        model = svm.train_vectors(rows, frozen, _solver_config(args))
+        model = svm.train_vectors(rows, frozen, cfg)
     except EmptyClass as exc:
         raise UsageError(f"{args.examples}: {exc}") from exc
     svm.save_model(model, args.output)
@@ -201,12 +205,15 @@ def cmd_grid(args) -> int:
 def cmd_loop(args) -> int:
     if args.boost < 1:
         raise UsageError(f"--boost must be >= 1, not {args.boost}")
+    if args.rounds < 1:
+        raise UsageError(f"--rounds must be >= 1, not {args.rounds}")
+    cfg = _solver_config(args)
     problems = pipeline.load_manifest(args.manifest)
     base = _strategy(args.base_strategy)
     grid = _grid_spec(args)
     report = pipeline.loop(problems, base, args.rounds, grid,
                            boost_k=args.boost, limits=_limits(args),
-                           cfg=_solver_config(args), jobs=args.jobs)
+                           cfg=cfg, jobs=args.jobs)
     os.makedirs(args.output_dir, exist_ok=True)
     for i, model in enumerate(report.models):
         svm.save_model(model, os.path.join(args.output_dir, f"model_round{i}.bin"))

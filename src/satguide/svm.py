@@ -5,8 +5,10 @@ coordinate descent on the dual, where each alpha_i has the diagonal term
 D = 1/(2c) added and no upper bound.  A clause is classified positive iff
 w'x > 0, strictly; ties fall to negative.  There is no bias term.
 
-Defaults for c, the stopping tolerance, and the epoch cap are this
-implementation's own choices and are exposed as flags.
+Training runs in plain Python floats and sums each dot product in entry
+order, so the weights do not depend on the BLAS build.  Defaults for c,
+the stopping tolerance, and the epoch cap are this implementation's own
+choices and are exposed as flags.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +56,8 @@ class SolverConfig:
             raise ValueError("penalty c must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1")
 
 
 @dataclass
@@ -85,22 +90,16 @@ def solve_l2svm(vectors, labels, dimension: int,
     """
     n = len(vectors)
     d_diag = 1.0 / (2.0 * cfg.c)
-    idxs = []
-    vals = []
-    qdiag = np.empty(n)
-    for k, vec in enumerate(vectors):
-        idx = np.array([i - 1 for i, _ in vec.entries], dtype=np.intp)
-        val = np.array([v for _, v in vec.entries], dtype=np.float64)
-        idxs.append(idx)
-        vals.append(val)
-        qdiag[k] = float(val @ val) + d_diag
-        if not np.isfinite(val).all() or not np.isfinite(qdiag[k]):
+    rows = [vec.entries for vec in vectors]
+    qdiag = [sum(v * v for _, v in entries) + d_diag for entries in rows]
+    for k, q in enumerate(qdiag):
+        if not math.isfinite(q):
             raise NonFinite(f"example {k} has non-finite or overflowing "
                             "feature values; rescale the input")
-    y = np.array(labels, dtype=np.float64)
+    y = [float(label) for label in labels]
 
-    w = np.zeros(dimension)
-    alpha = np.zeros(n)
+    w = [0.0] * (dimension + 1)  # 1-based like the entries; w[0] stays 0
+    alpha = [0.0] * n
     rng = np.random.default_rng(cfg.seed)
     duals = [0.0]
     converged = False
@@ -108,32 +107,38 @@ def solve_l2svm(vectors, labels, dimension: int,
     epochs = 0
     for _ in range(cfg.max_epochs):
         violation = 0.0
-        for i in rng.permutation(n):
-            xi, vi = idxs[i], vals[i]
-            g = y[i] * float(w[xi] @ vi) - 1.0 + d_diag * alpha[i]
-            pg = min(g, 0.0) if alpha[i] == 0.0 else g
+        for i in rng.permutation(n).tolist():
+            entries = rows[i]
+            dot = 0.0
+            for j, v in entries:
+                dot += w[j] * v
+            old = alpha[i]
+            g = y[i] * dot - 1.0 + d_diag * old
+            pg = min(g, 0.0) if old == 0.0 else g
             if abs(pg) > violation:
                 violation = abs(pg)
             if abs(pg) > _PG_FLOOR:
-                old = alpha[i]
                 new = old - g / qdiag[i]
                 if new < 0.0:
                     new = 0.0
                 alpha[i] = new
                 if new != old:
-                    w[xi] += (new - old) * y[i] * vi
+                    step = (new - old) * y[i]
+                    for j, v in entries:
+                        w[j] += step * v
         epochs += 1
-        dual = float(alpha.sum()) - 0.5 * float(w @ w) \
-            - 0.5 * d_diag * float(alpha @ alpha)
-        duals.append(dual)
-        if not np.isfinite(dual):
+        w_arr, a_arr = np.array(w[1:]), np.array(alpha)
+        duals.append(float(a_arr.sum()) - 0.5 * float(w_arr @ w_arr)
+                     - 0.5 * d_diag * float(a_arr @ a_arr))
+        if not np.isfinite(duals[-1]):
             raise NonFinite("dual objective diverged; rescale the input")
         if violation < cfg.tolerance:
             converged = True
             break
-    if not np.isfinite(w).all():
+    w_arr = np.array(w[1:])
+    if not np.isfinite(w_arr).all():
         raise NonFinite("weight vector contains non-finite values")
-    return w, SolverInfo(epochs, float(violation), converged, duals)
+    return w_arr, SolverInfo(epochs, float(violation), converged, duals)
 
 
 def train_vectors(rows, frozen: FrozenSignature,

@@ -3,12 +3,19 @@
 Nothing here shares code with the solver or prover under test: the SVM
 oracle minimizes the primal objective directly (active-set Newton steps
 with a gradient-descent fallback), and the entailment oracle grounds
-clauses over a finite universe and enumerates truth assignments.
+clauses over a finite universe and enumerates truth assignments.  The one
+exception is :func:`numpy_dcd_reference`, the earlier numpy form of the
+dual coordinate-descent solver, which shares only the solver's result and
+error types; it pins the plain-Python loop to the same arithmetic.
 """
 
 import itertools
 
 import numpy as np
+
+from satguide.svm import NonFinite, SolverInfo
+
+_PG_FLOOR = 1e-12
 
 
 def svm_primal_value(w, x_rows, y, c):
@@ -60,6 +67,69 @@ def svm_reference_minimizer(x_rows, y, c, grad_tol=1e-10):
     assert np.max(np.abs(svm_primal_grad(w, x_rows, y, c))) < 1e-6, \
         "oracle failed to reach first-order optimality"
     return w
+
+
+def numpy_dcd_reference(vectors, labels, dimension, cfg):
+    """The numpy dual coordinate descent that ``solve_l2svm`` replaced.
+
+    Same signature and result.  Each step makes numpy calls on the row's
+    few entries, and ``@`` goes to the BLAS ``ddot``.
+
+    Stops when the largest projected-gradient violation seen in an epoch
+    drops below the tolerance, or after ``max_epochs`` epochs.  Example
+    order is reshuffled each epoch from the configured seed.
+    """
+    n = len(vectors)
+    d_diag = 1.0 / (2.0 * cfg.c)
+    idxs = []
+    vals = []
+    qdiag = np.empty(n)
+    for k, vec in enumerate(vectors):
+        idx = np.array([i - 1 for i, _ in vec.entries], dtype=np.intp)
+        val = np.array([v for _, v in vec.entries], dtype=np.float64)
+        idxs.append(idx)
+        vals.append(val)
+        qdiag[k] = float(val @ val) + d_diag
+        if not np.isfinite(val).all() or not np.isfinite(qdiag[k]):
+            raise NonFinite(f"example {k} has non-finite or overflowing "
+                            "feature values; rescale the input")
+    y = np.array(labels, dtype=np.float64)
+
+    w = np.zeros(dimension)
+    alpha = np.zeros(n)
+    rng = np.random.default_rng(cfg.seed)
+    duals = [0.0]
+    converged = False
+    violation = float("inf")
+    epochs = 0
+    for _ in range(cfg.max_epochs):
+        violation = 0.0
+        for i in rng.permutation(n):
+            xi, vi = idxs[i], vals[i]
+            g = y[i] * float(w[xi] @ vi) - 1.0 + d_diag * alpha[i]
+            pg = min(g, 0.0) if alpha[i] == 0.0 else g
+            if abs(pg) > violation:
+                violation = abs(pg)
+            if abs(pg) > _PG_FLOOR:
+                old = alpha[i]
+                new = old - g / qdiag[i]
+                if new < 0.0:
+                    new = 0.0
+                alpha[i] = new
+                if new != old:
+                    w[xi] += (new - old) * y[i] * vi
+        epochs += 1
+        dual = float(alpha.sum()) - 0.5 * float(w @ w) \
+            - 0.5 * d_diag * float(alpha @ alpha)
+        duals.append(dual)
+        if not np.isfinite(dual):
+            raise NonFinite("dual objective diverged; rescale the input")
+        if violation < cfg.tolerance:
+            converged = True
+            break
+    if not np.isfinite(w).all():
+        raise NonFinite("weight vector contains non-finite values")
+    return w, SolverInfo(epochs, float(violation), converged, duals)
 
 
 def brute_force_min_cover(sets):

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import satguide
 from satguide.cli import main
 from satguide.clauses import Signature
 from satguide.features import clause_features, format_multiset
@@ -173,6 +176,52 @@ def test_loop_boost_below_one_is_a_usage_error(tmp_path, capsys):
                        "-o", str(outdir))
     assert code == 1 and "--boost" in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flag,reason", [
+    ("-c", "c must be positive"),
+    ("--tolerance", "tolerance must be positive"),
+    ("--max-epochs", "max_epochs must be at least 1"),
+])
+def test_train_solver_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
+                                                         flag, reason):
+    examples = tmp_path / "ex.txt"
+    examples.write_text("+1 1:1\n-1 2:1\n")
+    sig = tmp_path / "ex.txt.sig"
+    sig.write_text("symbols 4\n0 $var 0 variable-marker\n1 $sko 0 skolem-marker\n"
+                   "2 $pos 0 pos-marker\n3 $neg 0 neg-marker\n")
+    model = tmp_path / "m.bin"
+    code, _, err = run(capsys, "train", str(examples), "-o", str(model),
+                       flag, "0")
+    assert code == 1 and flag in err and reason in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("flag,reason", [
+    ("--rounds", "--rounds must be >= 1"),
+    ("-c", "c must be positive"),
+    ("--max-epochs", "max_epochs must be at least 1"),
+])
+def test_loop_out_of_range_flag_is_a_usage_error(tmp_path, capsys, flag,
+                                                 reason):
+    # the problem file does not exist, so any corpus run would fail first
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"p0 {tmp_path / 'missing.p'}\n")
+    outdir = tmp_path / "out"
+    code, _, err = run(capsys, "loop", str(manifest), flag, "0",
+                       "-o", str(outdir))
+    assert code == 1 and flag in err and reason in err
+    assert not outdir.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(satguide.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "satguide", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: satguide")
 
 
 def test_train_on_empty_class_is_a_usage_error(tmp_path, capsys):

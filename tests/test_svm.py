@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import svm_primal_value, svm_reference_minimizer
+from oracles import (
+    numpy_dcd_reference, svm_primal_value, svm_reference_minimizer,
+)
 from satguide.clauses import DEFAULT_SKOLEM_PREFIXES, Signature
 from satguide.features import FormatError, SparseVector
 from satguide.svm import (
@@ -122,6 +124,50 @@ def test_training_is_deterministic_for_a_seed():
     # a different permutation may or may not land on the same point;
     # both must still be finite and near-optimal, so just sanity-check
     assert np.isfinite(w3).all()
+
+
+@st.composite
+def dcd_instances(draw, values, max_entries, max_dim):
+    """Random sparse rows with both labels, a penalty and a seed."""
+    dim = draw(st.integers(1, max_dim))
+    n = draw(st.integers(2, 12))
+    vectors = []
+    for _ in range(n):
+        size = draw(st.integers(1, min(max_entries, dim)))
+        idx = draw(st.sets(st.integers(1, dim), min_size=size, max_size=size))
+        vectors.append(SparseVector(dim, tuple((i, draw(values))
+                                               for i in sorted(idx))))
+    labels = [1, -1] + draw(st.lists(st.sampled_from([1, -1]),
+                                     min_size=n - 2, max_size=n - 2))
+    return (vectors, labels, dim, draw(st.sampled_from([0.5, 1.0, 2.0])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dcd_instances(st.sampled_from([1, -1, 2, -2, 4, -4]), 8, 20))
+def test_solver_repeats_the_numpy_reference_bit_for_bit(instance):
+    # powers of two make every product w_j * v exact, and rows under 16
+    # entries keep the BLAS dot product sequential, so the two agree exactly
+    vectors, labels, dim, c, seed = instance
+    cfg = SolverConfig(c=c, seed=seed)
+    w, info = solve_l2svm(vectors, labels, dim, cfg)
+    ref_w, ref = numpy_dcd_reference(vectors, labels, dim, cfg)
+    assert np.array_equal(w, ref_w)
+    assert (info.epochs, info.final_violation, info.dual_objectives) \
+        == (ref.epochs, ref.final_violation, ref.dual_objectives)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dcd_instances(st.integers(-5, 5), 30, 30))
+def test_solver_agrees_with_the_numpy_reference_at_convergence(instance):
+    # inexact products may round differently from the BLAS dot product, so
+    # compare the converged points, not the bits
+    vectors, labels, dim, c, seed = instance
+    cfg = SolverConfig(c=c, tolerance=1e-9, max_epochs=5000, seed=seed)
+    w, info = solve_l2svm(vectors, labels, dim, cfg)
+    ref_w, ref = numpy_dcd_reference(vectors, labels, dim, cfg)
+    if info.converged and ref.converged:
+        assert np.max(np.abs(w - ref_w)) < 1e-6
 
 
 def clause_sets(sig):

@@ -60,6 +60,9 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _limits(args) -> saturation.Limits:
+    # records store clauses as text, and deeper ones would not parse back
+    if args.max_depth > tptp.MAX_TERM_DEPTH:
+        raise UsageError(f"--max-depth must be at most {tptp.MAX_TERM_DEPTH}")
     return saturation.Limits(
         max_processed=args.max_processed, max_generated=args.max_generated,
         timeout=args.timeout, max_literals=args.max_literals,

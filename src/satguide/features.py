@@ -12,6 +12,7 @@ literal is featureless.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .clauses import (
@@ -194,6 +195,9 @@ def read_examples(fp, dimension: int, path: str = "<examples>"):
                 idx, val = int(idx_text), int(val_text)
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: bad entry {cell!r}") from None
+            if abs(val) > sys.float_info.max:
+                raise FormatError(
+                    f"{path}:{lineno}: count at index {idx} is too large")
             if idx <= last:
                 raise FormatError(
                     f"{path}:{lineno}: indices must be strictly increasing")

@@ -5,8 +5,10 @@ takes that CEF's lowest-weight unprocessed clause as the given clause,
 moves it to the processed set, and generates all binary resolvents against
 the processed clauses plus all factors of the given clause.  New clauses
 that are too large, tautological, or subsumed by a processed clause are
-dropped.  The search stops on the empty clause, an empty unprocessed set,
-or a resource limit, and always returns a full record of the derivation.
+dropped; the exact subsumption check runs only on processed clauses whose
+literal keys all generalise some literal key of the new clause.  The
+search stops on the empty clause, an empty unprocessed set, or a resource
+limit, and always returns a full record of the derivation.
 
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
@@ -19,6 +21,7 @@ import heapq
 import json
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .clauses import (
     App, Clause, EQUALITY, Literal, Signature, Term, Var, clause_depth,
@@ -182,29 +185,30 @@ def _derived(literals, parents: tuple[int, ...]) -> Clause:
     return Clause(-1, literals, parents)
 
 
-def resolvents(given: Clause, partner: Clause) -> list[Clause]:
+def resolvents(given: Clause, partner: Clause,
+               primed: tuple[Literal, ...] | None = None) -> list[Clause]:
     """All binary resolvents of the two clauses (ids unassigned).
 
-    The partner's variables are renamed apart internally, so the same
-    clause may be passed on both sides.  Most pairs have no complementary
-    literals, so the partner is renamed only once one is found.
+    The partner's variables are renamed apart, so the same clause may be
+    passed on both sides.  ``primed`` is ``rename_apart(partner.literals)``
+    when the caller keeps it; otherwise the partner is renamed once a
+    complementary pair is found (most pairs have none).
     """
     out = []
-    partner_literals = None
     for i, lit_g in enumerate(given.literals):
         for j, lit_p in enumerate(partner.literals):
             if lit_g.positive == lit_p.positive \
                     or lit_g.predicate != lit_p.predicate:
                 continue
-            if partner_literals is None:
-                partner_literals = rename_apart(partner.literals)
-            subst = unify_atoms(lit_g, partner_literals[j])
+            if primed is None:
+                primed = rename_apart(partner.literals)
+            subst = unify_atoms(lit_g, primed[j])
             if subst is None:
                 continue
             rest = [apply_subst_literal(l, subst)
                     for k, l in enumerate(given.literals) if k != i]
             rest.extend(apply_subst_literal(l, subst)
-                        for k, l in enumerate(partner_literals) if k != j)
+                        for k, l in enumerate(primed) if k != j)
             out.append(_derived(rest, (given.id, partner.id)))
     return out
 
@@ -262,6 +266,44 @@ def subsumes(c: Clause, d: Clause) -> bool:
         return False
 
     return backtrack(0, {})
+
+
+def _literal_key(lit: Literal) -> tuple:
+    """(sign, predicate, top symbols of the first two arguments).
+
+    A variable top is None.
+    """
+    return (lit.positive, lit.predicate,
+            tuple(a.symbol if isinstance(a, App) else None
+                  for a in lit.args[:2]))
+
+
+def pattern_mask(clause: Clause, key_bits: dict) -> int:
+    """Bitmask of the clause's literal keys; unseen keys get a new bit."""
+    mask = 0
+    for lit in clause.literals:
+        key = _literal_key(lit)
+        bit = key_bits.get(key)
+        if bit is None:
+            bit = key_bits[key] = 1 << len(key_bits)
+        mask |= bit
+    return mask
+
+
+def instance_mask(clause: Clause, key_bits: dict) -> int:
+    """Bits of every known key that generalises one of the clause's keys.
+
+    A generalisation keeps each top symbol or replaces it by None.
+    Instantiation keeps the sign, the predicate and every non-variable
+    top, so if ``c`` subsumes ``d`` then
+    ``pattern_mask(c, bits) & ~instance_mask(d, bits) == 0``.
+    """
+    mask = 0
+    for lit in clause.literals:
+        sign, predicate, tops = _literal_key(lit)
+        for gen in product(*((t, None) for t in tops)):
+            mask |= key_bits.get((sign, predicate, gen), 0)
+    return mask
 
 
 def is_tautology(clause: Clause) -> bool:
@@ -372,9 +414,12 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     stats = {"generated": 0, "processed": 0, "kept": 0, "subsumed": 0,
              "discarded": 0, "tautologies": 0, "equality_axioms": 0,
              "dropped_triples": 0}
-    # disjoint: a clause id is never in both
-    processed: dict[int, Clause] = {}
+    # (clause, primed copy, pattern mask) in selection order; no clause
+    # is both processed and unprocessed
+    processed: list[tuple[Clause, tuple[Literal, ...], int]] = []
     unprocessed: dict[int, Clause] = {}
+    # literal key -> bit of the pattern masks, for this search only
+    key_bits: dict = {}
     clauses: dict[int, Clause] = {}
     dag: dict[int, tuple[int, ...]] = {}
     given_sequence: list[int] = []
@@ -429,13 +474,14 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         given = entry_queues[entry].pop(unprocessed)
         assert given is not None, "unprocessed nonempty but queue is dry"
         del unprocessed[given.id]
-        processed[given.id] = given
+        processed.append((given, rename_apart(given.literals),
+                          pattern_mask(given, key_bits)))
         given_sequence.append(given.id)
         stats["processed"] += 1
 
         candidates = []
-        for partner in processed.values():
-            candidates.extend(resolvents(given, partner))
+        for partner, primed, _ in processed:
+            candidates.extend(resolvents(given, partner, primed))
         candidates.extend(factors(given))
         for cand in candidates:
             stats["generated"] += 1
@@ -446,7 +492,9 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             if is_tautology(cand):
                 stats["tautologies"] += 1
                 continue
-            if any(subsumes(old, cand) for old in processed.values()):
+            missing = ~instance_mask(cand, key_bits)
+            if any(not pattern & missing and subsumes(old, cand)
+                   for old, _, pattern in processed):
                 stats["subsumed"] += 1
                 continue
             clause = register(cand.literals, cand.parents)

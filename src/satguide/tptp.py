@@ -18,6 +18,11 @@ from .clauses import (
 
 ACCEPTED_ROLES = ("axiom", "hypothesis", "negated_conjecture")
 
+# Deepest nesting the parser accepts in a literal, its predicate counting
+# as one level.  Terms are walked recursively throughout, so much deeper
+# input would exhaust the interpreter stack.
+MAX_TERM_DEPTH = 200
+
 
 class ParseError(Exception):
     """Raised on malformed input; the message names file and line."""
@@ -82,20 +87,23 @@ class _Parser:
 
     # raw terms are (name, args-or-None) pairs; args None marks a variable
 
-    def parse_raw_term(self):
-        kind, value, _ = self.next()
+    def parse_raw_term(self, depth: int = 1):
+        kind, value, line = self.next()
         if kind == "upper":
             return (value, None)
         if kind != "lower":
             raise ParseError(
-                f"{self.path}: expected a term, found {value!r}")
+                f"{self.path}:{line}: expected a term, found {value!r}")
         args = []
         if self.peek()[0] == "(":
+            if depth == MAX_TERM_DEPTH:
+                raise ParseError(f"{self.path}:{line}: term nested deeper "
+                                 f"than {MAX_TERM_DEPTH}")
             self.next()
-            args.append(self.parse_raw_term())
+            args.append(self.parse_raw_term(depth + 1))
             while self.peek()[0] == ",":
                 self.next()
-                args.append(self.parse_raw_term())
+                args.append(self.parse_raw_term(depth + 1))
             self.expect(")")
         return (value, args)
 

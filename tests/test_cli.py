@@ -224,6 +224,39 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.startswith("usage: satguide")
 
 
+def test_train_on_a_count_past_the_float_range_names_the_line(tmp_path,
+                                                             capsys):
+    examples = tmp_path / "ex.txt"
+    examples.write_text("+1 1:1" + "0" * 400 + "\n-1 2:1\n")
+    sig = tmp_path / "ex.txt.sig"
+    sig.write_text("symbols 4\n0 $var 0 variable-marker\n1 $sko 0 skolem-marker\n"
+                   "2 $pos 0 pos-marker\n3 $neg 0 neg-marker\n")
+    model = tmp_path / "m.bin"
+    code, _, err = run(capsys, "train", str(examples), "-o", str(model))
+    assert code == 2
+    assert f"{examples}:1: count at index 1 is too large" in err
+    assert not model.exists()
+
+
+def test_prove_on_a_too_deeply_nested_term_names_the_line(tmp_path, capsys):
+    problem = tmp_path / "deep.p"
+    problem.write_text("cnf(a, axiom, (p(a))).\ncnf(b, axiom, (~p("
+                       + "f(" * 1200 + "a" + ")" * 1200 + "))).\n")
+    code, _, err = run(capsys, "prove", str(problem))
+    assert code == 2
+    assert f"{problem}:2: term nested deeper than" in err
+
+
+def test_max_depth_past_the_parser_bound_is_a_usage_error(tmp_path, capsys):
+    problem = tmp_path / "chain.p"
+    problem.write_text(CHAIN_PROBLEM)
+    record = tmp_path / "rec.json"
+    code, _, err = run(capsys, "prove", str(problem), "--max-depth", "201",
+                       "--record", str(record))
+    assert code == 1 and "--max-depth must be at most 200" in err
+    assert not record.exists()
+
+
 def test_train_on_empty_class_is_a_usage_error(tmp_path, capsys):
     examples = tmp_path / "ex.txt"
     examples.write_text("")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -221,6 +222,15 @@ def test_examples_file_rejects_malformed_lines(line, tmp_path):
     path.write_text(line + "\n")
     with open(path) as fp:
         with pytest.raises(FormatError):
+            read_examples(fp, 125, str(path))
+
+
+def test_examples_file_rejects_a_count_past_the_float_range(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("-1 2:1\n+1 1:1" + "0" * 400 + "\n")
+    with open(path) as fp:
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:2: count at index 1 is too large")):
             read_examples(fp, 125, str(path))
 
 

@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import ground_entails
 from satguide.clauses import App, Clause, Literal, Signature, Var
@@ -18,9 +18,9 @@ from satguide.pipeline import (
 )
 from satguide.saturation import (
     Limits, OUTCOME_PROOF, OUTCOME_RESOURCE_OUT, OUTCOME_SATURATED,
-    equality_axioms, factors, is_tautology, load_record, prove,
-    record_from_json, record_to_json, resolvents, save_record, subsumes,
-    unify, apply_subst,
+    equality_axioms, factors, instance_mask, is_tautology, load_record,
+    pattern_mask, prove, record_from_json, record_to_json, rename_apart,
+    resolvents, save_record, subsumes, unify, apply_subst,
 )
 from satguide.svm import train
 from satguide.tptp import format_clause, format_term, parse_clause_text, parse_problem
@@ -134,6 +134,21 @@ def test_resolvents_ignore_the_partners_variable_names(g_text, p_text, same,
     assert printed(resolvents(g, p)) == printed(resolvents(g, rho_p))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_CLAUSE, _CLAUSE, st.booleans())
+def test_resolvents_with_the_primed_partner_print_the_same(g_text, p_text,
+                                                           same):
+    sig = Signature()
+    g = parse_one(g_text, sig)
+    p = g if same else Clause(1, parse_one(p_text, sig).literals)
+
+    def printed(clauses):
+        return [(format_clause(c, sig), c.parents) for c in clauses]
+
+    assert printed(resolvents(g, p, rename_apart(p.literals))) == \
+        printed(resolvents(g, p))
+
+
 class TestFactors:
     def test_basic_factoring(self):
         sig = Signature()
@@ -176,6 +191,54 @@ class TestSubsumes:
         wide = parse_one(" | ".join(f"p(X,a{i})" for i in range(9)), sig)
         target = parse_one(" | ".join(f"p(b,a{i})" for i in range(9)), sig)
         assert subsumes(wide, target)
+
+
+_DEEP_TERM = st.recursive(
+    st.sampled_from(["a", "b", "X", "Y", "Z"]),
+    lambda inner: st.one_of(inner.map("f({})".format),
+                            st.builds("g({},{})".format, inner, inner),
+                            st.builds("h({},{},{})".format, inner, inner,
+                                      inner)),
+    max_leaves=6)
+_LITERAL_TEXT = st.builds(
+    "{}{}".format, st.sampled_from(["", "~"]),
+    st.one_of(st.just("r"), st.builds("p({})".format, _DEEP_TERM),
+              st.builds("q({},{})".format, _DEEP_TERM, _DEEP_TERM),
+              st.builds("s({},{},{})".format, _DEEP_TERM, _DEEP_TERM,
+                        _DEEP_TERM)))
+_LITERAL_TEXTS = st.lists(_LITERAL_TEXT, min_size=1, max_size=4)
+
+
+# a simultaneous substitution; apply_subst would chase X -> f(X) forever
+def _substituted(t, subst):
+    if isinstance(t, Var):
+        return subst.get(t.name, t)
+    return App(t.symbol, tuple(_substituted(a, subst) for a in t.args))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LITERAL_TEXTS, _LITERAL_TEXTS, st.booleans(),
+       st.lists(_DEEP_TERM, min_size=3, max_size=3), st.integers(0, 99))
+# a variable top instantiated to a constant; p(X) has no key of p(a)
+@example(["p(X)"], ["r"], True, ["a", "b", "b"], 0)
+def test_subsumption_implies_the_literal_key_filter_passes(
+        c_texts, d_texts, instance, subst_texts, seed):
+    sig = Signature()
+    c = parse_one(" | ".join(c_texts), sig)
+    d_literals = list(parse_one(" | ".join(d_texts), sig).literals)
+    if instance:
+        # d holds an instance of every literal of c among other literals
+        subst = dict(zip("XYZ", parse_terms(",".join(subst_texts), sig)))
+        d_literals += [Literal(lit.positive, lit.predicate,
+                               tuple(_substituted(a, subst) for a in lit.args))
+                       for lit in c.literals]
+        random.Random(seed).shuffle(d_literals)
+    d = Clause(1, tuple(d_literals))
+    assert not instance or subsumes(c, d)
+    key_bits: dict = {}
+    pattern = pattern_mask(c, key_bits)
+    if subsumes(c, d):
+        assert pattern & ~instance_mask(d, key_bits) == 0
 
 
 def test_tautology_detection():
@@ -502,12 +565,47 @@ def test_record_json_round_trip(tmp_path):
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 
-GROUP_RIGHT_IDENTITY = """
+GROUP_AXIOMS = """
 cnf(left_identity, axiom, (m(u,X) = X)).
 cnf(left_inverse, axiom, (m(i(X),X) = u)).
 cnf(associativity, axiom, (m(m(X,Y),Z) = m(X,m(Y,Z)))).
-cnf(goal, negated_conjecture, (m(a,u) != a)).
 """
+GROUP_RIGHT_IDENTITY = (GROUP_AXIOMS
+                        + "cnf(goal, negated_conjecture, (m(a,u) != a)).\n")
+
+# the other three group goals and one implication chain buried under decoy
+# rules, each run at max_processed=60
+HARD_PROBLEMS = {
+    "group-right-inverse": GROUP_AXIOMS
+    + "cnf(goal, negated_conjecture, (m(a,i(a)) != u)).\n",
+    "group-double-inverse": GROUP_AXIOMS
+    + "cnf(goal, negated_conjecture, (i(i(a)) != a)).\n",
+    "group-idempotent-is-identity": GROUP_AXIOMS
+    + "cnf(idempotent, hypothesis, (m(a,a) = a)).\n"
+    + "cnf(goal, negated_conjecture, (a != u)).\n",
+    "chain": """
+cnf(decoy_seed_0, axiom, (d2(k0))).
+cnf(decoy_seed_1, axiom, (d0(k1))).
+cnf(decoy_seed_2, axiom, (d3(k2))).
+cnf(decoy_rule_0, axiom, (~d3(X) | d3(g(X)))).
+cnf(decoy_rule_1, axiom, (~d5(X) | d3(X))).
+cnf(decoy_rule_2, axiom, (~d1(X) | d0(g(X)))).
+cnf(decoy_rule_3, axiom, (~d3(X) | d0(X))).
+cnf(decoy_rule_4, axiom, (~d3(X) | d3(g(X)))).
+cnf(decoy_rule_5, axiom, (~d4(X) | d0(X))).
+cnf(decoy_rule_6, axiom, (~d5(X) | d3(g(X)))).
+cnf(decoy_rule_7, axiom, (~d2(X) | d5(X))).
+cnf(cross_0, axiom, (~p1(X) | d4(X))).
+cnf(cross_1, axiom, (~p0(X) | d2(X))).
+cnf(chain_start, axiom, (p0(f1(f0(c))))).
+cnf(chain_rule_0, axiom, (~p0(X) | p1(X))).
+cnf(chain_rule_1, axiom, (~p1(X) | p2(X))).
+cnf(chain_rule_2, axiom, (~p2(X) | p3(X))).
+cnf(chain_rule_3, axiom, (~p3(X) | p4(X))).
+cnf(chain_rule_4, axiom, (~p4(X) | p5(X))).
+cnf(goal, negated_conjecture, (~p5(f1(f0(c))))).
+""",
+}
 
 # sha256 over the records' JSON, in order; pinned so that a refactor of the
 # prover core shows up as soon as any record changes by one byte
@@ -518,6 +616,14 @@ RECORD_DIGESTS = {
         "30ca506285a9fea4636ddc7d0521ad3f1b34fb94b960112e18c2fdd648916420",
     "group-right-identity":
         "b65f06b342f1116ca66749c6b45de4b303d4c56bc52cda62f2ba93376bc6b43d",
+    "group-right-inverse":
+        "53df82ab386aadd716d5869791dc489eb4ad0522a817e21c794a3b23031d770c",
+    "group-double-inverse":
+        "c3e49213b2b8d9b3140a5bf04ec426d24b632ea9c3144b253daee83775790ab0",
+    "group-idempotent-is-identity":
+        "98fca5c237f5c6988ab4783e60049fa433201d8c4e2b2dd989d712fc0a175f4d",
+    "chain":
+        "e7ae2b505c744424a1bf77d509f29f568e14613fd4a48d8f30c77aa350235477",
 }
 
 
@@ -565,3 +671,12 @@ def test_group_problem_record_is_pinned():
                    baseline_strategy(), Limits(max_processed=40), sig, "group")
     assert record.outcome == OUTCOME_RESOURCE_OUT
     assert _records_digest([record]) == RECORD_DIGESTS["group-right-identity"]
+
+
+@pytest.mark.parametrize("name", sorted(HARD_PROBLEMS))
+def test_hard_problem_record_is_pinned(name):
+    sig = Signature()
+    record = prove(parse_problem(HARD_PROBLEMS[name], sig),
+                   baseline_strategy(), Limits(max_processed=60), sig, name)
+    assert record.outcome == OUTCOME_RESOURCE_OUT
+    assert _records_digest([record]) == RECORD_DIGESTS[name]

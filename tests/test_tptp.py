@@ -6,7 +6,8 @@ import pytest
 
 from satguide.clauses import Signature
 from satguide.tptp import (
-    ParseError, format_clause, format_problem, parse_clause_text, parse_problem,
+    MAX_TERM_DEPTH, ParseError, format_clause, format_problem,
+    parse_clause_text, parse_problem,
 )
 
 SAMPLE = """
@@ -57,6 +58,30 @@ def test_variables_are_uppercase_initial():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_problem(bad, Signature(), "bad.p")
+
+
+def test_a_missing_term_names_the_line():
+    with pytest.raises(ParseError, match=r"^bad\.p:2: expected a term"):
+        parse_problem("cnf(a, axiom, (p(a))).\ncnf(b, axiom, (p(,))).",
+                      Signature(), "bad.p")
+
+
+def _nested(levels, inner):
+    return "f(" * levels + inner + ")" * levels
+
+
+@pytest.mark.parametrize("literal", ["p({})", "{} = a"])
+def test_nesting_is_bounded(literal):
+    # the predicate is one level of a literal's nesting; an equality's
+    # sides are not below a predicate
+    levels = MAX_TERM_DEPTH - (2 if literal.startswith("p") else 1)
+    deepest = literal.format(_nested(levels, "a"))
+    parse_problem(f"cnf(a, axiom, ({deepest})).", Signature(), "deep.p")
+    too_deep = literal.format(_nested(levels + 1, "a"))
+    with pytest.raises(ParseError, match=r"^deep\.p:2: term nested deeper "
+                       f"than {MAX_TERM_DEPTH}$"):
+        parse_problem(f"% deep\ncnf(a, axiom, ({too_deep})).", Signature(),
+                      "deep.p")
 
 
 def test_arity_clash_is_reported():

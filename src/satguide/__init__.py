@@ -15,15 +15,15 @@ from .clauses import (
 )
 from .features import (
     EPSILON, FeatureMultiset, FeatureTriple, SparseVector, UnknownSymbol,
-    clause_features, feature_index, feature_tree, literal_features, vectorize,
+    clause_features, feature_index, literal_features, vectorize,
 )
 from .guidance import (
     CEF, Strategy, baseline_strategy, evaluate, format_strategy, learned_cef,
-    next_cef, parse_strategy, preweight, weight,
+    parse_strategy, preweight, weight,
 )
 from .pipeline import (
-    ExampleSet, GridSpec, NoProof, boost, extract_examples, greedy_cover,
-    loop, pool_examples, run_grid,
+    ExampleSet, GridSpec, NoProof, extract_examples, greedy_cover, loop,
+    pool_examples, run_grid,
 )
 from .saturation import (
     Limits, ProofSearchRecord, factors, prove, resolvents,

@@ -218,12 +218,12 @@ def clause_depth(clause: Clause) -> int:
     return 1 + max(depths, default=0)
 
 
-def weighted_symbol_count(clause: Clause, var_weight: float = 0.5) -> float:
-    """Like :func:`clause_len` but variable occurrences count ``var_weight``."""
+def weighted_symbol_count(clause: Clause) -> float:
+    """Like :func:`clause_len` but variable occurrences count one half."""
 
     def term_count(t: Term) -> float:
         if isinstance(t, Var):
-            return var_weight
+            return 0.5
         return 1.0 + sum(term_count(a) for a in t.args)
 
     return sum(1.0 + sum(term_count(a) for a in lit.args)

@@ -1,15 +1,14 @@
 """Command-line interface for the whole pipeline.
 
 Subcommands: featurize, prove, extract, train, eval, grid, loop.  Exit code
-0 on success, 1 on a usage error, 2 on a runtime failure.  The ENIGMA_LOG
-environment variable (quiet, info, debug) controls stderr verbosity; all
-randomness flows from --seed.
+0 on success, 1 on a usage error (a named file that cannot be opened is
+one), 2 on a runtime failure.  The ENIGMA_LOG environment variable (quiet,
+info, debug) controls stderr verbosity; all randomness flows from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -44,11 +43,12 @@ def _setup_logging() -> None:
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            return fp.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    with open(path, "r", encoding="utf-8") as fp:
+        return fp.read()
+
+
+def _fmt(value) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
 
 
 def _solver_config(args) -> SolverConfig:
@@ -124,7 +124,7 @@ def cmd_extract(args) -> int:
     for path in args.records:
         try:
             record = saturation.load_record(path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # malformed JSON or not a record
             raise UsageError(f"cannot load record {path}: {exc}") from exc
         if record.outcome != saturation.OUTCOME_PROOF:
             raise UsageError(
@@ -145,11 +145,7 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _solver_config(args)
-    sig_path = args.signature or args.examples + ".sig"
-    try:
-        frozen = svm.load_signature(sig_path)
-    except OSError as exc:
-        raise UsageError(f"cannot read signature {sig_path}: {exc.strerror}") from exc
+    frozen = svm.load_signature(args.signature or args.examples + ".sig")
     with open(args.examples, "r", encoding="utf-8") as fp:
         rows = read_examples(fp, frozen.dimension, args.examples)
     try:
@@ -167,15 +163,11 @@ def cmd_eval(args) -> int:
     with open(args.examples, "r", encoding="utf-8") as fp:
         rows = read_examples(fp, model.signature.dimension, args.examples)
     report = svm.accuracy(model, rows)
-
-    def fmt(value):
-        return "n/a" if value is None else f"{value:.4f}"
-
     print(f"examples: {len(rows)} ({report.positives} positive, "
           f"{report.negatives} negative)")
     print(f"accuracy: {report.accuracy:.4f}")
-    print(f"positive recall: {fmt(report.positive_recall)}")
-    print(f"negative recall: {fmt(report.negative_recall)}")
+    print(f"positive recall: {_fmt(report.positive_recall)}")
+    print(f"negative recall: {_fmt(report.negative_recall)}")
     return 0
 
 
@@ -220,18 +212,14 @@ def cmd_loop(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     for i, model in enumerate(report.models):
         svm.save_model(model, os.path.join(args.output_dir, f"model_round{i}.bin"))
-
-    def fmt(value):
-        return "n/a" if value is None else f"{value:.4f}"
-
     for rr in report.rounds:
         line = (f"round {rr.round}: solved {len(rr.solved)}/{len(problems)} "
                 f"(+{len(rr.new_solved)} new), cover [{', '.join(rr.cover)}]")
         if rr.n_positive:
             line += (f", examples {rr.n_positive}+/{rr.n_negative}-, "
                      f"accuracy {rr.accuracy:.4f}, "
-                     f"pos recall {fmt(rr.positive_recall)}, "
-                     f"neg recall {fmt(rr.negative_recall)}")
+                     f"pos recall {_fmt(rr.positive_recall)}, "
+                     f"neg recall {_fmt(rr.negative_recall)}")
         else:
             line += ", no new proofs to train on"
         print(line)
@@ -392,6 +380,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:
+        if exc.filename is None:  # not a file named on the command line
+            print(f"error: {exc}", file=sys.stderr)
+            return RUNTIME_ERROR
+        print(f"error: cannot open {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return USAGE_ERROR
     except (FormatError, tptp.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

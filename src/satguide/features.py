@@ -39,36 +39,11 @@ class FormatError(Exception):
 
 
 @dataclass(frozen=True)
-class FeatureNode:
-    """Node of a literal feature tree (debug/inspection view)."""
-    label: int
-    children: tuple["FeatureNode", ...] = ()
-
-
-@dataclass(frozen=True)
 class SparseVector:
     """Numeric clause encoding: sorted (index, count) pairs, indices >= 1."""
 
     dimension: int
     entries: tuple[tuple[int, int], ...] = ()
-
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
-
-
-def _term_node(t: Term, sig: Signature) -> FeatureNode:
-    if isinstance(t, Var):
-        return FeatureNode(VAR_MARKER)
-    label = sig.feature_label(t.symbol)
-    return FeatureNode(label, tuple(_term_node(a, sig) for a in t.args))
-
-
-def feature_tree(lit: Literal, sig: Signature) -> FeatureNode:
-    """The literal's syntax tree with polarity root and relabeled leaves."""
-    root = POS_MARKER if lit.positive else NEG_MARKER
-    pred = FeatureNode(sig.feature_label(lit.predicate),
-                       tuple(_term_node(a, sig) for a in lit.args))
-    return FeatureNode(root, (pred,))
 
 
 def literal_features(lit: Literal, sig: Signature) -> FeatureMultiset:

@@ -103,10 +103,6 @@ def next_entry_index(strategy: Strategy, step: int) -> int:
     raise AssertionError("unreachable: cycle position out of range")
 
 
-def next_cef(strategy: Strategy, step: int) -> CEF:
-    return strategy.entries[next_entry_index(strategy, step)][1]
-
-
 def evaluate(clause: Clause, cef: CEF, sig: Signature,
              stats: dict | None = None) -> float:
     """The CEF's weight for a clause; lower means selected earlier."""

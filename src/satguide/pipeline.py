@@ -44,8 +44,6 @@ class NoProof(Exception):
 class ExampleSet:
     positives: list[Clause] = field(default_factory=list)
     negatives: list[Clause] = field(default_factory=list)
-    # clause (by identity) -> (problem id, search id)
-    provenance: dict[Clause, tuple[str, str]] = field(default_factory=dict)
 
 
 @dataclass
@@ -68,9 +66,11 @@ def load_manifest(path: str) -> list[CorpusProblem]:
     """Read a corpus manifest: one ``<id> <path>`` pair per line.
 
     Relative problem paths are resolved against the manifest's directory.
+    Ids must be unique: corpus runs key their records by id.
     """
     base = os.path.dirname(os.path.abspath(path))
     problems = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
@@ -80,6 +80,10 @@ def load_manifest(path: str) -> list[CorpusProblem]:
             if len(cells) != 2:
                 raise ValueError(f"{path}:{lineno}: expected '<id> <path>'")
             pid, ppath = cells
+            if pid in first_line:
+                raise ValueError(f"{path}:{lineno}: problem id {pid!r} "
+                                 f"repeats line {first_line[pid]}")
+            first_line[pid] = lineno
             if not os.path.isabs(ppath):
                 ppath = os.path.join(base, ppath)
             problems.append(CorpusProblem(pid, ppath))
@@ -126,30 +130,14 @@ def pool_examples(records, sig: Signature) -> ExampleSet:
     pool = ExampleSet()
     for record in records:
         positives, negatives = extract_examples(record, sig)
-        search_id = f"{record.problem}:{record.strategy}"
-        for clause in positives:
-            pool.positives.append(clause)
-            pool.provenance[clause] = (record.problem, search_id)
-        for clause in negatives:
-            pool.negatives.append(clause)
-            pool.provenance[clause] = (record.problem, search_id)
+        pool.positives.extend(positives)
+        pool.negatives.extend(negatives)
     return pool
 
 
-def boost(examples: ExampleSet, k: int) -> ExampleSet:
-    """Repeat every positive ``k`` times; negatives are untouched."""
-    if k < 1:
-        raise ValueError("boost factor must be >= 1")
-    return ExampleSet(
-        positives=list(examples.positives) * k,
-        negatives=list(examples.negatives),
-        provenance=dict(examples.provenance),
-    )
-
-
 def boost_rows(rows: list, k: int) -> list:
-    """:func:`boost` for ``(vector, label)`` rows: every positive row ``k``
-    times, then the negative rows, in their order."""
+    """Repeat every positive ``(vector, label)`` row ``k`` times, then the
+    negative rows, in their order."""
     if k < 1:
         raise ValueError("boost factor must be >= 1")
     positives = [row for row in rows if row[1] > 0]

@@ -186,13 +186,12 @@ def _derived(literals, parents: tuple[int, ...]) -> Clause:
 
 
 def resolvents(given: Clause, partner: Clause,
-               primed: tuple[Literal, ...] | None = None) -> list[Clause]:
+               primed: tuple[Literal, ...]) -> list[Clause]:
     """All binary resolvents of the two clauses (ids unassigned).
 
-    The partner's variables are renamed apart, so the same clause may be
-    passed on both sides.  ``primed`` is ``rename_apart(partner.literals)``
-    when the caller keeps it; otherwise the partner is renamed once a
-    complementary pair is found (most pairs have none).
+    ``primed`` is ``rename_apart(partner.literals)``: resolving against it
+    keeps the partner's variables apart from the given clause's, so the
+    same clause may be passed on both sides.
     """
     out = []
     for i, lit_g in enumerate(given.literals):
@@ -200,8 +199,6 @@ def resolvents(given: Clause, partner: Clause,
             if lit_g.positive == lit_p.positive \
                     or lit_g.predicate != lit_p.predicate:
                 continue
-            if primed is None:
-                primed = rename_apart(partner.literals)
             subst = unify_atoms(lit_g, primed[j])
             if subst is None:
                 continue
@@ -420,8 +417,8 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     unprocessed: dict[int, Clause] = {}
     # literal key -> bit of the pattern masks, for this search only
     key_bits: dict = {}
-    clauses: dict[int, Clause] = {}
-    dag: dict[int, tuple[int, ...]] = {}
+    # every kept clause; a clause's id is its index
+    clauses: list[Clause] = []
     given_sequence: list[int] = []
     empty_clause: int | None = None
 
@@ -432,10 +429,8 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     entry_queues = [queues[_queue_key(cef)] for _, cef in strategy.entries]
 
     def register(literals, parents) -> Clause:
-        cid = len(clauses)
-        clause = Clause(cid, tuple(literals), tuple(parents))
-        clauses[cid] = clause
-        dag[cid] = clause.parents
+        clause = Clause(len(clauses), tuple(literals), tuple(parents))
+        clauses.append(clause)
         return clause
 
     def admit(clause: Clause) -> None:
@@ -504,16 +499,16 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
                 break
             admit(clause)
 
-    texts = {cid: format_clause(clause, sig) for cid, clause in clauses.items()}
     return ProofSearchRecord(
         problem=problem_id,
         strategy=format_strategy(strategy),
         outcome=outcome,
         given_sequence=given_sequence,
-        dag=dag,
+        dag={clause.id: clause.parents for clause in clauses},
         empty_clause=empty_clause,
         stats=stats,
-        clause_texts=texts,
+        clause_texts={clause.id: format_clause(clause, sig)
+                      for clause in clauses},
     )
 
 

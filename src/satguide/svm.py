@@ -198,16 +198,11 @@ def predict_vector(model: Model, vec: SparseVector) -> str:
     return POS if score_vector(model, vec) > 0.0 else NEG
 
 
-def score(clause: Clause, model: Model, sig: Signature,
-          stats: dict | None = None) -> float:
-    return score_vector(model, vectorize(clause_features(clause, sig),
-                                         model.signature, stats))
-
-
 def predict(clause: Clause, model: Model, sig: Signature,
             stats: dict | None = None) -> str:
     """Classify a clause: positive iff w'x > 0 (strict), else negative."""
-    return POS if score(clause, model, sig, stats) > 0.0 else NEG
+    vec = vectorize(clause_features(clause, sig), model.signature, stats)
+    return predict_vector(model, vec)
 
 
 @dataclass

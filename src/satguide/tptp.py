@@ -224,8 +224,3 @@ def format_clause(clause: Clause, sig: Signature) -> str:
     return " | ".join(format_literal(lit, sig) for lit in clause.literals)
 
 
-def format_problem(clauses, sig: Signature) -> str:
-    lines = []
-    for clause in clauses:
-        lines.append(f"cnf(c{clause.id}, axiom, ({format_clause(clause, sig)})).")
-    return "\n".join(lines) + "\n"

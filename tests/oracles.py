@@ -6,13 +6,17 @@ with a gradient-descent fallback), and the entailment oracle grounds
 clauses over a finite universe and enumerates truth assignments.  The one
 exception is :func:`numpy_dcd_reference`, the earlier numpy form of the
 dual coordinate-descent solver, which shares only the solver's result and
-error types; it pins the plain-Python loop to the same arithmetic.
+error types; it pins the plain-Python loop to the same arithmetic.  The
+feature tree builds each literal's tree explicitly and shares only the
+signature's symbol labels with the featurizer.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
+from satguide.clauses import NEG_MARKER, POS_MARKER, VAR_MARKER, Var
 from satguide.svm import NonFinite, SolverInfo
 
 _PG_FLOOR = 1e-12
@@ -146,6 +150,33 @@ def brute_force_min_cover(sets):
             if covered == universe:
                 return list(combo)
     raise AssertionError("unreachable: the full collection always covers")
+
+
+@dataclass(frozen=True)
+class FeatureNode:
+    """Node of a literal feature tree."""
+    label: int
+    children: tuple["FeatureNode", ...] = ()
+
+
+def _term_node(t, sig):
+    if isinstance(t, Var):
+        return FeatureNode(VAR_MARKER)
+    label = sig.feature_label(t.symbol)
+    return FeatureNode(label, tuple(_term_node(a, sig) for a in t.args))
+
+
+def feature_tree(lit, sig):
+    """The literal's syntax tree with polarity root and relabeled leaves.
+
+    Built as an explicit tree, so its walks check the direct walk in
+    ``features.literal_features``; only the symbol labels come from the
+    signature.
+    """
+    root = POS_MARKER if lit.positive else NEG_MARKER
+    pred = FeatureNode(sig.feature_label(lit.predicate),
+                       tuple(_term_node(a, sig) for a in lit.args))
+    return FeatureNode(root, (pred,))
 
 
 def _ground_terms(sig, constants, functions, depth):

@@ -29,13 +29,13 @@ from satguide.guidance import (
     symbol_count_cef, weight,
 )
 from satguide.pipeline import (
-    ExampleSet, boost, greedy_cover, load_manifest, pool_examples,
+    ExampleSet, boost_rows, greedy_cover, load_manifest, pool_examples,
     run_corpus, train_from_examples, training_set,
 )
 from satguide.saturation import Limits, OUTCOME_PROOF, prove
 from satguide.svm import (
     Model, NEG, POS, SolverConfig, accuracy, predict, predict_vector,
-    score_vector, solve_l2svm,
+    score_vector, solve_l2svm, train_vectors,
 )
 from satguide.tptp import parse_clause_text, parse_problem
 
@@ -308,7 +308,8 @@ def test_criterion_09_boosting_direction_on_skewed_fixture():
     ratio = len(pool.negatives) / len(pool.positives)
     assert 25 <= ratio <= 35  # pos:neg about 1:30
     plain_model = train_from_examples(pool, sig)
-    boosted_model = train_from_examples(boost(pool, 10), sig)
+    boosted_model = train_vectors(
+        boost_rows(training_set(pool, sig), 10), sig.freeze())
     ts = training_set(pool, sig)
     plain = accuracy(plain_model, ts)
     boosted = accuracy(boosted_model, ts)

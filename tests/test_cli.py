@@ -296,6 +296,34 @@ def test_usage_and_runtime_exit_codes(tmp_path, capsys):
         del os.environ["ENIGMA_LOG"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "{gone}", "-o", "{tmp}/m.bin"],
+    ["eval", "{gone}", "{tmp}/ex.txt"],
+    ["grid", "{tmp}/manifest.txt", "--model", "{gone}"],
+    ["grid", "{gone}", "--model", "{tmp}/model.bin"],
+    ["loop", "{gone}", "-o", "{tmp}/out"],
+    ["prove", "{tmp}/chain.p", "--strategy", "1*Learned({gone},gamma=0)"],
+], ids=["train-examples", "eval-model", "grid-model", "grid-manifest",
+        "loop-manifest", "prove-strategy-model"])
+def test_a_named_file_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys,
+                                                            argv):
+    sig_text = ("symbols 4\n0 $var 0 variable-marker\n1 $sko 0 skolem-marker\n"
+                "2 $pos 0 pos-marker\n3 $neg 0 neg-marker\n")
+    (tmp_path / "ex.txt").write_text("+1 1:1\n-1 2:1\n")
+    (tmp_path / "ex.txt.sig").write_text(sig_text)
+    # train finds the signature and fails on the examples file itself
+    (tmp_path / "gone.sig").write_text(sig_text)
+    (tmp_path / "chain.p").write_text(CHAIN_PROBLEM)
+    (tmp_path / "manifest.txt").write_text("chain chain.p\n")
+    assert run(capsys, "train", str(tmp_path / "ex.txt"),
+               "-o", str(tmp_path / "model.bin"))[0] == 0
+    gone = tmp_path / "gone"
+    code, _, err = run(capsys, *(a.format(gone=gone, tmp=tmp_path)
+                                 for a in argv))
+    assert code == 1, err
+    assert f"cannot open {gone}" in err
+
+
 def test_help_lists_every_subcommand(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

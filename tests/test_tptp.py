@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from satguide.clauses import Signature
+from satguide.clauses import Clause, Signature
 from satguide.tptp import (
-    MAX_TERM_DEPTH, ParseError, format_clause, format_problem,
-    parse_clause_text, parse_problem,
+    MAX_TERM_DEPTH, ParseError, format_clause, parse_clause_text,
+    parse_problem,
 )
 
 SAMPLE = """
@@ -123,12 +123,10 @@ def test_print_parse_round_trip_on_random_clauses():
         assert again == clause.literals
 
 
-def test_format_problem_round_trips():
+def test_sample_clauses_round_trip():
     sig = Signature()
-    clauses = parse_problem(SAMPLE, sig)
-    text = format_problem(clauses, sig)
     sig2 = Signature()
-    again = parse_problem(text, sig2)
-    assert len(again) == len(clauses)
-    for c1, c2 in zip(clauses, again):
-        assert format_clause(c1, sig) == format_clause(c2, sig2)
+    for clause in parse_problem(SAMPLE, sig):
+        printed = format_clause(clause, sig)
+        again = Clause(clause.id, parse_clause_text(printed, sig2))
+        assert format_clause(again, sig2) == printed

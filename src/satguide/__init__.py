@@ -22,8 +22,8 @@ from .guidance import (
     parse_strategy, preweight, weight,
 )
 from .pipeline import (
-    ExampleSet, GridSpec, NoProof, extract_examples, greedy_cover, loop,
-    pool_examples, run_grid,
+    GridSpec, NoProof, extract_examples, greedy_cover, loop, pool_examples,
+    run_grid,
 )
 from .saturation import (
     Limits, ProofSearchRecord, factors, prove, resolvents,

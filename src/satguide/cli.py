@@ -133,7 +133,7 @@ def cmd_extract(args) -> int:
     examples = pipeline.pool_examples(pools, sig)
     rows = pipeline.boost_rows(pipeline.training_set(examples, sig), args.boost)
     with open(args.output, "w", encoding="utf-8") as fp:
-        write_examples(fp, ((label, vec) for vec, label in rows))
+        write_examples(fp, rows)
     sig_path = args.signature or args.output + ".sig"
     svm.save_signature(sig.freeze(), sig_path)
     n_pos = sum(label > 0 for _, label in rows)
@@ -172,15 +172,19 @@ def cmd_eval(args) -> int:
 
 
 def _grid_spec(args) -> pipeline.GridSpec:
-    return pipeline.GridSpec(_comma_list(args.gammas, "--gammas", float),
-                             _comma_list(args.frequencies, "--frequencies", int))
+    gammas = _comma_list(args.gammas, "--gammas", float)
+    frequencies = _comma_list(args.frequencies, "--frequencies", int)
+    try:
+        return pipeline.GridSpec(gammas, frequencies)
+    except ValueError as exc:
+        raise UsageError(f"bad --gammas or --frequencies: {exc}") from exc
 
 
 def cmd_grid(args) -> int:
+    grid = _grid_spec(args)
     problems = pipeline.load_manifest(args.manifest)
     model = svm.load_model(args.model)
     base = _strategy(args.base_strategy)
-    grid = _grid_spec(args)
     result = pipeline.run_grid(problems, model, base, grid, _limits(args),
                                jobs=args.jobs, model_path=args.model)
     table = pipeline.grid_table_text(result)

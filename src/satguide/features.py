@@ -13,7 +13,6 @@ literal is featureless.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .clauses import (
     Clause, FrozenSignature, Literal, NEG_MARKER, POS_MARKER, Signature,
@@ -28,6 +27,8 @@ EPSILON_DISPLAY = "ε"
 
 FeatureTriple = tuple[int, int, int]
 FeatureMultiset = dict[FeatureTriple, int]
+# numeric clause encoding: sorted (index, count) pairs, indices >= 1
+SparseVector = tuple[tuple[int, int], ...]
 
 
 class UnknownSymbol(Exception):
@@ -36,14 +37,6 @@ class UnknownSymbol(Exception):
 
 class FormatError(Exception):
     """A data file (examples, model) is malformed."""
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Numeric clause encoding: sorted (index, count) pairs, indices >= 1."""
-
-    dimension: int
-    entries: tuple[tuple[int, int], ...] = ()
 
 
 def literal_features(lit: Literal, sig: Signature) -> FeatureMultiset:
@@ -90,7 +83,7 @@ def feature_index(triple: FeatureTriple, frozen: FrozenSignature) -> int:
     for component in triple:
         if component != EPSILON and not 0 <= component < frozen.size:
             raise UnknownSymbol(f"symbol id {component} is not in the frozen signature")
-    ((index, _),) = vectorize({triple: 1}, frozen).entries
+    ((index, _),) = vectorize({triple: 1}, frozen)
     return index
 
 
@@ -120,7 +113,7 @@ def vectorize(counts: FeatureMultiset, frozen: FrozenSignature,
     if dropped and stats is not None:
         stats["dropped_triples"] = stats.get("dropped_triples", 0) + dropped
     entries.sort()
-    return SparseVector(frozen.dimension, tuple(entries))
+    return tuple(entries)
 
 
 def format_triple(triple: FeatureTriple, sig: Signature) -> str:
@@ -137,14 +130,14 @@ def format_multiset(counts: FeatureMultiset, sig: Signature) -> str:
 
 
 def write_examples(fp, rows) -> None:
-    """Write labeled vectors in the sparse text format.
+    """Write ``(vector, label)`` rows in the sparse text format.
 
     One line per example: ``<label> <idx>:<count> ...`` with label +1/-1 and
     strictly increasing indices.
     """
-    for label, vec in rows:
+    for vec, label in rows:
         cells = [("+1" if label > 0 else "-1")]
-        cells.extend(f"{i}:{v}" for i, v in vec.entries)
+        cells.extend(f"{i}:{v}" for i, v in vec)
         fp.write(" ".join(cells) + "\n")
 
 
@@ -181,5 +174,5 @@ def read_examples(fp, dimension: int, path: str = "<examples>"):
                     f"{path}:{lineno}: index {idx} outside [1, {dimension}]")
             last = idx
             entries.append((idx, val))
-        rows.append((SparseVector(dimension, tuple(entries)), label))
+        rows.append((tuple(entries), label))
     return rows

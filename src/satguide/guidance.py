@@ -12,6 +12,7 @@ classifies it positive, gamma * len(C) + 10 otherwise.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -74,8 +75,8 @@ def symbol_count_cef() -> CEF:
 
 
 def learned_cef(model: Model, gamma: float, model_path: str = "<memory>") -> CEF:
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and nonnegative")
     return CEF(LEARNED, gamma, model_path, model)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,12 +42,6 @@ class NoProof(Exception):
 
 
 @dataclass
-class ExampleSet:
-    positives: list[Clause] = field(default_factory=list)
-    negatives: list[Clause] = field(default_factory=list)
-
-
-@dataclass
 class GridSpec:
     gammas: list[float]
     frequencies: list[int]
@@ -54,6 +49,10 @@ class GridSpec:
     def __post_init__(self):
         if not self.gammas or not self.frequencies:
             raise ValueError("grid needs at least one gamma and one frequency")
+        if not all(0 <= gamma < math.inf for gamma in self.gammas):
+            raise ValueError("gammas must be finite and nonnegative")
+        if any(freq < 1 for freq in self.frequencies):
+            raise ValueError("frequencies must be >= 1")
 
 
 @dataclass
@@ -121,18 +120,20 @@ def extract_examples(record: ProofSearchRecord,
     return positives, negatives
 
 
-def pool_examples(records, sig: Signature) -> ExampleSet:
-    """Extract and pool examples from many proof records.
+def pool_examples(records,
+                  sig: Signature) -> tuple[list[Clause], list[Clause]]:
+    """Extract and pool ``(positives, negatives)`` from many proof records.
 
     Labels are pooled as-is: a clause can be positive in one search and
     negative in another, and both examples are kept.
     """
-    pool = ExampleSet()
+    positives: list[Clause] = []
+    negatives: list[Clause] = []
     for record in records:
-        positives, negatives = extract_examples(record, sig)
-        pool.positives.extend(positives)
-        pool.negatives.extend(negatives)
-    return pool
+        pos, neg = extract_examples(record, sig)
+        positives.extend(pos)
+        negatives.extend(neg)
+    return positives, negatives
 
 
 def boost_rows(rows: list, k: int) -> list:
@@ -145,14 +146,16 @@ def boost_rows(rows: list, k: int) -> list:
     return positives * k + negatives
 
 
-def training_set(examples: ExampleSet, sig: Signature) -> list:
-    """Vectorize an example set against the signature's current snapshot."""
-    return vectorize_examples(examples.positives, examples.negatives, sig)
+def training_set(examples: tuple[list[Clause], list[Clause]],
+                 sig: Signature) -> list:
+    """Vectorize ``(positives, negatives)`` against the current snapshot."""
+    return vectorize_examples(*examples, sig)
 
 
-def train_from_examples(examples: ExampleSet, sig: Signature,
+def train_from_examples(examples: tuple[list[Clause], list[Clause]],
+                        sig: Signature,
                         cfg: SolverConfig | None = None) -> Model:
-    return train(examples.positives, examples.negatives, sig, cfg)
+    return train(*examples, sig, cfg)
 
 
 def signature_for_strategy(strategy: Strategy) -> Signature:
@@ -366,19 +369,19 @@ def loop(problems, base: Strategy | None, rounds: int, grid: GridSpec,
     def train_round(round_no: int, cover_keys: list[str],
                     new_solved: set[str], grid_csv: str) -> Model | None:
         sig = Signature()
-        pool = pool_examples(proof_records.values(), sig)
-        if not pool.positives or not pool.negatives:
+        positives, negatives = pool_examples(proof_records.values(), sig)
+        if not positives or not negatives:
             log.warning("round %d: not enough examples to train", round_no)
             return None
         # featurized once: the model trains on the boosted rows and is
         # scored on the unboosted ones
-        rows = training_set(pool, sig)
+        rows = training_set((positives, negatives), sig)
         model = train_vectors(boost_rows(rows, boost_k), sig.freeze(), cfg)
         acc = accuracy(model, rows)
         report.rounds.append(RoundReport(
             round=round_no, solved=set(solved_total), new_solved=new_solved,
-            cover=cover_keys, n_positive=boost_k * len(pool.positives),
-            n_negative=len(pool.negatives), accuracy=acc.accuracy,
+            cover=cover_keys, n_positive=boost_k * len(positives),
+            n_negative=len(negatives), accuracy=acc.accuracy,
             positive_recall=acc.positive_recall,
             negative_recall=acc.negative_recall, grid_csv=grid_csv))
         report.models.append(model)

@@ -361,10 +361,11 @@ def equality_axioms(clauses, sig: Signature) -> list[tuple[Literal, ...]]:
 class _CefQueue:
     """Lazy per-CEF ordering view over the unprocessed set.
 
-    Clauses are parked in ``pending`` until this CEF is asked to select;
-    each is then weighed once and pushed on a heap, ties broken by id.
-    Heap entries for clauses that were selected by another CEF in the
-    meantime are skipped on pop.
+    ``seen`` is a watermark into the search's id-ordered clause list: the
+    clauses past it are weighed, once each, the next time this CEF is asked
+    to select, and those still unprocessed are pushed on a heap, ties
+    broken by id.  Heap entries for clauses that were selected by another
+    CEF in the meantime are skipped on pop.
     """
 
     def __init__(self, cef: CEF, sig: Signature, stats: dict):
@@ -372,17 +373,14 @@ class _CefQueue:
         self.sig = sig
         self.stats = stats
         self.heap: list[tuple[float, int]] = []
-        self.pending: list[Clause] = []
+        self.seen = 0
 
-    def add(self, clause: Clause) -> None:
-        self.pending.append(clause)
-
-    def pop(self, unprocessed: dict) -> Clause | None:
-        for clause in self.pending:
+    def pop(self, clauses: list, unprocessed: dict) -> Clause | None:
+        for clause in clauses[self.seen:]:
             if clause.id in unprocessed:
                 w = evaluate(clause, self.cef, self.sig, self.stats)
                 heapq.heappush(self.heap, (w, clause.id))
-        self.pending.clear()
+        self.seen = len(clauses)
         while self.heap:
             _, cid = heapq.heappop(self.heap)
             clause = unprocessed.get(cid)
@@ -419,7 +417,6 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     key_bits: dict = {}
     # every kept clause; a clause's id is its index
     clauses: list[Clause] = []
-    given_sequence: list[int] = []
     empty_clause: int | None = None
 
     # entries with equal CEFs share one queue: they would pick alike
@@ -435,8 +432,6 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
 
     def admit(clause: Clause) -> None:
         unprocessed[clause.id] = clause
-        for queue in queues.values():
-            queue.add(clause)
         stats["kept"] += 1
 
     input_literal_sets = [clause.literals for clause in problem]
@@ -466,12 +461,11 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             outcome = OUTCOME_RESOURCE_OUT
             break
         entry = next_entry_index(strategy, stats["processed"])
-        given = entry_queues[entry].pop(unprocessed)
+        given = entry_queues[entry].pop(clauses, unprocessed)
         assert given is not None, "unprocessed nonempty but queue is dry"
         del unprocessed[given.id]
         processed.append((given, rename_apart(given.literals),
                           pattern_mask(given, key_bits)))
-        given_sequence.append(given.id)
         stats["processed"] += 1
 
         candidates = []
@@ -503,7 +497,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         problem=problem_id,
         strategy=format_strategy(strategy),
         outcome=outcome,
-        given_sequence=given_sequence,
+        given_sequence=[given.id for given, _, _ in processed],
         dag={clause.id: clause.parents for clause in clauses},
         empty_clause=empty_clause,
         stats=stats,
@@ -529,16 +523,34 @@ def record_to_json(record: ProofSearchRecord) -> dict:
 def record_from_json(data: dict) -> ProofSearchRecord:
     if data.get("format") != RECORD_FORMAT:
         raise ValueError(f"not a proof-search record: {data.get('format')!r}")
-    return ProofSearchRecord(
-        problem=data["problem"],
-        strategy=data["strategy"],
-        outcome=data["outcome"],
-        given_sequence=[int(x) for x in data["given_sequence"]],
-        dag={int(cid): tuple(parents) for cid, parents in data["dag"].items()},
-        empty_clause=data["empty_clause"],
-        stats={k: int(v) for k, v in data["stats"].items()},
-        clause_texts={int(cid): text for cid, text in data["clauses"].items()},
-    )
+    try:
+        record = ProofSearchRecord(
+            problem=data["problem"],
+            strategy=data["strategy"],
+            outcome=data["outcome"],
+            given_sequence=[int(x) for x in data["given_sequence"]],
+            dag={int(cid): tuple(parents)
+                 for cid, parents in data["dag"].items()},
+            empty_clause=data["empty_clause"],
+            stats={k: int(v) for k, v in data["stats"].items()},
+            clause_texts={int(cid): text
+                          for cid, text in data["clauses"].items()},
+        )
+    except KeyError as exc:
+        raise ValueError(f"record has no {exc.args[0]!r} key") from None
+    # example extraction reads these clauses and walks the DAG from the
+    # empty clause
+    named = list(record.given_sequence)
+    if record.empty_clause is not None:
+        named.append(record.empty_clause)
+    for cid in named:
+        if cid not in record.dag or cid not in record.clause_texts:
+            raise ValueError(f"clause {cid} has no dag entry or no text")
+    for parents in record.dag.values():
+        for parent in parents:
+            if parent not in record.dag:
+                raise ValueError(f"dag parent {parent} has no dag entry")
+    return record
 
 
 def save_record(record: ProofSearchRecord, path: str) -> None:

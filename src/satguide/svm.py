@@ -90,8 +90,7 @@ def solve_l2svm(vectors, labels, dimension: int,
     """
     n = len(vectors)
     d_diag = 1.0 / (2.0 * cfg.c)
-    rows = [vec.entries for vec in vectors]
-    qdiag = [sum(v * v for _, v in entries) + d_diag for entries in rows]
+    qdiag = [sum(v * v for _, v in vec) + d_diag for vec in vectors]
     for k, q in enumerate(qdiag):
         if not math.isfinite(q):
             raise NonFinite(f"example {k} has non-finite or overflowing "
@@ -108,7 +107,7 @@ def solve_l2svm(vectors, labels, dimension: int,
     for _ in range(cfg.max_epochs):
         violation = 0.0
         for i in rng.permutation(n).tolist():
-            entries = rows[i]
+            entries = vectors[i]
             dot = 0.0
             for j, v in entries:
                 dot += w[j] * v
@@ -153,11 +152,9 @@ def train_vectors(rows, frozen: FrozenSignature,
     labels = [label for _, label in rows]
     if 1 not in labels or -1 not in labels:
         raise EmptyClass("empty class: need at least one example of each label")
-    features = sorted({i for vec, _ in rows for i, _ in vec.entries})
+    features = sorted({i for vec, _ in rows for i, _ in vec})
     compact = {i: k for k, i in enumerate(features, start=1)}
-    vectors = [SparseVector(len(features),
-                            tuple((compact[i], v) for i, v in vec.entries))
-               for vec, _ in rows]
+    vectors = [tuple((compact[i], v) for i, v in vec) for vec, _ in rows]
     w, info = solve_l2svm(vectors, labels, len(features), cfg)
     if not info.converged:
         logging.getLogger("satguide").warning(
@@ -189,7 +186,7 @@ def train(pos, neg, sig: Signature, cfg: SolverConfig | None = None) -> Model:
 def score_vector(model: Model, vec: SparseVector) -> float:
     w = model.w
     total = 0.0
-    for i, v in vec.entries:
+    for i, v in vec:
         total += w.get(i, 0.0) * v
     return float(total)
 

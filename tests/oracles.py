@@ -89,8 +89,8 @@ def numpy_dcd_reference(vectors, labels, dimension, cfg):
     vals = []
     qdiag = np.empty(n)
     for k, vec in enumerate(vectors):
-        idx = np.array([i - 1 for i, _ in vec.entries], dtype=np.intp)
-        val = np.array([v for _, v in vec.entries], dtype=np.float64)
+        idx = np.array([i - 1 for i, _ in vec], dtype=np.intp)
+        val = np.array([v for _, v in vec], dtype=np.float64)
         idxs.append(idx)
         vals.append(val)
         qdiag[k] = float(val @ val) + d_diag

@@ -21,7 +21,7 @@ from satguide.clauses import (
     SKOLEM_MARKER, Signature, VAR_MARKER, clause_len,
 )
 from satguide.features import (
-    EPSILON, SparseVector, feature_index, literal_features,
+    EPSILON, feature_index, literal_features,
 )
 from satguide.guidance import (
     NEGATIVE_WEIGHT, POSITIVE_WEIGHT, Strategy, baseline_strategy,
@@ -29,7 +29,7 @@ from satguide.guidance import (
     symbol_count_cef, weight,
 )
 from satguide.pipeline import (
-    ExampleSet, boost_rows, greedy_cover, load_manifest, pool_examples,
+    boost_rows, greedy_cover, load_manifest, pool_examples,
     run_corpus, train_from_examples, training_set,
 )
 from satguide.saturation import Limits, OUTCOME_PROOF, prove
@@ -107,8 +107,7 @@ def test_criterion_03_svm_matches_brute_force_qp():
             labels[0] = 1
         if -1 not in labels:
             labels[-1] = -1
-        vectors = [SparseVector(dim, tuple((j + 1, v)
-                                           for j, v in enumerate(row) if v))
+        vectors = [tuple((j + 1, v) for j, v in enumerate(row) if v)
                    for row in rows]
         cfg = SolverConfig(c=c, tolerance=1e-9, max_epochs=20000, seed=trial)
         w, info = solve_l2svm(vectors, labels, dim, cfg)
@@ -133,19 +132,18 @@ def test_criterion_04_prediction_rule_is_strict():
     for _ in range(500):
         nnz = rng.randint(0, 8)
         picks = sorted(rng.sample(range(1, frozen.dimension + 1), nnz))
-        vec = SparseVector(frozen.dimension,
-                           tuple((i, rng.randint(1, 4)) for i in picks))
-        for i, _ in vec.entries:
+        vec = tuple((i, rng.randint(1, 4)) for i in picks)
+        for i, _ in vec:
             model.w[i] = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0])
         score = score_vector(model, vec)
         assert predict_vector(model, vec) == (POS if score > 0.0 else NEG)
     # engineered exact ties classify negative
     model.w.clear()
     model.w[1], model.w[2] = 2.0, -1.0
-    tie = SparseVector(frozen.dimension, ((1, 1), (2, 2)))
+    tie = ((1, 1), (2, 2))
     assert score_vector(model, tie) == 0.0
     assert predict_vector(model, tie) == NEG
-    assert predict_vector(model, SparseVector(frozen.dimension)) == NEG
+    assert predict_vector(model, ()) == NEG
     empty_clause = parse_problem("cnf(e, axiom, $false).", sig)[0]
     assert predict(empty_clause, model, sig) == NEG
     report(4, "positive iff w'x > 0, strictly; ties and empty vectors negative")
@@ -157,8 +155,7 @@ def test_criterion_05_guidance_arithmetic_over_the_grids():
     neg_texts = ["bad(a)", "bad(f(a,b))", "bad(f(f(a,a),b))"]
     positives = [parse_one(t, sig) for t in pos_texts]
     negatives = [parse_one(t, sig) for t in neg_texts]
-    model = train_from_examples(
-        ExampleSet(positives=positives, negatives=negatives), sig)
+    model = train_from_examples((positives, negatives), sig)
     clauses = positives + negatives
     checked = 0
     for gamma in GAMMA_GRID:
@@ -298,14 +295,14 @@ def test_criterion_08_guided_rerun_improvement():
 
 def test_criterion_09_boosting_direction_on_skewed_fixture():
     sig = Signature()
-    pool = ExampleSet()
+    positives, negatives = pool = ([], [])
     texts = [("q(a)", 1)] * 10 + [("q(a)", -1)] * 40 + [("r(b)", 1)] * 2
     for i in range(10):
         texts.extend([(f"junk{i}(z{i})", -1)] * 32)
     for k, (text, label) in enumerate(texts):
         clause = parse_problem(f"cnf(c{k}, axiom, ({text})).", sig)[0]
-        (pool.positives if label > 0 else pool.negatives).append(clause)
-    ratio = len(pool.negatives) / len(pool.positives)
+        (positives if label > 0 else negatives).append(clause)
+    ratio = len(negatives) / len(positives)
     assert 25 <= ratio <= 35  # pos:neg about 1:30
     plain_model = train_from_examples(pool, sig)
     boosted_model = train_vectors(
@@ -335,8 +332,7 @@ def test_criterion_10_featurize_and_predict_throughput():
             clauses.append(clause)
     positives = clauses[:100]
     negatives = clauses[100:]
-    model = train_from_examples(
-        ExampleSet(positives=positives, negatives=negatives), sig)
+    model = train_from_examples((positives, negatives), sig)
 
     def run_once():
         for clause in clauses:

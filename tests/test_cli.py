@@ -201,6 +201,7 @@ def test_train_solver_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
     ("--rounds", "--rounds must be >= 1"),
     ("-c", "c must be positive"),
     ("--max-epochs", "max_epochs must be at least 1"),
+    ("--frequencies", "frequencies must be >= 1"),
 ])
 def test_loop_out_of_range_flag_is_a_usage_error(tmp_path, capsys, flag,
                                                  reason):
@@ -212,6 +213,59 @@ def test_loop_out_of_range_flag_is_a_usage_error(tmp_path, capsys, flag,
                        "-o", str(outdir))
     assert code == 1 and flag in err and reason in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["loop", "{tmp}/manifest.txt", "--gammas", "-1", "-o", "{tmp}/out"],
+     "bad --gammas or --frequencies: gammas must be finite and nonnegative"),
+    (["loop", "{tmp}/manifest.txt", "--gammas", "nan", "-o", "{tmp}/out"],
+     "bad --gammas or --frequencies: gammas must be finite and nonnegative"),
+    (["loop", "{tmp}/manifest.txt", "--gammas=", "-o", "{tmp}/out"],
+     "bad --gammas or --frequencies: grid needs at least one gamma"),
+    (["grid", "{tmp}/manifest.txt", "--model", "{tmp}/model.bin",
+      "--gammas", "inf"],
+     "bad --gammas or --frequencies: gammas must be finite and nonnegative"),
+    (["prove", "{tmp}/chain.p", "--strategy",
+      "1*Learned({tmp}/model.bin,gamma=nan)"],
+     "gamma must be finite and nonnegative"),
+], ids=["loop-negative", "loop-nan", "loop-empty", "grid-inf",
+        "prove-strategy-nan"])
+def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
+    # the problem file does not exist, so any corpus run would fail first
+    (tmp_path / "manifest.txt").write_text(f"p0 {tmp_path / 'missing.p'}\n")
+    (tmp_path / "chain.p").write_text(CHAIN_PROBLEM)
+    (tmp_path / "ex.txt").write_text("+1 1:1\n-1 2:1\n")
+    (tmp_path / "ex.txt.sig").write_text(
+        "symbols 4\n0 $var 0 variable-marker\n1 $sko 0 skolem-marker\n"
+        "2 $pos 0 pos-marker\n3 $neg 0 neg-marker\n")
+    assert run(capsys, "train", str(tmp_path / "ex.txt"),
+               "-o", str(tmp_path / "model.bin"))[0] == 0
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and reason in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("breaks,reason", [
+    (lambda r: {"format": r["format"]}, "record has no 'problem' key"),
+    (lambda r: dict(r, empty_clause=999),
+     "clause 999 has no dag entry or no text"),
+    (lambda r: dict(r, clauses={}), "has no dag entry or no text"),
+    (lambda r: dict(r, dag={**r["dag"], str(r["empty_clause"]): [999]}),
+     "dag parent 999 has no dag entry"),
+], ids=["no-problem-key", "empty-clause-not-in-dag",
+        "given-clause-without-text", "parent-not-in-dag"])
+def test_extract_on_a_malformed_record_is_a_usage_error(tmp_path, capsys,
+                                                        breaks, reason):
+    problem = tmp_path / "chain.p"
+    problem.write_text(CHAIN_PROBLEM)
+    record = tmp_path / "rec.json"
+    assert run(capsys, "prove", str(problem), "--record", str(record))[0] == 0
+    record.write_text(json.dumps(breaks(json.loads(record.read_text()))))
+    examples = tmp_path / "ex.txt"
+    code, _, err = run(capsys, "extract", str(record), "-o", str(examples))
+    assert code == 1, err
+    assert f"cannot load record {record}: " in err and reason in err
+    assert not examples.exists()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -12,7 +12,7 @@ from satguide.clauses import (
 )
 from oracles import FeatureNode, feature_tree
 from satguide.features import (
-    EPSILON, SparseVector, UnknownSymbol, clause_features, feature_index,
+    EPSILON, UnknownSymbol, clause_features, feature_index,
     format_multiset, literal_features, read_examples, vectorize,
     write_examples, FormatError,
 )
@@ -168,14 +168,14 @@ def test_vectorize_golden_and_determinism():
     frozen = sig.freeze()
     counts = clause_features(clause, sig)
     vec = vectorize(counts, frozen)
-    assert len(vec.entries) == 5
-    assert sum(n for _, n in vec.entries) == 7
-    assert list(vec.entries) == sorted(vec.entries)
-    assert all(1 <= i <= frozen.dimension for i, _ in vec.entries)
+    assert len(vec) == 5
+    assert sum(n for _, n in vec) == 7
+    assert list(vec) == sorted(vec)
+    assert all(1 <= i <= frozen.dimension for i, _ in vec)
     again = vectorize(clause_features(clause, sig), frozen)
     assert again == vec
-    assert vectorize({}, frozen) == SparseVector(frozen.dimension)
-    assert vectorize({(0, 0, 0): 3}, frozen).entries == ((1, 3),)
+    assert vectorize({}, frozen) == ()
+    assert vectorize({(0, 0, 0): 3}, frozen) == ((1, 3),)
 
 
 def test_vectorize_drops_unknown_symbols_with_counter():
@@ -187,29 +187,29 @@ def test_vectorize_drops_unknown_symbols_with_counter():
     stats = {}
     vec = vectorize(clause_features(later, sig), frozen, stats)
     assert stats["dropped_triples"] == 1
-    assert sum(n for _, n in vec.entries) == 1  # only the p(a) walk survives
+    assert sum(n for _, n in vec) == 1  # only the p(a) walk survives
     # unknown Skolem functions collapse to the marker instead of dropping
     sko = parse_one("p(sko99)", sig)
     stats2 = {}
     vec2 = vectorize(clause_features(sko, sig), frozen, stats2)
     assert "dropped_triples" not in stats2
-    assert sum(n for _, n in vec2.entries) == 1
+    assert sum(n for _, n in vec2) == 1
 
 
 def test_examples_file_round_trip(tmp_path):
     sig = Signature()
     frozen = sig.freeze()
     rows = [
-        (1, vectorize({(0, 0, 0): 2, (1, 2, 3): 1}, frozen)),
-        (-1, vectorize({(2, 2, EPSILON): 4}, frozen)),
-        (1, SparseVector(frozen.dimension)),
+        (vectorize({(0, 0, 0): 2, (1, 2, 3): 1}, frozen), 1),
+        (vectorize({(2, 2, EPSILON): 4}, frozen), -1),
+        ((), 1),
     ]
     path = tmp_path / "ex.txt"
     with open(path, "w") as fp:
         write_examples(fp, rows)
     with open(path) as fp:
         parsed = read_examples(fp, frozen.dimension, str(path))
-    assert [(lbl, vec) for vec, lbl in parsed] == rows
+    assert parsed == rows
     lines = path.read_text().splitlines()
     assert lines[0].startswith("+1 ")
     assert lines[1].startswith("-1 ")

@@ -533,7 +533,7 @@ def test_parser_never_crashes_on_garbage():
                 (text, type(exc))
 
 
-def test_record_json_round_trip(tmp_path):
+def test_record_json_round_trip(tmp_path, fixture_baseline_records):
     sig = Signature()
     text = """
     cnf(f1, axiom, (p0(c))).
@@ -551,6 +551,10 @@ def test_record_json_round_trip(tmp_path):
     assert set(raw) >= {"outcome", "given_sequence", "dag", "clauses", "stats"}
     with pytest.raises(ValueError):
         record_from_json({"format": "something else"})
+    for record in fixture_baseline_records:
+        data = record_to_json(record)
+        again = record_from_json(json.loads(json.dumps(data)))
+        assert record_to_json(again) == data
 
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"

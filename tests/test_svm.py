@@ -12,7 +12,7 @@ from oracles import (
     numpy_dcd_reference, svm_primal_value, svm_reference_minimizer,
 )
 from satguide.clauses import DEFAULT_SKOLEM_PREFIXES, Signature
-from satguide.features import FormatError, SparseVector
+from satguide.features import FormatError
 from satguide.svm import (
     EmptyClass, Model, NEG, NonFinite, POS, SolverConfig, accuracy,
     load_model, predict, predict_vector, save_model, score_vector,
@@ -21,21 +21,20 @@ from satguide.svm import (
 from satguide.tptp import parse_problem
 
 
-def dense(values, dimension):
-    entries = tuple((i + 1, v) for i, v in enumerate(values) if v)
-    return SparseVector(dimension, entries)
+def dense(values):
+    return tuple((i + 1, v) for i, v in enumerate(values) if v)
 
 
 def to_rows(vectors, dimension):
     out = np.zeros((len(vectors), dimension))
     for k, vec in enumerate(vectors):
-        for i, v in vec.entries:
+        for i, v in vec:
             out[k, i - 1] = v
     return out
 
 
 def test_two_point_problem_separates():
-    vectors = [dense([1, 0], 2), dense([0, 1], 2)]
+    vectors = [dense([1, 0]), dense([0, 1])]
     labels = [1, -1]
     w, info = solve_l2svm(vectors, labels, 2, SolverConfig())
     assert w[0] > 0 > w[1]
@@ -45,7 +44,7 @@ def test_two_point_problem_separates():
 
 def test_symmetric_conflicting_labels_sit_on_the_margin():
     # the same vector labeled both ways: the optimum scores it exactly 0
-    vectors = [dense([2, 1], 2), dense([2, 1], 2)]
+    vectors = [dense([2, 1]), dense([2, 1])]
     labels = [1, -1]
     w, _ = solve_l2svm(vectors, labels, 2, SolverConfig(tolerance=1e-8))
     assert abs(w @ np.array([2.0, 1.0])) < 1e-6
@@ -64,7 +63,7 @@ def test_solver_matches_reference_minimizer_on_random_instances():
             labels[0] = 1
         if -1 not in labels:
             labels[-1] = -1
-        vectors = [dense(r, dim) for r in rows]
+        vectors = [dense(r) for r in rows]
         cfg = SolverConfig(c=c, tolerance=1e-9, max_epochs=20000, seed=trial)
         w, info = solve_l2svm(vectors, labels, dim, cfg)
         assert info.converged
@@ -82,7 +81,7 @@ def test_dual_objective_never_decreases():
     rng = random.Random(9)
     for trial in range(10):
         n = rng.randint(3, 12)
-        vectors = [dense([rng.randint(-2, 2) for _ in range(3)], 3)
+        vectors = [dense([rng.randint(-2, 2) for _ in range(3)])
                    for _ in range(n)]
         labels = [rng.choice([1, -1]) for _ in range(n)]
         _, info = solve_l2svm(vectors, labels, 3,
@@ -98,7 +97,7 @@ def test_primal_no_worse_than_zero_vector():
         rows = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(n)]
         labels = [rng.choice([1, -1]) for _ in range(n)]
         c = 1.0
-        w, _ = solve_l2svm([dense(r, 2) for r in rows], labels, 2,
+        w, _ = solve_l2svm([dense(r) for r in rows], labels, 2,
                            SolverConfig(c=c, tolerance=1e-8))
         x = np.array(rows, dtype=float)
         y = np.array(labels, dtype=float)
@@ -107,14 +106,14 @@ def test_primal_no_worse_than_zero_vector():
 
 
 def test_non_finite_input_raises_nonfinite():
-    vectors = [dense([float("nan")], 1), dense([-1.0], 1)]
+    vectors = [dense([float("nan")]), dense([-1.0])]
     with pytest.raises(NonFinite):
         solve_l2svm(vectors, [1, -1], 1, SolverConfig())
 
 
 def test_training_is_deterministic_for_a_seed():
     rng = random.Random(5)
-    vectors = [dense([rng.randint(-2, 2) for _ in range(3)], 3)
+    vectors = [dense([rng.randint(-2, 2) for _ in range(3)])
                for _ in range(8)]
     labels = [1, -1] * 4
     w1, _ = solve_l2svm(vectors, labels, 3, SolverConfig(seed=7))
@@ -135,8 +134,7 @@ def dcd_instances(draw, values, max_entries, max_dim):
     for _ in range(n):
         size = draw(st.integers(1, min(max_entries, dim)))
         idx = draw(st.sets(st.integers(1, dim), min_size=size, max_size=size))
-        vectors.append(SparseVector(dim, tuple((i, draw(values))
-                                               for i in sorted(idx))))
+        vectors.append(tuple((i, draw(values)) for i in sorted(idx)))
     labels = [1, -1] + draw(st.lists(st.sampled_from([1, -1]),
                                      min_size=n - 2, max_size=n - 2))
     return (vectors, labels, dim, draw(st.sampled_from([0.5, 1.0, 2.0])),
@@ -246,22 +244,22 @@ def test_score_vector_golden():
     model = Model({}, frozen, 1.0, 0, 0.0, 0)
     model.w[1] = 1.0
     model.w[2] = -1.0
-    vec = SparseVector(frozen.dimension, ((1, 2), (2, 1)))
+    vec = ((1, 2), (2, 1))
     assert score_vector(model, vec) == 1.0
     assert predict_vector(model, vec) == POS
-    assert predict_vector(model, SparseVector(frozen.dimension)) == NEG
+    assert predict_vector(model, ()) == NEG
 
 
 def test_accuracy_reports_per_class_recall():
     frozen = Signature().freeze()
     model = Model({}, frozen, 1.0, 0, 0.0, 0)
     # all-zero weights classify everything negative
-    rows = [(SparseVector(frozen.dimension, ((1, 1),)), -1) for _ in range(10)]
+    rows = [(((1, 1),), -1) for _ in range(10)]
     report = accuracy(model, rows)
     assert report.accuracy == 1.0
     assert report.positive_recall is None
     assert report.negative_recall == 1.0
-    mixed = rows + [(SparseVector(frozen.dimension, ((2, 1),)), 1)] * 10
+    mixed = rows + [(((2, 1),), 1)] * 10
     report = accuracy(model, mixed)
     assert report.accuracy == 0.5
     assert report.positive_recall == 0.0
@@ -365,10 +363,9 @@ def test_prediction_cost_tracks_vector_size():
     # O(nnz) check with a generous bound: 50x the entries may cost at most
     # 500x the time (anything quadratic or dimension-bound would blow this)
     frozen = Signature().freeze()
-    dim = 10 ** 6
     model = Model({}, frozen, 1.0, 0, 0.0, 0)
-    small = SparseVector(dim, tuple((i * 7 + 1, 1) for i in range(20)))
-    large = SparseVector(dim, tuple((i * 7 + 1, 1) for i in range(1000)))
+    small = tuple((i * 7 + 1, 1) for i in range(20))
+    large = tuple((i * 7 + 1, 1) for i in range(1000))
 
     def timed(vec, repeats):
         start = time.perf_counter()

@@ -19,11 +19,11 @@ from .features import (
 )
 from .guidance import (
     CEF, Strategy, baseline_strategy, evaluate, format_strategy, learned_cef,
-    parse_strategy, preweight, weight,
+    parse_strategy,
 )
 from .pipeline import (
     GridSpec, NoProof, extract_examples, greedy_cover, loop, pool_examples,
-    run_grid,
+    run_grid, train_from_examples,
 )
 from .saturation import (
     Limits, ProofSearchRecord, factors, prove, resolvents,
@@ -31,7 +31,7 @@ from .saturation import (
 )
 from .svm import (
     AccuracyReport, EmptyClass, Model, NonFinite, SolverConfig, accuracy,
-    load_model, predict, save_model, train,
+    load_model, predict, save_model,
 )
 from .tptp import ParseError, format_clause, parse_problem
 

@@ -19,7 +19,7 @@ from .features import (
     FormatError, clause_features, format_multiset, read_examples,
     write_examples,
 )
-from .guidance import parse_strategy
+from .guidance import STRATEGY_GRAMMAR, parse_strategy
 from .svm import EmptyClass, SolverConfig
 
 log = logging.getLogger("satguide")
@@ -63,10 +63,22 @@ def _limits(args) -> saturation.Limits:
     # records store clauses as text, and deeper ones would not parse back
     if args.max_depth > tptp.MAX_TERM_DEPTH:
         raise UsageError(f"--max-depth must be at most {tptp.MAX_TERM_DEPTH}")
-    return saturation.Limits(
-        max_processed=args.max_processed, max_generated=args.max_generated,
-        timeout=args.timeout, max_literals=args.max_literals,
-        max_depth=args.max_depth)
+    try:
+        return saturation.Limits(
+            max_processed=args.max_processed, max_generated=args.max_generated,
+            timeout=args.timeout, max_literals=args.max_literals,
+            max_depth=args.max_depth)
+    except ValueError as exc:
+        # the message starts with the field, which names its flag
+        field, rest = str(exc).split(" ", 1)
+        raise UsageError(f"--{field.replace('_', '-')} {rest}") from exc
+
+
+def _require_positive(args, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            raise UsageError(f"--{flag} must be >= 1, not {value}")
 
 
 def _comma_list(text: str, flag: str, convert=str) -> list:
@@ -99,12 +111,13 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    limits = _limits(args)
     strategy = _strategy(args.strategy)
     sig = pipeline.signature_for_strategy(strategy)
     clauses = tptp.parse_problem(_read_text(args.problem), sig, args.problem)
     if not clauses:
         raise UsageError(f"{args.problem}: no clauses found")
-    record = saturation.prove(clauses, strategy, _limits(args), sig,
+    record = saturation.prove(clauses, strategy, limits, sig,
                               problem_id=args.problem,
                               inject_equality=not args.no_equality_axioms)
     print(f"{record.outcome} problem={args.problem} "
@@ -117,8 +130,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    if args.boost < 1:
-        raise UsageError(f"--boost must be >= 1, not {args.boost}")
+    _require_positive(args, "boost")
     sig = _skolem_signature(args)
     pools = []
     for path in args.records:
@@ -181,11 +193,13 @@ def _grid_spec(args) -> pipeline.GridSpec:
 
 
 def cmd_grid(args) -> int:
+    _require_positive(args, "jobs")
     grid = _grid_spec(args)
+    limits = _limits(args)
     problems = pipeline.load_manifest(args.manifest)
     model = svm.load_model(args.model)
     base = _strategy(args.base_strategy)
-    result = pipeline.run_grid(problems, model, base, grid, _limits(args),
+    result = pipeline.run_grid(problems, model, base, grid, limits,
                                jobs=args.jobs, model_path=args.model)
     table = pipeline.grid_table_text(result)
     print(table, end="")
@@ -202,16 +216,14 @@ def cmd_grid(args) -> int:
 
 
 def cmd_loop(args) -> int:
-    if args.boost < 1:
-        raise UsageError(f"--boost must be >= 1, not {args.boost}")
-    if args.rounds < 1:
-        raise UsageError(f"--rounds must be >= 1, not {args.rounds}")
+    _require_positive(args, "boost", "rounds", "jobs")
     cfg = _solver_config(args)
+    limits = _limits(args)
     problems = pipeline.load_manifest(args.manifest)
     base = _strategy(args.base_strategy)
     grid = _grid_spec(args)
     report = pipeline.loop(problems, base, args.rounds, grid,
-                           boost_k=args.boost, limits=_limits(args),
+                           boost_k=args.boost, limits=limits,
                            cfg=cfg, jobs=args.jobs)
     os.makedirs(args.output_dir, exist_ok=True)
     for i, model in enumerate(report.models):
@@ -236,19 +248,6 @@ def cmd_loop(args) -> int:
         print("loop stalled: no new proofs")
     print(f"models written to {args.output_dir}")
     return 0
-
-
-STRATEGY_GRAMMAR = """\
-strategy grammar:
-  strategy  := "baseline" | entries | entries "+baseline"
-  entries   := entry ("," entry)*
-  entry     := FREQ "*" cef                  (FREQ a positive integer)
-  cef       := "ClauseLen" | "Fifo" | "SymbolCount"
-             | "Learned(" PATH ",gamma=" GAMMA ")"
-"baseline" stands for 5*ClauseLen,1*Fifo; "+baseline" appends those entries.
-Each frequency says how many consecutive selections its CEF makes per
-round-robin cycle.
-"""
 
 
 def _add_limit_flags(parser) -> None:

@@ -19,10 +19,14 @@ from dataclasses import dataclass, field
 from .clauses import Clause, Signature, clause_len, weighted_symbol_count
 from .svm import Model, POS, load_model, predict
 
-LEARNED = "learned"
-CLAUSE_LEN = "clause_len"
-FIFO = "fifo"
-SYMBOL_COUNT = "symbol_count"
+LEARNED = "Learned"
+# weight of a clause under each CEF that needs no model, keyed by the CEF's
+# name in strategy strings
+PLAIN_WEIGHTS = {
+    "ClauseLen": lambda clause: float(clause_len(clause)),
+    "Fifo": lambda clause: float(clause.id),
+    "SymbolCount": weighted_symbol_count,
+}
 
 POSITIVE_WEIGHT = 1.0
 NEGATIVE_WEIGHT = 10.0
@@ -34,17 +38,21 @@ BASELINE_SPEC = "5*ClauseLen,1*Fifo"
 
 @dataclass(frozen=True)
 class CEF:
+    # the CEF's name in strategy strings: LEARNED or a PLAIN_WEIGHTS key
     kind: str
     gamma: float = 0.0
     model_path: str = ""
     model: Model | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        if self.kind != LEARNED and self.kind not in PLAIN_WEIGHTS:
+            raise ValueError(f"unknown CEF kind {self.kind!r}")
+
     @property
     def name(self) -> str:
         if self.kind == LEARNED:
             return f"Learned({self.model_path},gamma={self.gamma!r})"
-        return {CLAUSE_LEN: "ClauseLen", FIFO: "Fifo",
-                SYMBOL_COUNT: "SymbolCount"}[self.kind]
+        return self.kind
 
 
 @dataclass(frozen=True)
@@ -62,36 +70,10 @@ class Strategy:
         return sum(freq for freq, _ in self.entries)
 
 
-def clause_len_cef() -> CEF:
-    return CEF(CLAUSE_LEN)
-
-
-def fifo_cef() -> CEF:
-    return CEF(FIFO)
-
-
-def symbol_count_cef() -> CEF:
-    return CEF(SYMBOL_COUNT)
-
-
 def learned_cef(model: Model, gamma: float, model_path: str = "<memory>") -> CEF:
     if not 0 <= gamma < math.inf:
         raise ValueError("gamma must be finite and nonnegative")
     return CEF(LEARNED, gamma, model_path, model)
-
-
-def preweight(clause: Clause, model: Model, sig: Signature,
-              stats: dict | None = None) -> float:
-    """1 for positively classified clauses, 10 otherwise."""
-    if predict(clause, model, sig, stats) == POS:
-        return POSITIVE_WEIGHT
-    return NEGATIVE_WEIGHT
-
-
-def weight(clause: Clause, model: Model, gamma: float, sig: Signature,
-           stats: dict | None = None) -> float:
-    """gamma * len(C) + preweight(C, M); lower is better."""
-    return gamma * clause_len(clause) + preweight(clause, model, sig, stats)
 
 
 def next_entry_index(strategy: Strategy, step: int) -> int:
@@ -107,21 +89,15 @@ def next_entry_index(strategy: Strategy, step: int) -> int:
 def evaluate(clause: Clause, cef: CEF, sig: Signature,
              stats: dict | None = None) -> float:
     """The CEF's weight for a clause; lower means selected earlier."""
-    if cef.kind == LEARNED:
-        return weight(clause, cef.model, cef.gamma, sig, stats)
-    if cef.kind == CLAUSE_LEN:
-        return float(clause_len(clause))
-    if cef.kind == FIFO:
-        return float(clause.id)
-    if cef.kind == SYMBOL_COUNT:
-        return weighted_symbol_count(clause)
-    raise ValueError(f"unknown CEF kind {cef.kind!r}")
+    if cef.kind != LEARNED:
+        return PLAIN_WEIGHTS[cef.kind](clause)
+    if predict(clause, cef.model, sig, stats) == POS:
+        return cef.gamma * clause_len(clause) + POSITIVE_WEIGHT
+    return cef.gamma * clause_len(clause) + NEGATIVE_WEIGHT
 
 
 _ENTRY_RE = re.compile(r"(\d+)\*(.+)", re.DOTALL)
 _LEARNED_RE = re.compile(r"Learned\((.*),gamma=([^,()]+)\)")
-_PLAIN_CEFS = {"ClauseLen": clause_len_cef, "Fifo": fifo_cef,
-               "SymbolCount": symbol_count_cef}
 
 
 def _split_entries(text: str) -> list[str]:
@@ -142,19 +118,23 @@ def _split_entries(text: str) -> list[str]:
     return parts
 
 
+STRATEGY_GRAMMAR = """\
+strategy grammar:
+  strategy  := "baseline" | entries | entries "+baseline"
+  entries   := entry ("," entry)*
+  entry     := FREQ "*" cef                  (FREQ a positive integer)
+  cef       := "ClauseLen" | "Fifo" | "SymbolCount"
+             | "Learned(" PATH ",gamma=" GAMMA ")"
+"baseline" stands for 5*ClauseLen,1*Fifo; "+baseline" appends those entries.
+Each frequency says how many consecutive selections its CEF makes per
+round-robin cycle.
+"""
+
+
 def parse_strategy(text: str, model_loader=load_model) -> Strategy:
-    """Parse a strategy description string.
+    """Parse a strategy description string (grammar: STRATEGY_GRAMMAR).
 
-    Grammar::
-
-        strategy  := "baseline" | entries | entries "+baseline"
-        entries   := entry ("," entry)*
-        entry     := FREQ "*" cef                  (FREQ a positive integer)
-        cef       := "ClauseLen" | "Fifo" | "SymbolCount"
-                   | "Learned(" PATH ",gamma=" GAMMA ")"
-
-    ``baseline`` expands to ``5*ClauseLen,1*Fifo``; the ``+baseline`` suffix
-    appends those entries.  Model files are loaded once per distinct path.
+    Model files are loaded once per distinct path.
     """
     spec = text.strip()
     append_baseline = False
@@ -172,8 +152,8 @@ def parse_strategy(text: str, model_loader=load_model) -> Strategy:
             raise ValueError(f"bad strategy entry {part!r} (expected FREQ*CEF)")
         freq = int(m.group(1))
         cef_text = m.group(2).strip()
-        if cef_text in _PLAIN_CEFS:
-            cef = _PLAIN_CEFS[cef_text]()
+        if cef_text in PLAIN_WEIGHTS:
+            cef = CEF(cef_text)
         else:
             lm = _LEARNED_RE.fullmatch(cef_text)
             if lm is None:

@@ -24,11 +24,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .clauses import Clause, Signature
-from .guidance import LEARNED, Strategy, baseline_strategy, learned_cef
+from .features import clause_features, vectorize
+from .guidance import Strategy, baseline_strategy, learned_cef
 from .saturation import Limits, OUTCOME_PROOF, ProofSearchRecord, prove
-from .svm import (
-    Model, SolverConfig, accuracy, train, train_vectors, vectorize_examples,
-)
+from .svm import Model, SolverConfig, accuracy, train_vectors
 from .tptp import parse_problem
 
 log = logging.getLogger("satguide")
@@ -148,20 +147,29 @@ def boost_rows(rows: list, k: int) -> list:
 
 def training_set(examples: tuple[list[Clause], list[Clause]],
                  sig: Signature) -> list:
-    """Vectorize ``(positives, negatives)`` against the current snapshot."""
-    return vectorize_examples(*examples, sig)
+    """``(vector, label)`` rows: positives labelled +1, then negatives -1,
+    vectorized against the signature's current snapshot."""
+    frozen = sig.freeze()
+    return [(vectorize(clause_features(clause, sig), frozen), label)
+            for clauses, label in zip(examples, (1, -1))
+            for clause in clauses]
 
 
 def train_from_examples(examples: tuple[list[Clause], list[Clause]],
                         sig: Signature,
                         cfg: SolverConfig | None = None) -> Model:
-    return train(*examples, sig, cfg)
+    """Train a clause classifier on ``(positives, negatives)``.
+
+    Freezes the signature, so the model's feature space is fixed at the
+    current symbol table.
+    """
+    return train_vectors(training_set(examples, sig), sig.freeze(), cfg)
 
 
 def signature_for_strategy(strategy: Strategy) -> Signature:
     frozen = None
     for _, cef in strategy.entries:
-        if cef.kind == LEARNED:
+        if cef.model is not None:
             snap = cef.model.signature
             if frozen is not None and snap is not frozen:
                 raise ValueError("strategies may reference only one model")

@@ -20,14 +20,14 @@ from __future__ import annotations
 import heapq
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 from .clauses import (
     App, Clause, EQUALITY, Literal, Signature, Term, Var, clause_depth,
 )
 from .guidance import (
-    CEF, LEARNED, Strategy, evaluate, format_strategy, next_entry_index,
+    CEF, Strategy, evaluate, format_strategy, next_entry_index,
 )
 from .tptp import format_clause, parse_clause_text
 
@@ -46,6 +46,12 @@ class Limits:
     # caps on generated clauses; larger ones are discarded (and counted)
     max_literals: int = 8
     max_depth: int = 6
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not value >= 0:  # NaN fails too
+                raise ValueError(f"{f.name} must be >= 0, not {value}")
 
 
 @dataclass
@@ -389,12 +395,6 @@ class _CefQueue:
         return None
 
 
-def _queue_key(cef: CEF):
-    if cef.kind == LEARNED:
-        return (cef.kind, cef.gamma, id(cef.model))
-    return (cef.kind,)
-
-
 def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
           problem_id: str = "", inject_equality: bool = True) -> ProofSearchRecord:
     """Run the given-clause loop on a list of input clauses.
@@ -419,11 +419,13 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     clauses: list[Clause] = []
     empty_clause: int | None = None
 
-    # entries with equal CEFs share one queue: they would pick alike
+    # entries with equal CEFs share one queue: they would pick alike.  A
+    # learned CEF is told apart by its model object, not its model path.
     queues: dict = {}
-    for _, cef in strategy.entries:
-        queues.setdefault(_queue_key(cef), _CefQueue(cef, sig, stats))
-    entry_queues = [queues[_queue_key(cef)] for _, cef in strategy.entries]
+    entry_queues = [
+        queues.setdefault((cef.kind, cef.gamma, id(cef.model)),
+                          _CefQueue(cef, sig, stats))
+        for _, cef in strategy.entries]
 
     def register(literals, parents) -> Clause:
         clause = Clause(len(clauses), tuple(literals), tuple(parents))
@@ -520,36 +522,59 @@ def record_to_json(record: ProofSearchRecord) -> dict:
     }
 
 
-def record_from_json(data: dict) -> ProofSearchRecord:
-    if data.get("format") != RECORD_FORMAT:
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a ``kind``, else a ValueError naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def _all_typed(mapping: dict, kind: type, what: str) -> dict:
+    """``mapping`` if every value is a ``kind``, else a ValueError naming
+    the first key whose value is not."""
+    for key, value in mapping.items():
+        if not isinstance(value, kind):
+            _typed(value, kind, f"{what} {key}")
+    return mapping
+
+
+def record_from_json(data) -> ProofSearchRecord:
+    """Inverse of :func:`record_to_json`; a ValueError names what is wrong."""
+    if _typed(data, dict, "a record").get("format") != RECORD_FORMAT:
         raise ValueError(f"not a proof-search record: {data.get('format')!r}")
-    try:
-        record = ProofSearchRecord(
-            problem=data["problem"],
-            strategy=data["strategy"],
-            outcome=data["outcome"],
-            given_sequence=[int(x) for x in data["given_sequence"]],
-            dag={int(cid): tuple(parents)
-                 for cid, parents in data["dag"].items()},
-            empty_clause=data["empty_clause"],
-            stats={k: int(v) for k, v in data["stats"].items()},
-            clause_texts={int(cid): text
-                          for cid, text in data["clauses"].items()},
-        )
-    except KeyError as exc:
-        raise ValueError(f"record has no {exc.args[0]!r} key") from None
+
+    def get(key: str, kind: type = object):
+        try:
+            return _typed(data[key], kind, f"field {key!r}")
+        except KeyError:
+            raise ValueError(f"record has no {key!r} key") from None
+
+    record = ProofSearchRecord(
+        problem=get("problem", str),
+        strategy=get("strategy", str),
+        outcome=get("outcome", str),
+        given_sequence=get("given_sequence", list),
+        dag={int(cid): tuple(parents) for cid, parents
+             in _all_typed(get("dag", dict), list, "dag entry").items()},
+        empty_clause=get("empty_clause"),
+        stats=_all_typed(get("stats", dict), int, "stat"),
+        clause_texts={int(cid): text for cid, text
+                      in _all_typed(get("clauses", dict), str, "clause").items()},
+    )
     # example extraction reads these clauses and walks the DAG from the
     # empty clause
     named = list(record.given_sequence)
     if record.empty_clause is not None:
         named.append(record.empty_clause)
     for cid in named:
-        if cid not in record.dag or cid not in record.clause_texts:
-            raise ValueError(f"clause {cid} has no dag entry or no text")
+        if not isinstance(cid, int) or cid not in record.dag \
+                or cid not in record.clause_texts:
+            raise ValueError(f"clause {cid!r} has no dag entry or no text")
     for parents in record.dag.values():
         for parent in parents:
-            if parent not in record.dag:
-                raise ValueError(f"dag parent {parent} has no dag entry")
+            if not isinstance(parent, int) or parent not in record.dag:
+                raise ValueError(f"dag parent {parent!r} has no dag entry")
     return record
 
 

@@ -165,24 +165,6 @@ def train_vectors(rows, frozen: FrozenSignature,
                  cfg.seed)
 
 
-def vectorize_examples(positives, negatives, sig: Signature) -> list:
-    """Label positives +1 and negatives -1, in that order, and vectorize
-    them against the signature's current snapshot."""
-    frozen = sig.freeze()
-    return [(vectorize(clause_features(clause, sig), frozen), label)
-            for clauses, label in ((positives, 1), (negatives, -1))
-            for clause in clauses]
-
-
-def train(pos, neg, sig: Signature, cfg: SolverConfig | None = None) -> Model:
-    """Train a clause classifier from positive and negative clause sets.
-
-    Freezes the signature, so the model's feature space is fixed at the
-    current symbol table.
-    """
-    return train_vectors(vectorize_examples(pos, neg, sig), sig.freeze(), cfg)
-
-
 def score_vector(model: Model, vec: SparseVector) -> float:
     w = model.w
     total = 0.0

@@ -8,7 +8,8 @@ exception is :func:`numpy_dcd_reference`, the earlier numpy form of the
 dual coordinate-descent solver, which shares only the solver's result and
 error types; it pins the plain-Python loop to the same arithmetic.  The
 feature tree builds each literal's tree explicitly and shares only the
-signature's symbol labels with the featurizer.
+signature's symbol labels with the featurizer.  The unifier is the
+textbook recursive Robinson algorithm over the term classes alone.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from satguide.clauses import NEG_MARKER, POS_MARKER, VAR_MARKER, Var
+from satguide.clauses import App, NEG_MARKER, POS_MARKER, VAR_MARKER, Var
 from satguide.svm import NonFinite, SolverInfo
 
 _PG_FLOOR = 1e-12
@@ -320,3 +321,53 @@ def ground_entails(parents, clause, sig, depth=2, max_atoms=18):
             if not all(satisfied(inst, values) for inst in clause_instances):
                 return False
     return True
+
+
+def substitute(t, subst):
+    """Replace each variable bound in ``subst`` once, without chasing."""
+    if isinstance(t, Var):
+        return subst.get(t.name, t)
+    return App(t.symbol, tuple(substitute(a, subst) for a in t.args))
+
+
+def _occurs_in(name, t):
+    if isinstance(t, Var):
+        return t.name == name
+    return any(_occurs_in(name, a) for a in t.args)
+
+
+def robinson_unify(t1, t2, subst=None):
+    """Most general unifier as an idempotent ``{name: term}`` dict, or None.
+
+    Each binding is applied to the terms and to the earlier bindings at
+    once, so a variable never appears both bound and in a binding.
+    """
+    subst = {} if subst is None else subst
+    t1, t2 = substitute(t1, subst), substitute(t2, subst)
+    if isinstance(t1, Var) and isinstance(t2, Var) and t1.name == t2.name:
+        return subst
+    if isinstance(t1, Var) or isinstance(t2, Var):
+        var, term = (t1, t2) if isinstance(t1, Var) else (t2, t1)
+        if _occurs_in(var.name, term):
+            return None
+        binding = {var.name: term}
+        return {**{k: substitute(v, binding) for k, v in subst.items()},
+                **binding}
+    if t1.symbol != t2.symbol or len(t1.args) != len(t2.args):
+        return None
+    for a, b in zip(t1.args, t2.args):
+        subst = robinson_unify(a, b, subst)
+        if subst is None:
+            return None
+    return subst
+
+
+def matches(pattern, target, subst=None):
+    """Whether some substitution turns ``pattern`` into ``target``."""
+    subst = {} if subst is None else subst
+    if isinstance(pattern, Var):
+        return subst.setdefault(pattern.name, target) == target
+    return (isinstance(target, App) and pattern.symbol == target.symbol
+            and len(pattern.args) == len(target.args)
+            and all(matches(a, b, subst)
+                    for a, b in zip(pattern.args, target.args)))

@@ -24,9 +24,8 @@ from satguide.features import (
     EPSILON, feature_index, literal_features,
 )
 from satguide.guidance import (
-    NEGATIVE_WEIGHT, POSITIVE_WEIGHT, Strategy, baseline_strategy,
-    clause_len_cef, fifo_cef, learned_cef, next_entry_index, preweight,
-    symbol_count_cef, weight,
+    CEF, NEGATIVE_WEIGHT, POSITIVE_WEIGHT, Strategy, baseline_strategy,
+    evaluate, learned_cef, next_entry_index,
 )
 from satguide.pipeline import (
     boost_rows, greedy_cover, load_manifest, pool_examples,
@@ -160,15 +159,15 @@ def test_criterion_05_guidance_arithmetic_over_the_grids():
     checked = 0
     for gamma in GAMMA_GRID:
         for clause in clauses:
-            pre = preweight(clause, model, sig)
+            pre = evaluate(clause, learned_cef(model, 0.0), sig)
             assert pre in (POSITIVE_WEIGHT, NEGATIVE_WEIGHT)
-            assert weight(clause, model, gamma, sig) == \
+            assert evaluate(clause, learned_cef(model, gamma), sig) == \
                 gamma * clause_len(clause) + pre
             checked += 1
     # every frequency in the grid yields an exact round-robin block
     cef = learned_cef(model, 0.2)
     for freq in FREQUENCY_GRID:
-        strategy = Strategy(((freq, cef), (1, clause_len_cef())))
+        strategy = Strategy(((freq, cef), (1, CEF("ClauseLen"))))
         cycle = strategy.cycle_length
         schedule = [next_entry_index(strategy, s) for s in range(2 * cycle)]
         assert schedule[:freq] == [0] * freq
@@ -180,7 +179,7 @@ def test_criterion_05_guidance_arithmetic_over_the_grids():
 
 
 def test_criterion_06_round_robin_window_exactness():
-    cefs = [clause_len_cef(), fifo_cef(), symbol_count_cef()]
+    cefs = [CEF("ClauseLen"), CEF("Fifo"), CEF("SymbolCount")]
     combos = 0
     for k in (1, 2, 3):
         for freqs in itertools.product(range(1, 6), repeat=k):

@@ -252,8 +252,22 @@ def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
     (lambda r: dict(r, clauses={}), "has no dag entry or no text"),
     (lambda r: dict(r, dag={**r["dag"], str(r["empty_clause"]): [999]}),
      "dag parent 999 has no dag entry"),
+    (lambda r: [], "a record must be dict, not list"),
+    (lambda r: dict(r, dag=list(r["dag"])), "field 'dag' must be dict, not list"),
+    (lambda r: dict(r, given_sequence=3),
+     "field 'given_sequence' must be list, not int"),
+    (lambda r: dict(r, given_sequence=[[0]]),
+     "clause [0] has no dag entry or no text"),
+    (lambda r: dict(r, dag={**r["dag"], "0": 5}),
+     "dag entry 0 must be list, not int"),
+    (lambda r: dict(r, dag={**r["dag"], "0": [[1]]}),
+     "dag parent [1] has no dag entry"),
+    (lambda r: dict(r, clauses={**r["clauses"], "0": 7}),
+     "clause 0 must be str, not int"),
 ], ids=["no-problem-key", "empty-clause-not-in-dag",
-        "given-clause-without-text", "parent-not-in-dag"])
+        "given-clause-without-text", "parent-not-in-dag", "record-not-an-object",
+        "dag-a-list", "given-sequence-an-int", "given-id-a-list",
+        "dag-parents-an-int", "dag-parent-a-list", "clause-text-a-number"])
 def test_extract_on_a_malformed_record_is_a_usage_error(tmp_path, capsys,
                                                         breaks, reason):
     problem = tmp_path / "chain.p"
@@ -290,6 +304,42 @@ def test_train_on_a_count_past_the_float_range_names_the_line(tmp_path,
     assert code == 2
     assert f"{examples}:1: count at index 1 is too large" in err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["prove", "{tmp}/chain.p", "--max-processed", "-1"],
+     "--max-processed must be >= 0, not -1"),
+    (["prove", "{tmp}/chain.p", "--max-generated", "-1"],
+     "--max-generated must be >= 0, not -1"),
+    (["prove", "{tmp}/chain.p", "--timeout", "-1"],
+     "--timeout must be >= 0, not -1.0"),
+    (["prove", "{tmp}/chain.p", "--timeout", "nan"],
+     "--timeout must be >= 0, not nan"),
+    (["prove", "{tmp}/chain.p", "--max-literals", "-1"],
+     "--max-literals must be >= 0, not -1"),
+    (["prove", "{tmp}/chain.p", "--max-depth", "-1"],
+     "--max-depth must be >= 0, not -1"),
+    (["grid", "{tmp}/manifest.txt", "--model", "{tmp}/gone.bin",
+      "--timeout", "-1"], "--timeout must be >= 0, not -1.0"),
+    (["grid", "{tmp}/manifest.txt", "--model", "{tmp}/gone.bin",
+      "--jobs", "0"], "--jobs must be >= 1, not 0"),
+    (["loop", "{tmp}/manifest.txt", "--max-processed", "-1",
+      "-o", "{tmp}/out"], "--max-processed must be >= 0, not -1"),
+    (["loop", "{tmp}/manifest.txt", "--jobs", "-1", "-o", "{tmp}/out"],
+     "--jobs must be >= 1, not -1"),
+], ids=["prove-max-processed", "prove-max-generated", "prove-timeout",
+        "prove-timeout-nan", "prove-max-literals", "prove-max-depth",
+        "grid-timeout", "grid-jobs", "loop-max-processed", "loop-jobs"])
+def test_negative_limit_or_jobs_below_one_is_a_usage_error(tmp_path, capsys,
+                                                           argv, reason):
+    # the grid's model and the manifest's problem do not exist, so any
+    # corpus run would fail first
+    (tmp_path / "manifest.txt").write_text(f"p0 {tmp_path / 'missing.p'}\n")
+    (tmp_path / "chain.p").write_text(CHAIN_PROBLEM)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and reason in err, err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_prove_on_a_too_deeply_nested_term_names_the_line(tmp_path, capsys):

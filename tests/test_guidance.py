@@ -6,12 +6,11 @@ import pytest
 
 from satguide.clauses import Signature, clause_len
 from satguide.guidance import (
-    NEGATIVE_WEIGHT, POSITIVE_WEIGHT, Strategy, baseline_strategy,
-    clause_len_cef, evaluate, fifo_cef, format_strategy, learned_cef,
-    next_entry_index, parse_strategy, preweight, symbol_count_cef,
-    weight,
+    CEF, NEGATIVE_WEIGHT, POSITIVE_WEIGHT, Strategy, baseline_strategy,
+    evaluate, format_strategy, learned_cef, next_entry_index, parse_strategy,
 )
-from satguide.svm import save_model, train
+from satguide.pipeline import train_from_examples
+from satguide.svm import save_model
 from satguide.tptp import parse_problem
 
 GAMMA_GRID = [0, 0.1, 0.2, 0.4, 0.7, 1, 2, 4, 8]
@@ -30,35 +29,38 @@ def trained():
     cnf(x2, axiom, ($false)).
     """
     clauses = parse_problem(text, sig)
-    model = train(clauses[:2], clauses[2:4], sig)
+    model = train_from_examples((clauses[:2], clauses[2:4]), sig)
     return sig, clauses, model
 
 
 def test_preweight_is_one_or_ten(trained):
     sig, clauses, model = trained
-    assert preweight(clauses[0], model, sig) == POSITIVE_WEIGHT
-    assert preweight(clauses[2], model, sig) == NEGATIVE_WEIGHT
+    pre = learned_cef(model, 0.0)
+    assert evaluate(clauses[0], pre, sig) == POSITIVE_WEIGHT
+    assert evaluate(clauses[2], pre, sig) == NEGATIVE_WEIGHT
     # the empty clause scores 0, which is a negative classification
-    assert preweight(clauses[5], model, sig) == NEGATIVE_WEIGHT
+    assert evaluate(clauses[5], pre, sig) == NEGATIVE_WEIGHT
 
 
 def test_weight_formula(trained):
     sig, clauses, model = trained
     good = clauses[0]
     assert clause_len(good) == 2
-    assert weight(good, model, 0.2, sig) == pytest.approx(0.2 * 2 + 1)
-    assert weight(good, model, 0.0, sig) == 1.0
+    assert evaluate(good, learned_cef(model, 0.2), sig) == \
+        pytest.approx(0.2 * 2 + 1)
+    assert evaluate(good, learned_cef(model, 0.0), sig) == 1.0
     bad = clauses[2]
-    assert weight(bad, model, 0.0, sig) == 10.0
-    assert weight(bad, model, 8, sig) == pytest.approx(8 * 2 + 10)
+    assert evaluate(bad, learned_cef(model, 0.0), sig) == 10.0
+    assert evaluate(bad, learned_cef(model, 8), sig) == \
+        pytest.approx(8 * 2 + 10)
 
 
 def test_weight_over_full_gamma_grid(trained):
     sig, clauses, model = trained
     for gamma in GAMMA_GRID:
         for clause in clauses[:4]:
-            pre = preweight(clause, model, sig)
-            assert weight(clause, model, gamma, sig) == \
+            pre = evaluate(clause, learned_cef(model, 0.0), sig)
+            assert evaluate(clause, learned_cef(model, gamma), sig) == \
                 gamma * clause_len(clause) + pre
 
 
@@ -68,24 +70,25 @@ def test_weight_monotone_in_length_for_fixed_class(trained):
     clauses = [parse_problem(f"cnf(c, axiom, ({t})).", sig)[0] for t in texts]
     lens = [clause_len(c) for c in clauses]
     assert lens == sorted(lens) and len(set(lens)) == 3
-    pres = {preweight(c, model, sig) for c in clauses}
+    pres = {evaluate(c, learned_cef(model, 0.0), sig) for c in clauses}
     if len(pres) == 1:  # same classification: strictly increasing weight
-        ws = [weight(c, model, 0.5, sig) for c in clauses]
+        ws = [evaluate(c, learned_cef(model, 0.5), sig) for c in clauses]
         assert ws == sorted(ws) and len(set(ws)) == 3
 
 
 def test_classification_dominance_at_gamma_zero(trained):
     sig, clauses, model = trained
-    positives = [c for c in clauses[:4] if preweight(c, model, sig) == 1.0]
-    negatives = [c for c in clauses[:4] if preweight(c, model, sig) == 10.0]
+    cef = learned_cef(model, 0.0)
+    positives = [c for c in clauses[:4] if evaluate(c, cef, sig) == 1.0]
+    negatives = [c for c in clauses[:4] if evaluate(c, cef, sig) == 10.0]
     assert positives and negatives
     for p in positives:
         for n in negatives:
-            assert weight(p, model, 0.0, sig) < weight(n, model, 0.0, sig)
+            assert evaluate(p, cef, sig) < evaluate(n, cef, sig)
 
 
 def test_round_robin_block_schedule():
-    a, b = clause_len_cef(), fifo_cef()
+    a, b = CEF("ClauseLen"), CEF("Fifo")
     strategy = Strategy(((2, a), (1, b)))
     picks = [next_entry_index(strategy, step) for step in range(6)]
     assert picks == [0, 0, 1, 0, 0, 1]
@@ -96,7 +99,7 @@ def test_round_robin_block_schedule():
 
 
 def test_round_robin_window_exactness_exhaustive():
-    cefs = [clause_len_cef(), fifo_cef(), symbol_count_cef()]
+    cefs = [CEF("ClauseLen"), CEF("Fifo"), CEF("SymbolCount")]
     for k in (1, 2, 3):
         for freqs in itertools.product(range(1, 6), repeat=k):
             strategy = Strategy(tuple(zip(freqs, cefs[:k])))
@@ -113,20 +116,21 @@ def test_evaluate_dispatch(trained):
     clause = clauses[0]
     clause17 = parse_problem("cnf(c, axiom, (good(q))).", sig)[0]
     clause17.id = 17
-    assert evaluate(clause17, fifo_cef(), sig) == 17.0
-    assert evaluate(clause, clause_len_cef(), sig) == 2.0
+    assert evaluate(clause17, CEF("Fifo"), sig) == 17.0
+    assert evaluate(clause, CEF("ClauseLen"), sig) == 2.0
     pc = parse_problem("cnf(c, axiom, (good(X))).", sig)[0]
-    assert evaluate(pc, symbol_count_cef(), sig) == 1.5
+    assert evaluate(pc, CEF("SymbolCount"), sig) == 1.5
     cef = learned_cef(model, 0.2)
-    assert evaluate(clause, cef, sig) == weight(clause, model, 0.2, sig)
+    assert evaluate(clause, cef, sig) == \
+        0.2 * clause_len(clause) + POSITIVE_WEIGHT
 
 
 def test_learned_weight_on_long_equality_clause(trained):
     sig, clauses, model = trained
     eq_clause = clauses[4]
     assert clause_len(eq_clause) == 8
-    got = weight(eq_clause, model, 0.2, sig)
-    pre = preweight(eq_clause, model, sig)
+    got = evaluate(eq_clause, learned_cef(model, 0.2), sig)
+    pre = evaluate(eq_clause, learned_cef(model, 0.0), sig)
     assert got == pytest.approx(0.2 * 8 + pre)
     if pre == 1.0:
         assert got == pytest.approx(2.6)
@@ -153,7 +157,7 @@ def test_strategy_validation():
     with pytest.raises(ValueError):
         Strategy(())
     with pytest.raises(ValueError):
-        Strategy(((0, fifo_cef()),))
+        Strategy(((0, CEF("Fifo")),))
     with pytest.raises(ValueError):
         learned_cef(None, -0.5)
 
@@ -178,7 +182,7 @@ def test_strategy_baseline_aliases(tmp_path, trained):
     assert base == baseline_strategy()
     combined = parse_strategy(f"1*Learned({path},gamma=0.2)+baseline")
     assert combined.entries[1:] == base.entries
-    assert combined.entries[0][1].kind == "learned"
+    assert combined.entries[0][1].kind == "Learned"
     with pytest.raises(ValueError):
         parse_strategy("nonsense")
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import ground_entails
+from oracles import ground_entails, matches, robinson_unify, substitute
 from satguide.clauses import App, Clause, Literal, Signature, Var
 from satguide.guidance import (
     Strategy, baseline_strategy, learned_cef, parse_strategy,
@@ -22,7 +22,6 @@ from satguide.saturation import (
     pattern_mask, prove, record_from_json, record_to_json, rename_apart,
     resolvents, save_record, subsumes, unify, apply_subst,
 )
-from satguide.svm import train
 from satguide.tptp import format_clause, format_term, parse_clause_text, parse_problem
 
 
@@ -63,6 +62,33 @@ class TestUnify:
         subst = unify(t1, t2)
         assert subst is not None
         assert apply_subst(t1, subst) == apply_subst(t2, subst)
+
+
+_UNIFY_TERM = st.recursive(
+    st.sampled_from(["a", "b", "X", "Y", "Z"]),
+    lambda inner: st.one_of(inner.map("f({})".format),
+                            st.builds("g({},{})".format, inner, inner)),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_UNIFY_TERM, _UNIFY_TERM)
+@example("g(X,f(Y))", "g(f(Y),X)")
+@example("g(X,Y)", "g(f(Y),f(X))")
+def test_unify_agrees_with_the_robinson_oracle(t1_text, t2_text):
+    sig = Signature()
+    t1, t2 = parse_terms(f"{t1_text},{t2_text}", sig)
+    got = unify(t1, t2)
+    want = robinson_unify(t1, t2)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert apply_subst(t1, got) == apply_subst(t2, got)
+    assert substitute(t1, want) == substitute(t2, want)
+    # equally general: each unifier's instance of t1 is an instance of the
+    # other's
+    ours, theirs = apply_subst(t1, got), substitute(t1, want)
+    assert matches(ours, theirs) and matches(theirs, ours)
 
 
 def resolve(given, partner):
@@ -199,13 +225,6 @@ _LITERAL_TEXT = st.builds(
 _LITERAL_TEXTS = st.lists(_LITERAL_TEXT, min_size=1, max_size=4)
 
 
-# a simultaneous substitution; apply_subst would chase X -> f(X) forever
-def _substituted(t, subst):
-    if isinstance(t, Var):
-        return subst.get(t.name, t)
-    return App(t.symbol, tuple(_substituted(a, subst) for a in t.args))
-
-
 @settings(max_examples=200, deadline=None)
 @given(_LITERAL_TEXTS, _LITERAL_TEXTS, st.booleans(),
        st.lists(_DEEP_TERM, min_size=3, max_size=3), st.integers(0, 99))
@@ -217,10 +236,11 @@ def test_subsumption_implies_the_literal_key_filter_passes(
     c = parse_one(" | ".join(c_texts), sig)
     d_literals = list(parse_one(" | ".join(d_texts), sig).literals)
     if instance:
-        # d holds an instance of every literal of c among other literals
+        # d holds an instance of every literal of c among other literals;
+        # a simultaneous substitution, as apply_subst would chase X -> f(X)
         subst = dict(zip("XYZ", parse_terms(",".join(subst_texts), sig)))
         d_literals += [Literal(lit.positive, lit.predicate,
-                               tuple(_substituted(a, subst) for a in lit.args))
+                               tuple(substitute(a, subst) for a in lit.args))
                        for lit in c.literals]
         random.Random(seed).shuffle(d_literals)
     d = Clause(1, tuple(d_literals))
@@ -346,7 +366,7 @@ class TestProve:
                        Limits(), sig)
         from satguide.pipeline import extract_examples
         positives, negatives = extract_examples(record, sig)
-        model = train(positives, negatives, sig)
+        model = train_from_examples((positives, negatives), sig)
 
         alien_text = """
         cnf(f1, axiom, (brand(new))).
@@ -438,7 +458,7 @@ class TestProve:
 
         from satguide.pipeline import extract_examples
         positives, negatives = extract_examples(baseline_record, sig)
-        model = train(positives, negatives, sig)
+        model = train_from_examples((positives, negatives), sig)
         guided = Strategy(((1, learned_cef(model, 0.2)),))
         sig2 = Signature.from_frozen(model.signature)
         guided_record = prove(parse_problem(text, sig2), guided, Limits(),
@@ -490,7 +510,7 @@ def test_prover_outcome_matches_ground_satisfiability_oracle():
 
 
 def test_subsumption_implies_entailment():
-    from oracles import ground_entails
+    from oracles import ground_entails, matches, robinson_unify, substitute
     rng = random.Random(6)
     sig = Signature()
     pool = [

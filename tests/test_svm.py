@@ -13,10 +13,11 @@ from oracles import (
 )
 from satguide.clauses import DEFAULT_SKOLEM_PREFIXES, Signature
 from satguide.features import FormatError
+from satguide.pipeline import train_from_examples
 from satguide.svm import (
     EmptyClass, Model, NEG, NonFinite, POS, SolverConfig, accuracy,
     load_model, predict, predict_vector, save_model, score_vector,
-    solve_l2svm, train,
+    solve_l2svm,
 )
 from satguide.tptp import parse_problem
 
@@ -182,7 +183,7 @@ def clause_sets(sig):
 def test_train_and_predict_on_clauses():
     sig = Signature()
     pos, neg = clause_sets(sig)
-    model = train(pos, neg, sig)
+    model = train_from_examples((pos, neg), sig)
     for clause in pos:
         assert predict(clause, model, sig) == POS
     for clause in neg:
@@ -193,9 +194,9 @@ def test_train_requires_both_classes_and_sane_signature():
     sig = Signature()
     pos, neg = clause_sets(sig)
     with pytest.raises(EmptyClass):
-        train(pos, [], sig)
+        train_from_examples((pos, []), sig)
     with pytest.raises(EmptyClass):
-        train([], neg, sig)
+        train_from_examples(([], neg), sig)
 
 
 def test_large_signature_trains_and_round_trips(tmp_path):
@@ -205,7 +206,7 @@ def test_large_signature_trains_and_round_trips(tmp_path):
     clauses = parse_problem(text, sig)
     assert sig.freeze().size >= 250
     pos, neg = clauses[1::2], clauses[0::2]
-    model = train(pos, neg, sig)
+    model = train_from_examples((pos, neg), sig)
     path = tmp_path / "model.bin"
     save_model(model, str(path))
     loaded = load_model(str(path))
@@ -219,19 +220,19 @@ def test_unconverged_training_warns(caplog):
     sig = Signature()
     pos, neg = clause_sets(sig)
     with caplog.at_level(logging.WARNING, logger="satguide"):
-        model = train(pos, neg, sig, SolverConfig(max_epochs=1, tolerance=1e-12))
+        model = train_from_examples((pos, neg), sig, SolverConfig(max_epochs=1, tolerance=1e-12))
     assert model.epochs == 1
     assert "stopped at max_epochs=1 without converging" in caplog.text
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="satguide"):
-        train(pos, neg, sig)
+        train_from_examples((pos, neg), sig)
     assert caplog.text == ""
 
 
 def test_predict_tie_is_negative():
     sig = Signature()
     pos, neg = clause_sets(sig)
-    model = train(pos, neg, sig)
+    model = train_from_examples((pos, neg), sig)
     model.w.clear()
     for clause in pos + neg:
         assert predict(clause, model, sig) == NEG
@@ -268,7 +269,7 @@ def test_accuracy_reports_per_class_recall():
 def test_model_save_load_round_trip(tmp_path):
     sig = Signature()
     pos, neg = clause_sets(sig)
-    model = train(pos, neg, sig)
+    model = train_from_examples((pos, neg), sig)
     path = tmp_path / "model.bin"
     save_model(model, str(path))
     loaded = load_model(str(path))
@@ -282,7 +283,7 @@ def test_model_save_load_round_trip(tmp_path):
 def test_model_without_skolem_prefixes_reads_the_defaults(tmp_path):
     sig = Signature(("bad",))
     pos, neg = clause_sets(sig)
-    model = train(pos, neg, sig)
+    model = train_from_examples((pos, neg), sig)
     path = tmp_path / "model.bin"
     save_model(model, str(path))
     lines = path.read_text().splitlines(keepends=True)
@@ -297,7 +298,7 @@ def test_model_without_skolem_prefixes_reads_the_defaults(tmp_path):
 def test_load_model_rejects_corrupt_files(tmp_path):
     sig = Signature()
     pos, neg = clause_sets(sig)
-    model = train(pos, neg, sig)
+    model = train_from_examples((pos, neg), sig)
     path = tmp_path / "model.bin"
     save_model(model, str(path))
     full = path.read_text()
@@ -314,7 +315,7 @@ def test_load_model_rejects_corrupt_files(tmp_path):
 def test_load_model_needs_strictly_increasing_weight_indices(tmp_path):
     sig = Signature()
     pos, neg = clause_sets(sig)
-    model = train(pos, neg, sig)
+    model = train_from_examples((pos, neg), sig)
     path = tmp_path / "model.bin"
     save_model(model, str(path))
     lines = path.read_text().splitlines(keepends=True)

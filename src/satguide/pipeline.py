@@ -267,8 +267,15 @@ def run_grid(problems, model: Model, base: Strategy, grid: GridSpec,
              model_path: str = "<memory>") -> GridResult:
     """Run the whole strategy grid over the corpus and tabulate solves."""
     rows = grid_strategies(model, base, grid, model_path)
-    strategies = {row.key: row.strategy for row in rows}
-    records = run_corpus(problems, strategies, limits, jobs)
+    run_rows(problems, rows, limits, jobs)
+    return GridResult(rows, list(grid.gammas), list(grid.frequencies))
+
+
+def run_rows(problems, rows: list[StrategyResult], limits: Limits,
+             jobs: int = 1) -> None:
+    """Run every row's strategy over the corpus and tally it in the row."""
+    records = run_corpus(problems, {row.key: row.strategy for row in rows},
+                         limits, jobs)
     for row in rows:
         for problem in problems:
             record = records[(row.key, problem.pid)]
@@ -277,7 +284,6 @@ def run_grid(problems, model: Model, base: Strategy, grid: GridSpec,
                 row.solved.add(problem.pid)
                 row.records[problem.pid] = record
         log.info("grid %s: solved %d/%d", row.key, len(row.solved), len(problems))
-    return GridResult(rows, list(grid.gammas), list(grid.frequencies))
 
 
 def _grid_rows(result: GridResult) -> list[list[str]]:
@@ -354,9 +360,11 @@ def loop(problems, base: Strategy | None, rounds: int, grid: GridSpec,
          cfg: SolverConfig | None = None, jobs: int = 1) -> LoopReport:
     """Solve with the base strategy, then retrain and re-grid per round.
 
-    Proof records accumulate across rounds (cumulative union keyed by
-    problem and strategy), so training data never shrinks.  A round that
-    contributes no new proof record ends the loop early.
+    Round 0 runs the base strategy alone, later rounds the grid around the
+    previous model.  Each round adds its greedy cover's proof records, in
+    cover order, to a union keyed by problem and strategy, so training
+    data never shrinks, and then trains; a round that adds no record ends
+    the loop early.
     """
     base = base or baseline_strategy()
     limits = limits or Limits()
@@ -365,66 +373,57 @@ def loop(problems, base: Strategy | None, rounds: int, grid: GridSpec,
         raise ValueError("rounds must be >= 1")
 
     proof_records: dict[tuple[str, str], ProofSearchRecord] = {}
-    report = LoopReport(rounds=[], models=[])
-
-    base_records = run_corpus(problems, {BASE_ALONE: base}, limits, jobs)
     solved_total: set[str] = set()
-    for (key, pid), record in base_records.items():
-        if record.outcome == OUTCOME_PROOF:
-            proof_records[(key, pid)] = record
-            solved_total.add(pid)
-
-    def train_round(round_no: int, cover_keys: list[str],
-                    new_solved: set[str], grid_csv: str) -> Model | None:
-        sig = Signature()
-        positives, negatives = pool_examples(proof_records.values(), sig)
-        if not positives or not negatives:
-            log.warning("round %d: not enough examples to train", round_no)
-            return None
-        # featurized once: the model trains on the boosted rows and is
-        # scored on the unboosted ones
-        rows = training_set((positives, negatives), sig)
-        model = train_vectors(boost_rows(rows, boost_k), sig.freeze(), cfg)
-        acc = accuracy(model, rows)
-        report.rounds.append(RoundReport(
-            round=round_no, solved=set(solved_total), new_solved=new_solved,
-            cover=cover_keys, n_positive=boost_k * len(positives),
-            n_negative=len(negatives), accuracy=acc.accuracy,
-            positive_recall=acc.positive_recall,
-            negative_recall=acc.negative_recall, grid_csv=grid_csv))
-        report.models.append(model)
-        return model
-
-    model = train_round(0, [BASE_ALONE], set(solved_total), "")
-    if model is None:
-        return report
-
-    for round_no in range(1, rounds + 1):
-        result = run_grid(problems, model, base, grid, limits, jobs,
-                          model_path=f"<round{round_no - 1}>")
-        cover_keys = greedy_cover((row.key, row.solved) for row in result.rows)
+    report = LoopReport(rounds=[], models=[])
+    for round_no in range(rounds + 1):
+        if round_no == 0:
+            rows = [StrategyResult(BASE_ALONE, None, BASE_ALONE, base)]
+            run_rows(problems, rows, limits, jobs)
+            grid_csv = ""
+        else:
+            result = run_grid(problems, model, base, grid, limits, jobs,
+                              model_path=f"<round{round_no - 1}>")
+            rows = result.rows
+            grid_csv = grid_table_csv(result)
+        cover = greedy_cover((row.key, row.solved) for row in rows)
+        by_key = {row.key: row for row in rows}
         added = 0
         new_solved: set[str] = set()
-        for key in cover_keys:
-            row = result.by_key(key)
-            for pid, record in row.records.items():
+        for key in cover:
+            for pid, record in by_key[key].records.items():
                 if (key, pid) not in proof_records:
                     proof_records[(key, pid)] = record
                     added += 1
                 new_solved.add(pid)
         new_solved -= solved_total
         solved_total |= new_solved
-        csv_table = grid_table_csv(result)
-        if added == 0:
+        # round 0 has no proofs only when the base solves nothing; then
+        # there is nothing to train on, which is not a stall
+        if round_no and not added:
             log.info("round %d: no new proofs, stopping early", round_no)
             report.stalled = True
             report.rounds.append(RoundReport(
-                round=round_no, solved=set(solved_total), new_solved=set(),
-                cover=cover_keys, n_positive=0, n_negative=0, accuracy=0.0,
+                round=round_no, solved=set(solved_total),
+                new_solved=new_solved, cover=cover, n_positive=0,
+                n_negative=0, accuracy=0.0,
                 positive_recall=None, negative_recall=None,
-                grid_csv=csv_table))
+                grid_csv=grid_csv))
             break
-        model = train_round(round_no, cover_keys, new_solved, csv_table)
-        if model is None:
+        sig = Signature()
+        positives, negatives = pool_examples(proof_records.values(), sig)
+        if not positives or not negatives:
+            log.warning("round %d: not enough examples to train", round_no)
             break
+        # featurized once: the model trains on the boosted rows and is
+        # scored on the unboosted ones
+        examples = training_set((positives, negatives), sig)
+        model = train_vectors(boost_rows(examples, boost_k), sig.freeze(), cfg)
+        acc = accuracy(model, examples)
+        report.rounds.append(RoundReport(
+            round=round_no, solved=set(solved_total), new_solved=new_solved,
+            cover=cover, n_positive=boost_k * len(positives),
+            n_negative=len(negatives), accuracy=acc.accuracy,
+            positive_recall=acc.positive_recall,
+            negative_recall=acc.negative_recall, grid_csv=grid_csv))
+        report.models.append(model)
     return report

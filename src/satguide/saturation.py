@@ -3,12 +3,15 @@
 Each selection step asks the strategy's round-robin schedule for a CEF,
 takes that CEF's lowest-weight unprocessed clause as the given clause,
 moves it to the processed set, and generates all binary resolvents against
-the processed clauses plus all factors of the given clause.  New clauses
-that are too large, tautological, or subsumed by a processed clause are
-dropped; the exact subsumption check runs only on processed clauses whose
-literal keys all generalise some literal key of the new clause.  The
-search stops on the empty clause, an empty unprocessed set, or a resource
-limit, and always returns a full record of the derivation.
+the processed clauses plus all factors of the given clause, each built in
+one walk through its unifier (variables named X0, X1, ... by first
+occurrence, repeated literals merged).  New clauses that are too large,
+tautological, or subsumed by a processed clause are dropped; the exact
+subsumption check runs only on processed clauses whose literal keys all
+generalise some literal key of the new clause.  The search stops on the
+empty clause, an empty unprocessed set, or a resource limit (the
+generated-clause cap and the timeout are checked before each new clause),
+and always returns a full record of the derivation.
 
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
@@ -137,17 +140,16 @@ def apply_subst(t: Term, subst: dict) -> Term:
     return App(t.symbol, tuple(apply_subst(a, subst) for a in t.args))
 
 
-def apply_subst_literal(lit: Literal, subst: dict) -> Literal:
-    return Literal(lit.positive, lit.predicate,
-                   tuple(apply_subst(a, subst) for a in lit.args))
+def rename_apart(literals) -> tuple[Literal, ...]:
+    """Prime every variable (``X`` becomes ``X'``).
 
-
-def _rename_variables(literals, rename) -> tuple[Literal, ...]:
-    """Replace every variable ``v`` by ``rename(v)``, left to right."""
+    Parsed and kept variable names never contain a quote, so the result
+    shares no variable with any stored clause.
+    """
 
     def walk(t: Term) -> Term:
         if isinstance(t, Var):
-            return rename(t)
+            return Var(t.name + "'")
         return App(t.symbol, tuple(walk(a) for a in t.args))
 
     return tuple(Literal(lit.positive, lit.predicate,
@@ -155,40 +157,29 @@ def _rename_variables(literals, rename) -> tuple[Literal, ...]:
                  for lit in literals)
 
 
-def rename_apart(literals) -> tuple[Literal, ...]:
-    """Prime every variable (``X`` becomes ``X'``).
+def _derived(literals, subst: dict, parents: tuple[int, ...]) -> Clause:
+    """The clause of ``literals`` under ``subst``, built in one walk.
 
-    Parsed and normalized variable names never contain a quote, so the
-    result shares no variable with any stored clause.
+    Variables are renamed to X0, X1, ... in first-occurrence order and
+    repeated literals are dropped.  Renaming is injective, so literals
+    equal after substitution are equal after renaming, and a repeat adds
+    no variable number.
     """
-    return _rename_variables(literals, lambda v: Var(v.name + "'"))
+    names: dict[str, Var] = {}
 
+    def walk(t: Term) -> Term:
+        t = _deref(t, subst)
+        if isinstance(t, Var):
+            var = names.get(t.name)
+            if var is None:
+                var = names[t.name] = Var(f"X{len(names)}")
+            return var
+        return App(t.symbol, tuple(walk(a) for a in t.args))
 
-def normalize_variables(literals) -> tuple[Literal, ...]:
-    """Rename variables to X0, X1, ... in first-occurrence order."""
-    mapping: dict[str, Var] = {}
-
-    def fresh(v: Var) -> Var:
-        if v.name not in mapping:
-            mapping[v.name] = Var(f"X{len(mapping)}")
-        return mapping[v.name]
-
-    return _rename_variables(literals, fresh)
-
-
-def _dedup_literals(literals) -> tuple[Literal, ...]:
-    seen = set()
-    out = []
-    for lit in literals:
-        if lit not in seen:
-            seen.add(lit)
-            out.append(lit)
-    return tuple(out)
-
-
-def _derived(literals, parents: tuple[int, ...]) -> Clause:
-    literals = normalize_variables(_dedup_literals(literals))
-    return Clause(-1, literals, parents)
+    kept = dict.fromkeys(Literal(lit.positive, lit.predicate,
+                                 tuple(walk(a) for a in lit.args))
+                         for lit in literals)
+    return Clause(-1, tuple(kept), parents)
 
 
 def resolvents(given: Clause, partner: Clause,
@@ -200,7 +191,8 @@ def resolvents(given: Clause, partner: Clause,
     same clause may be passed on both sides.
     """
     out = []
-    for i, lit_g in enumerate(given.literals):
+    lits = given.literals
+    for i, lit_g in enumerate(lits):
         for j, lit_p in enumerate(partner.literals):
             if lit_g.positive == lit_p.positive \
                     or lit_g.predicate != lit_p.predicate:
@@ -208,11 +200,8 @@ def resolvents(given: Clause, partner: Clause,
             subst = unify_atoms(lit_g, primed[j])
             if subst is None:
                 continue
-            rest = [apply_subst_literal(l, subst)
-                    for k, l in enumerate(given.literals) if k != i]
-            rest.extend(apply_subst_literal(l, subst)
-                        for k, l in enumerate(primed) if k != j)
-            out.append(_derived(rest, (given.id, partner.id)))
+            rest = lits[:i] + lits[i + 1:] + primed[:j] + primed[j + 1:]
+            out.append(_derived(rest, subst, (given.id, partner.id)))
     return out
 
 
@@ -227,9 +216,7 @@ def factors(clause: Clause) -> list[Clause]:
             subst = unify_atoms(lits[i], lits[j])
             if subst is None:
                 continue
-            rest = [apply_subst_literal(l, subst)
-                    for k, l in enumerate(lits) if k != j]
-            out.append(_derived(rest, (clause.id,)))
+            out.append(_derived(lits[:j] + lits[j + 1:], subst, (clause.id,)))
     return out
 
 
@@ -447,6 +434,11 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             empty_clause = clause.id
         admit(clause)
 
+    def spent() -> bool:
+        return stats["generated"] >= limits.max_generated \
+            or limits.timeout is not None \
+            and time.monotonic() - started > limits.timeout
+
     outcome = None
     if empty_clause is not None:
         outcome = OUTCOME_PROOF
@@ -455,11 +447,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         if not unprocessed:
             outcome = OUTCOME_SATURATED
             break
-        if stats["processed"] >= limits.max_processed \
-                or stats["generated"] >= limits.max_generated:
-            outcome = OUTCOME_RESOURCE_OUT
-            break
-        if limits.timeout is not None and time.monotonic() - started > limits.timeout:
+        if stats["processed"] >= limits.max_processed or spent():
             outcome = OUTCOME_RESOURCE_OUT
             break
         entry = next_entry_index(strategy, stats["processed"])
@@ -475,6 +463,9 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             candidates.extend(resolvents(given, partner, primed))
         candidates.extend(factors(given))
         for cand in candidates:
+            if spent():
+                outcome = OUTCOME_RESOURCE_OUT
+                break
             stats["generated"] += 1
             if len(cand.literals) > limits.max_literals \
                     or clause_depth(cand) > limits.max_depth:
@@ -539,6 +530,14 @@ def _all_typed(mapping: dict, kind: type, what: str) -> dict:
     return mapping
 
 
+def _clause_id(key: str, field: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"field {field!r} has key {key!r}, "
+                         f"not a clause id") from None
+
+
 def record_from_json(data) -> ProofSearchRecord:
     """Inverse of :func:`record_to_json`; a ValueError names what is wrong."""
     if _typed(data, dict, "a record").get("format") != RECORD_FORMAT:
@@ -555,11 +554,11 @@ def record_from_json(data) -> ProofSearchRecord:
         strategy=get("strategy", str),
         outcome=get("outcome", str),
         given_sequence=get("given_sequence", list),
-        dag={int(cid): tuple(parents) for cid, parents
+        dag={_clause_id(cid, "dag"): tuple(parents) for cid, parents
              in _all_typed(get("dag", dict), list, "dag entry").items()},
         empty_clause=get("empty_clause"),
         stats=_all_typed(get("stats", dict), int, "stat"),
-        clause_texts={int(cid): text for cid, text
+        clause_texts={_clause_id(cid, "clauses"): text for cid, text
                       in _all_typed(get("clauses", dict), str, "clause").items()},
     )
     # example extraction reads these clauses and walks the DAG from the

@@ -264,10 +264,13 @@ def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
      "dag parent [1] has no dag entry"),
     (lambda r: dict(r, clauses={**r["clauses"], "0": 7}),
      "clause 0 must be str, not int"),
+    (lambda r: dict(r, dag={**r["dag"], "x": []}),
+     "field 'dag' has key 'x', not a clause id"),
 ], ids=["no-problem-key", "empty-clause-not-in-dag",
         "given-clause-without-text", "parent-not-in-dag", "record-not-an-object",
         "dag-a-list", "given-sequence-an-int", "given-id-a-list",
-        "dag-parents-an-int", "dag-parent-a-list", "clause-text-a-number"])
+        "dag-parents-an-int", "dag-parent-a-list", "clause-text-a-number",
+        "dag-key-not-an-id"])
 def test_extract_on_a_malformed_record_is_a_usage_error(tmp_path, capsys,
                                                         breaks, reason):
     problem = tmp_path / "chain.p"

@@ -1,6 +1,7 @@
 """Unification, inference rules, subsumption, and the given-clause loop."""
 
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import ground_entails, matches, robinson_unify, substitute
+from satguide import saturation
 from satguide.clauses import App, Clause, Literal, Signature, Var
 from satguide.guidance import (
     Strategy, baseline_strategy, learned_cef, parse_strategy,
@@ -163,6 +165,86 @@ def test_resolvents_ignore_the_partners_variable_names(g_text, p_text, same,
         return [(format_clause(c, sig), c.parents) for c in clauses]
 
     assert printed(resolve(g, p)) == printed(resolve(g, rho_p))
+
+
+def _oracle_derived(literals, subst, parents):
+    """Substitute, drop repeated literals, then name variables X0, X1, ...
+    by first occurrence."""
+    kept = []
+    for lit in literals:
+        lit = Literal(lit.positive, lit.predicate,
+                      tuple(substitute(a, subst) for a in lit.args))
+        if lit not in kept:
+            kept.append(lit)
+    names = {}
+
+    def walk(t):
+        if isinstance(t, Var):
+            return Var(names.setdefault(t.name, f"X{len(names)}"))
+        return App(t.symbol, tuple(walk(a) for a in t.args))
+
+    return tuple(Literal(lit.positive, lit.predicate,
+                         tuple(walk(a) for a in lit.args))
+                 for lit in kept), parents
+
+
+def _oracle_unify_atoms(a, b):
+    subst = {}
+    for x, y in zip(a.args, b.args):
+        subst = robinson_unify(x, y, subst)
+        if subst is None:
+            return None
+    return subst
+
+
+def _oracle_resolvents(given, partner):
+    primed = _renamed(partner, {v: v + "'" for v in "XYZ"}).literals
+    out = []
+    for i, lit_g in enumerate(given.literals):
+        for j, lit_p in enumerate(primed):
+            if lit_g.positive == lit_p.positive \
+                    or lit_g.predicate != lit_p.predicate:
+                continue
+            subst = _oracle_unify_atoms(lit_g, lit_p)
+            if subst is not None:
+                rest = [l for k, l in enumerate(given.literals) if k != i]
+                rest += [l for k, l in enumerate(primed) if k != j]
+                out.append(_oracle_derived(rest, subst,
+                                           (given.id, partner.id)))
+    return out
+
+
+def _oracle_factors(clause):
+    lits = clause.literals
+    out = []
+    for i, j in itertools.combinations(range(len(lits)), 2):
+        if lits[i].positive != lits[j].positive \
+                or lits[i].predicate != lits[j].predicate:
+            continue
+        subst = _oracle_unify_atoms(lits[i], lits[j])
+        if subst is not None:
+            rest = [l for k, l in enumerate(lits) if k != j]
+            out.append(_oracle_derived(rest, subst, (clause.id,)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CLAUSE, _CLAUSE, st.booleans())
+@example("q(X) | ~p(X)", "p(a) | q(a)", False)
+@example("p(X) | q(X) | p(a) | q(a)", "~q(b)", False)
+def test_derived_clauses_agree_with_the_oracle_construction(g_text, p_text,
+                                                            same):
+    # most general unifiers differ only by a renaming, so the normalized
+    # clauses must be equal, literal for literal
+    sig = Signature()
+    g = parse_one(g_text, sig)
+    p = g if same else Clause(1, parse_one(p_text, sig).literals)
+
+    def shapes(clauses):
+        return [(c.literals, c.parents) for c in clauses]
+
+    assert shapes(resolve(g, p)) == _oracle_resolvents(g, p)
+    assert shapes(factors(g)) == _oracle_factors(g)
 
 
 class TestFactors:
@@ -694,3 +776,25 @@ def test_hard_problem_record_is_pinned(name):
                    baseline_strategy(), Limits(max_processed=60), sig, name)
     assert record.outcome == OUTCOME_RESOURCE_OUT
     assert _records_digest([record]) == RECORD_DIGESTS[name]
+
+
+def test_max_generated_stops_before_the_clause_past_it():
+    sig = Signature()
+    record = prove(parse_problem(HARD_PROBLEMS["group-double-inverse"], sig),
+                   baseline_strategy(), Limits(max_generated=5000), sig)
+    assert record.outcome == OUTCOME_RESOURCE_OUT
+    assert record.stats["generated"] == 5000
+
+
+def test_timeout_is_checked_before_each_generated_clause(monkeypatch):
+    # a clock that reads one second later at every call; prove reads it at
+    # the start, then before each given clause and each generated clause,
+    # and stops at the first reading past the timeout
+    ticks = itertools.count()
+    monkeypatch.setattr(saturation.time, "monotonic",
+                        lambda: float(next(ticks)))
+    sig = Signature()
+    record = prove(parse_problem(HARD_PROBLEMS["group-double-inverse"], sig),
+                   baseline_strategy(), Limits(timeout=1000.0), sig)
+    assert record.outcome == OUTCOME_RESOURCE_OUT
+    assert record.stats["generated"] + record.stats["processed"] == 1000

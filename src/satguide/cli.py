@@ -201,15 +201,12 @@ def cmd_grid(args) -> int:
     base = _strategy(args.base_strategy)
     result = pipeline.run_grid(problems, model, base, grid, limits,
                                jobs=args.jobs, model_path=args.model)
-    table = pipeline.grid_table_text(result)
-    print(table, end="")
+    print(pipeline.grid_table(result), end="")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fp:
-            fp.write(pipeline.grid_table_csv(result))
+            fp.write(pipeline.grid_table(result, csv=True))
     cover = pipeline.greedy_cover((row.key, row.solved) for row in result.rows)
-    union = set()
-    for row in result.rows:
-        union |= row.solved
+    union = set().union(*(row.solved for row in result.rows))
     print(f"solved {len(union)}/{len(problems)}; greedy cover: "
           f"{', '.join(cover) if cover else '(nothing solved)'}")
     return 0
@@ -236,8 +233,9 @@ def cmd_loop(args) -> int:
                      f"accuracy {rr.accuracy:.4f}, "
                      f"pos recall {_fmt(rr.positive_recall)}, "
                      f"neg recall {_fmt(rr.negative_recall)}")
-        else:
-            line += ", no new proofs to train on"
+        else:  # only the last round can train nothing
+            line += (", no new proofs to train on" if report.stalled
+                     else ", not enough examples to train")
         print(line)
         if rr.grid_csv:
             with open(os.path.join(args.output_dir,

@@ -15,8 +15,6 @@ under the trainer's signature when examples are collected.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 import os
@@ -52,6 +50,14 @@ class GridSpec:
             raise ValueError("gammas must be finite and nonnegative")
         if any(freq < 1 for freq in self.frequencies):
             raise ValueError("frequencies must be >= 1")
+        if len(set(self.frequencies)) < len(self.frequencies):
+            raise ValueError("frequencies must not repeat")
+        # a row key holds a gamma's %g form, so gammas that print alike collide
+        keys = [f"g{gamma:g}" for gamma in self.gammas]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ValueError(f"gammas {self.gammas[keys.index(key)]!r} and "
+                                 f"{self.gammas[i]!r} share the row key {key}")
 
 
 @dataclass
@@ -221,8 +227,6 @@ def run_corpus(problems, strategies: dict[str, Strategy], limits: Limits,
 @dataclass
 class StrategyResult:
     key: str
-    gamma: float | None
-    frequency: str
     strategy: Strategy
     solved: set[str] = field(default_factory=set)
     processed: dict[str, int] = field(default_factory=dict)
@@ -232,33 +236,25 @@ class StrategyResult:
 @dataclass
 class GridResult:
     rows: list[StrategyResult]
-    gammas: list[float]
-    frequencies: list[int]
-
-    def by_key(self, key: str) -> StrategyResult:
-        for row in self.rows:
-            if row.key == key:
-                return row
-        raise KeyError(key)
+    grid: GridSpec
 
 
 def grid_strategies(model: Model, base: Strategy, grid: GridSpec,
                     model_path: str = "<memory>") -> list[StrategyResult]:
     """The strategy rows of a grid, in their canonical (tie-break) order.
 
-    Frequency "0" is the base strategy alone; "inf" is the learned CEF
-    alone; frequency f adds the learned CEF to the base entries with
+    Key "0" is the base strategy alone; "finf:g<gamma>" is the learned CEF
+    alone; "f<f>:g<gamma>" adds the learned CEF to the base entries with
     frequency f.
     """
-    rows = [StrategyResult(BASE_ALONE, None, BASE_ALONE, base)]
+    rows = [StrategyResult(BASE_ALONE, base)]
     for gamma in grid.gammas:
         cef = learned_cef(model, gamma, model_path)
         for freq in grid.frequencies:
-            strategy = Strategy(base.entries + ((freq, cef),))
-            rows.append(StrategyResult(f"f{freq}:g{gamma:g}", gamma,
-                                       str(freq), strategy))
-        rows.append(StrategyResult(f"finf:g{gamma:g}", gamma,
-                                   MODEL_ALONE, Strategy(((1, cef),))))
+            rows.append(StrategyResult(f"f{freq}:g{gamma:g}",
+                                       Strategy(base.entries + ((freq, cef),))))
+        rows.append(StrategyResult(f"f{MODEL_ALONE}:g{gamma:g}",
+                                   Strategy(((1, cef),))))
     return rows
 
 
@@ -268,7 +264,7 @@ def run_grid(problems, model: Model, base: Strategy, grid: GridSpec,
     """Run the whole strategy grid over the corpus and tabulate solves."""
     rows = grid_strategies(model, base, grid, model_path)
     run_rows(problems, rows, limits, jobs)
-    return GridResult(rows, list(grid.gammas), list(grid.frequencies))
+    return GridResult(rows, grid)
 
 
 def run_rows(problems, rows: list[StrategyResult], limits: Limits,
@@ -286,29 +282,18 @@ def run_rows(problems, rows: list[StrategyResult], limits: Limits,
         log.info("grid %s: solved %d/%d", row.key, len(row.solved), len(problems))
 
 
-def _grid_rows(result: GridResult) -> list[list[str]]:
-    """Header plus one row per gamma of solved counts; the base strategy's
-    count fills every row's "0" column."""
-    columns = [BASE_ALONE] + [str(f) for f in result.frequencies] + [MODEL_ALONE]
-    cells = {(f"{row.gamma:g}", row.frequency): str(len(row.solved))
-             for row in result.rows if row.gamma is not None}
-    base_cell = str(len(result.by_key(BASE_ALONE).solved))
-    rows = [["gamma"] + columns]
-    for gamma in result.gammas:
-        key = f"{gamma:g}"
-        rows.append([key, base_cell] + [cells[(key, col)] for col in columns[1:]])
-    return rows
-
-
-def grid_table_csv(result: GridResult) -> str:
-    """Solved counts as CSV: one row per gamma, one column per frequency."""
-    out = io.StringIO()
-    csv.writer(out).writerows(_grid_rows(result))
-    return out.getvalue()
-
-
-def grid_table_text(result: GridResult) -> str:
-    return "".join("\t".join(row) + "\n" for row in _grid_rows(result))
+def grid_table(result: GridResult, csv: bool = False) -> str:
+    r"""Solved counts, a line per gamma and a column per frequency: column f
+    of gamma g's line counts row ``f<f>:g<g>``, and column "0" row ``0``.
+    Tab-separated with ``\n`` ends, or CSV with ``\r\n`` ends."""
+    sep, end = (",", "\r\n") if csv else ("\t", "\n")
+    solved = {row.key: str(len(row.solved)) for row in result.rows}
+    columns = [str(f) for f in result.grid.frequencies] + [MODEL_ALONE]
+    lines = [["gamma", BASE_ALONE] + columns]
+    for gamma in result.grid.gammas:
+        lines.append([f"{gamma:g}", solved[BASE_ALONE]]
+                     + [solved[f"f{col}:g{gamma:g}"] for col in columns])
+    return "".join(sep.join(line) + end for line in lines)
 
 
 def greedy_cover(items) -> list:
@@ -336,16 +321,17 @@ def greedy_cover(items) -> list:
 
 @dataclass
 class RoundReport:
+    """One round's tally; the training figures stay unset if it trains nothing."""
     round: int
     solved: set[str]
     new_solved: set[str]
     cover: list[str]
-    n_positive: int
-    n_negative: int
-    accuracy: float
-    positive_recall: float | None
-    negative_recall: float | None
     grid_csv: str = ""
+    n_positive: int = 0
+    n_negative: int = 0
+    accuracy: float = 0.0
+    positive_recall: float | None = None
+    negative_recall: float | None = None
 
 
 @dataclass
@@ -377,14 +363,14 @@ def loop(problems, base: Strategy | None, rounds: int, grid: GridSpec,
     report = LoopReport(rounds=[], models=[])
     for round_no in range(rounds + 1):
         if round_no == 0:
-            rows = [StrategyResult(BASE_ALONE, None, BASE_ALONE, base)]
+            rows = [StrategyResult(BASE_ALONE, base)]
             run_rows(problems, rows, limits, jobs)
             grid_csv = ""
         else:
             result = run_grid(problems, model, base, grid, limits, jobs,
                               model_path=f"<round{round_no - 1}>")
             rows = result.rows
-            grid_csv = grid_table_csv(result)
+            grid_csv = grid_table(result, csv=True)
         cover = greedy_cover((row.key, row.solved) for row in rows)
         by_key = {row.key: row for row in rows}
         added = 0
@@ -397,17 +383,14 @@ def loop(problems, base: Strategy | None, rounds: int, grid: GridSpec,
                 new_solved.add(pid)
         new_solved -= solved_total
         solved_total |= new_solved
+        this_round = RoundReport(round_no, set(solved_total), new_solved,
+                                 cover, grid_csv)
+        report.rounds.append(this_round)
         # round 0 has no proofs only when the base solves nothing; then
         # there is nothing to train on, which is not a stall
         if round_no and not added:
             log.info("round %d: no new proofs, stopping early", round_no)
             report.stalled = True
-            report.rounds.append(RoundReport(
-                round=round_no, solved=set(solved_total),
-                new_solved=new_solved, cover=cover, n_positive=0,
-                n_negative=0, accuracy=0.0,
-                positive_recall=None, negative_recall=None,
-                grid_csv=grid_csv))
             break
         sig = Signature()
         positives, negatives = pool_examples(proof_records.values(), sig)
@@ -419,11 +402,10 @@ def loop(problems, base: Strategy | None, rounds: int, grid: GridSpec,
         examples = training_set((positives, negatives), sig)
         model = train_vectors(boost_rows(examples, boost_k), sig.freeze(), cfg)
         acc = accuracy(model, examples)
-        report.rounds.append(RoundReport(
-            round=round_no, solved=set(solved_total), new_solved=new_solved,
-            cover=cover, n_positive=boost_k * len(positives),
-            n_negative=len(negatives), accuracy=acc.accuracy,
-            positive_recall=acc.positive_recall,
-            negative_recall=acc.negative_recall, grid_csv=grid_csv))
+        this_round.n_positive = boost_k * len(positives)
+        this_round.n_negative = len(negatives)
+        this_round.accuracy = acc.accuracy
+        this_round.positive_recall = acc.positive_recall
+        this_round.negative_recall = acc.negative_recall
         report.models.append(model)
     return report

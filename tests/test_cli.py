@@ -228,8 +228,19 @@ def test_loop_out_of_range_flag_is_a_usage_error(tmp_path, capsys, flag,
     (["prove", "{tmp}/chain.p", "--strategy",
       "1*Learned({tmp}/model.bin,gamma=nan)"],
      "gamma must be finite and nonnegative"),
+    # two gammas that print alike would share a row key and a table line
+    (["grid", "{tmp}/manifest.txt", "--model", "{tmp}/model.bin",
+      "--gammas", "0.1,0.1000001"],
+     "bad --gammas or --frequencies: gammas 0.1 and 0.1000001 share "
+     "the row key g0.1"),
+    (["loop", "{tmp}/manifest.txt", "--gammas", "0.2,0,0.2", "-o", "{tmp}/out"],
+     "bad --gammas or --frequencies: gammas 0.2 and 0.2 share the row key g0.2"),
+    (["grid", "{tmp}/manifest.txt", "--model", "{tmp}/model.bin",
+      "--frequencies", "5,5"],
+     "bad --gammas or --frequencies: frequencies must not repeat"),
 ], ids=["loop-negative", "loop-nan", "loop-empty", "grid-inf",
-        "prove-strategy-nan"])
+        "prove-strategy-nan", "grid-gammas-share-a-key",
+        "loop-gamma-repeated", "grid-frequency-repeated"])
 def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
     # the problem file does not exist, so any corpus run would fail first
     (tmp_path / "manifest.txt").write_text(f"p0 {tmp_path / 'missing.p'}\n")
@@ -475,6 +486,77 @@ def test_grid_cli_smoke(tmp_path, capsys):
     assert code == 0
     assert csv_out.read_text().splitlines()[0] == "gamma,0,5,inf"
     assert "greedy cover:" in out
+
+
+def test_grid_cli_table_and_csv_bytes(tmp_path, capsys):
+    # stdout is tab-separated with \n line ends; the CSV is comma-separated
+    # with \r\n row ends
+    records = []
+    for pid in ["prob00", "prob01"]:
+        records.append(str(tmp_path / f"{pid}.json"))
+        assert run(capsys, "prove", str(CORPUS / f"{pid}.p"),
+                   "--record", records[-1])[0] == 0
+    examples, model = tmp_path / "ex.txt", tmp_path / "model.bin"
+    assert run(capsys, "extract", *records, "-o", str(examples))[0] == 0
+    assert run(capsys, "train", str(examples), "-o", str(model))[0] == 0
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"prob{i:02d} {CORPUS / f'prob{i:02d}.p'}\n"
+                                for i in range(6)))
+    csv_out = tmp_path / "grid.csv"
+    code, out, _ = run(capsys, "grid", str(manifest), "--model", str(model),
+                       "--gammas", "0,0.2", "--frequencies", "5,50",
+                       "--max-processed", "40", "--csv", str(csv_out))
+    assert code == 0
+    assert out == ("gamma\t0\t5\t50\tinf\n"
+                   "0\t3\t4\t3\t2\n"
+                   "0.2\t3\t4\t3\t3\n"
+                   "solved 5/6; greedy cover: f5:g0, 0\n")
+    assert csv_out.read_bytes() == (b"gamma,0,5,50,inf\r\n"
+                                    b"0,3,4,3,2\r\n"
+                                    b"0.2,3,4,3,3\r\n")
+
+
+def loop_on_one_problem(tmp_path, capsys, text):
+    problem = tmp_path / "one.p"
+    problem.write_text(text)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"one {problem}\n")
+    outdir = tmp_path / "out"
+    code, out, _ = run(capsys, "loop", str(manifest), "--rounds", "2",
+                       "-o", str(outdir))
+    assert code == 0
+    assert not list(outdir.glob("*.bin"))
+    return out
+
+
+def test_loop_reports_a_round_with_no_proof_to_train_on(tmp_path, capsys):
+    out = loop_on_one_problem(
+        tmp_path, capsys, "cnf(a,axiom,(p(a))).\ncnf(b,axiom,(q(b))).\n")
+    assert out == ("round 0: solved 0/1 (+0 new), cover [], "
+                   "not enough examples to train\n"
+                   f"models written to {tmp_path / 'out'}\n")
+
+
+def test_loop_reports_a_round_with_no_negative_example(tmp_path, capsys):
+    # both given clauses are in the proof, so there is no negative example
+    out = loop_on_one_problem(
+        tmp_path, capsys, "cnf(a,axiom,(p(a))).\ncnf(b,axiom,(~p(a))).\n")
+    assert out == ("round 0: solved 1/1 (+1 new), cover [0], "
+                   "not enough examples to train\n"
+                   f"models written to {tmp_path / 'out'}\n")
+
+
+def test_prove_no_equality_axioms_flag(tmp_path, capsys):
+    problem = tmp_path / "eq.p"
+    problem.write_text("cnf(a, axiom, (f(a) = b)).\n"
+                       "cnf(goal, negated_conjecture, (f(a) != b)).\n")
+    counts = []
+    for flags in ([], ["--no-equality-axioms"]):
+        record = tmp_path / "rec.json"
+        assert run(capsys, "prove", str(problem), "--record", str(record),
+                   *flags)[0] == 0
+        counts.append(json.loads(record.read_text())["stats"]["equality_axioms"])
+    assert counts[0] > 0 and counts[1] == 0
 
 
 def test_loop_cli_two_rounds_solved_count_never_drops(tmp_path, capsys):

@@ -12,7 +12,7 @@ from satguide.clauses import Signature
 from satguide.guidance import baseline_strategy
 from satguide.pipeline import (
     CorpusProblem, GridSpec, NoProof, ancestor_ids, boost_rows,
-    extract_examples, greedy_cover, grid_table_csv, grid_table_text,
+    extract_examples, greedy_cover, grid_table,
     load_manifest, loop, pool_examples, run_corpus, run_grid,
     training_set, train_from_examples,
 )
@@ -224,16 +224,16 @@ def test_run_grid_table_shape(corpus, corpus_limits, trained_on_corpus):
     keys = [row.key for row in result.rows]
     assert keys == ["0", "f1:g0", "f50:g0", "finf:g0",
                     "f1:g0.2", "f50:g0.2", "finf:g0.2"]
-    base_solved = result.by_key("0").solved
+    base_solved = result.rows[0].solved
     assert base_solved == {p.pid for p in subset}
     # guidance trained on these very proofs must not lose any of them
     for row in result.rows:
-        if row.frequency != "inf":
+        if not row.key.startswith("finf:"):
             assert row.solved >= base_solved
-    csv_text = grid_table_csv(result)
+    csv_text = grid_table(result, csv=True)
     assert csv_text.splitlines()[0] == "gamma,0,1,50,inf"
     assert len(csv_text.splitlines()) == 3
-    text = grid_table_text(result)
+    text = grid_table(result)
     assert text.splitlines()[0].split("\t") == ["gamma", "0", "1", "50", "inf"]
 
 
@@ -256,7 +256,7 @@ def test_run_grid_empty_corpus(trained_on_corpus):
     grid = GridSpec(gammas=[0.2], frequencies=[5])
     result = run_grid([], model, baseline_strategy(), grid, Limits())
     assert all(not row.solved for row in result.rows)
-    assert "0" in grid_table_csv(result).splitlines()[1]
+    assert "0" in grid_table(result, csv=True).splitlines()[1]
 
 
 def loop_corpus(tmp_path):

@@ -13,6 +13,20 @@ empty clause, an empty unprocessed set, or a resource limit (the
 generated-clause cap and the timeout are checked before each new clause),
 and always returns a full record of the derivation.
 
+A search does each piece of repeated work once per *content*, a clause's
+literal tuple.  Resolvents are made once per (given content, partner
+content) pair and factors once per given content; a repeat copies the
+stored literals under its own parent ids, since derived literals depend
+only on the parents' literals.  A candidate content that was discarded,
+tautological or subsumed stays so, because the processed set only grows;
+a kept one is checked again only against the subsumers processed since,
+and only the first processed clause of each content is a subsumer.  Each
+content is printed once.  Partners come from a ``(sign, predicate)``
+index of processed slots: only clauses with a complementary literal can
+resolve with the given clause, and visiting them in slot order keeps the
+candidate order, so clause ids and records are the same as without any of
+this.
+
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
 the problem's symbols) are added as extra input clauses.
@@ -351,6 +365,54 @@ def equality_axioms(clauses, sig: Signature) -> list[tuple[Literal, ...]]:
     return axioms
 
 
+class _Processed:
+    """The processed clauses of one search and the loop's lookups into them.
+
+    Each processed clause takes the next *slot*.  ``by_key`` maps a
+    ``(sign, predicate)`` pair to the slots whose clauses hold such a
+    literal, so :meth:`partners` visits only clauses that can resolve with
+    the given clause, in slot order.  Only the first processed clause of
+    each content is a subsumer: equal clauses subsume the same candidates.
+    """
+
+    def __init__(self):
+        # (clause, primed copy, content id) by slot
+        self.slots: list[tuple[Clause, tuple[Literal, ...], int]] = []
+        self.by_key: dict[tuple[bool, int], list[int]] = {}
+        # (clause, pattern mask), one per processed content
+        self.subsumers: list[tuple[Clause, int]] = []
+        self.subsuming: set[int] = set()
+        # literal key -> bit of the pattern masks
+        self.key_bits: dict = {}
+
+    def add(self, clause: Clause, content: int) -> None:
+        slot = len(self.slots)
+        self.slots.append((clause, rename_apart(clause.literals), content))
+        for key in {(lit.positive, lit.predicate) for lit in clause.literals}:
+            self.by_key.setdefault(key, []).append(slot)
+        if content not in self.subsuming:
+            self.subsuming.add(content)
+            self.subsumers.append((clause, pattern_mask(clause,
+                                                        self.key_bits)))
+
+    def partners(self, given: Clause) -> list:
+        """The slots holding a literal complementary in sign and predicate
+        to one of the given clause's, in slot order."""
+        keys = {(not lit.positive, lit.predicate) for lit in given.literals}
+        found = self.by_key.get(keys.pop(), ()) if len(keys) == 1 else \
+            sorted(set().union(*(self.by_key.get(key, ()) for key in keys)))
+        return [self.slots[slot] for slot in found]
+
+    def subsumed(self, cand: Clause, since: int) -> bool:
+        """Whether a subsumer added at or after index ``since`` subsumes
+        ``cand``."""
+        missing = ~instance_mask(cand, self.key_bits)
+        for old, pattern in self.subsumers[since:]:
+            if not pattern & missing and subsumes(old, cand):
+                return True
+        return False
+
+
 class _CefQueue:
     """Lazy per-CEF ordering view over the unprocessed set.
 
@@ -396,14 +458,23 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     stats = {"generated": 0, "processed": 0, "kept": 0, "subsumed": 0,
              "discarded": 0, "tautologies": 0, "equality_axioms": 0,
              "dropped_triples": 0}
-    # (clause, primed copy, pattern mask) in selection order; no clause
-    # is both processed and unprocessed
-    processed: list[tuple[Clause, tuple[Literal, ...], int]] = []
+    processed = _Processed()
+    # no clause is both processed and unprocessed
     unprocessed: dict[int, Clause] = {}
-    # literal key -> bit of the pattern masks, for this search only
-    key_bits: dict = {}
     # every kept clause; a clause's id is its index
     clauses: list[Clause] = []
+    # a clause's content is its literal tuple: each distinct content of
+    # this search gets an id, and ``content_of`` holds it by clause id
+    contents: dict[tuple[Literal, ...], int] = {}
+    content_of: list[int] = []
+    # the (content id, clause) pairs derived from a (given content, partner
+    # content) pair, or from a given content by factoring; derived literals
+    # depend only on the parents' literals
+    derived: dict[tuple, list[tuple[int, Clause]]] = {}
+    # a candidate content's fate: the counter it bumps when dropped, which
+    # is final since the processed set only grows, or, once kept, the
+    # number of subsumers it has been checked against
+    fates: dict[int, str | int] = {}
     empty_clause: int | None = None
 
     # entries with equal CEFs share one queue: they would pick alike.  A
@@ -414,14 +485,25 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
                           _CefQueue(cef, sig, stats))
         for _, cef in strategy.entries]
 
-    def register(literals, parents) -> Clause:
-        clause = Clause(len(clauses), tuple(literals), tuple(parents))
+    def content(literals) -> int:
+        return contents.setdefault(literals, len(contents))
+
+    def register(literals, parents, content_id: int) -> Clause:
+        clause = Clause(len(clauses), literals, parents)
         clauses.append(clause)
+        content_of.append(content_id)
         return clause
 
     def admit(clause: Clause) -> None:
         unprocessed[clause.id] = clause
         stats["kept"] += 1
+
+    def derive(key: tuple, parents: tuple[int, ...], make, *args) -> list:
+        made = derived.get(key)
+        if made is None:
+            made = derived[key] = [(content(c.literals), c)
+                                   for c in make(*args)]
+        return [(cid, c, parents) for cid, c in made]
 
     input_literal_sets = [clause.literals for clause in problem]
     if inject_equality:
@@ -429,7 +511,8 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         stats["equality_axioms"] = len(eq_axioms)
         input_literal_sets.extend(eq_axioms)
     for literals in input_literal_sets:
-        clause = register(literals, ())
+        literals = tuple(literals)
+        clause = register(literals, (), content(literals))
         if not clause.literals and empty_clause is None:
             empty_clause = clause.id
         admit(clause)
@@ -454,47 +537,58 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         given = entry_queues[entry].pop(clauses, unprocessed)
         assert given is not None, "unprocessed nonempty but queue is dry"
         del unprocessed[given.id]
-        processed.append((given, rename_apart(given.literals),
-                          pattern_mask(given, key_bits)))
+        given_content = content_of[given.id]
+        processed.add(given, given_content)
         stats["processed"] += 1
 
         candidates = []
-        for partner, primed, _ in processed:
-            candidates.extend(resolvents(given, partner, primed))
-        candidates.extend(factors(given))
-        for cand in candidates:
+        for partner, primed, partner_content in processed.partners(given):
+            candidates += derive((given_content, partner_content),
+                                 (given.id, partner.id),
+                                 resolvents, given, partner, primed)
+        candidates += derive((given_content,), (given.id,), factors, given)
+        for cid, cand, parents in candidates:
             if spent():
                 outcome = OUTCOME_RESOURCE_OUT
                 break
             stats["generated"] += 1
-            if len(cand.literals) > limits.max_literals \
-                    or clause_depth(cand) > limits.max_depth:
-                stats["discarded"] += 1
+            fate = fates.get(cid)
+            if fate is None:
+                fate = 0
+                if len(cand.literals) > limits.max_literals \
+                        or clause_depth(cand) > limits.max_depth:
+                    fate = "discarded"
+                elif is_tautology(cand):
+                    fate = "tautologies"
+            if isinstance(fate, int) and processed.subsumed(cand, fate):
+                fate = "subsumed"
+            if isinstance(fate, str):
+                fates[cid] = fate
+                stats[fate] += 1
                 continue
-            if is_tautology(cand):
-                stats["tautologies"] += 1
-                continue
-            missing = ~instance_mask(cand, key_bits)
-            if any(not pattern & missing and subsumes(old, cand)
-                   for old, _, pattern in processed):
-                stats["subsumed"] += 1
-                continue
-            clause = register(cand.literals, cand.parents)
+            fates[cid] = len(processed.subsumers)
+            clause = register(cand.literals, parents, cid)
             if not clause.literals:
                 empty_clause = clause.id
                 outcome = OUTCOME_PROOF
                 break
             admit(clause)
 
+    # one text per content
+    texts: dict[int, str] = {}
+    for clause in clauses:
+        cid = content_of[clause.id]
+        if cid not in texts:
+            texts[cid] = format_clause(clause, sig)
     return ProofSearchRecord(
         problem=problem_id,
         strategy=format_strategy(strategy),
         outcome=outcome,
-        given_sequence=[given.id for given, _, _ in processed],
+        given_sequence=[given.id for given, _, _ in processed.slots],
         dag={clause.id: clause.parents for clause in clauses},
         empty_clause=empty_clause,
         stats=stats,
-        clause_texts={clause.id: format_clause(clause, sig)
+        clause_texts={clause.id: texts[content_of[clause.id]]
                       for clause in clauses},
     )
 

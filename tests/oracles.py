@@ -9,7 +9,8 @@ dual coordinate-descent solver, which shares only the solver's result and
 error types; it pins the plain-Python loop to the same arithmetic.  The
 feature tree builds each literal's tree explicitly and shares only the
 signature's symbol labels with the featurizer.  The unifier is the
-textbook recursive Robinson algorithm over the term classes alone.
+textbook recursive Robinson algorithm over the term classes alone, and
+clause subsumption tries every injective map of literals.
 """
 
 import itertools
@@ -371,3 +372,29 @@ def matches(pattern, target, subst=None):
             and len(pattern.args) == len(target.args)
             and all(matches(a, b, subst)
                     for a, b in zip(pattern.args, target.args)))
+
+
+def clause_subsumes(c, d):
+    """Whether one substitution maps the literals of ``c`` injectively onto
+    literals of ``d`` (sequences of literals).
+
+    Brute force over the injective maps; each literal's targets are first
+    narrowed to the literals it matches on its own.
+    """
+
+    def fits(lit, target, subst):
+        return (lit.positive == target.positive
+                and lit.predicate == target.predicate
+                and len(lit.args) == len(target.args)
+                and all(matches(a, b, subst)
+                        for a, b in zip(lit.args, target.args)))
+
+    options = [[j for j, target in enumerate(d) if fits(lit, target, {})]
+               for lit in c]
+    for choice in itertools.product(*options):
+        if len(set(choice)) < len(choice):
+            continue
+        subst = {}
+        if all(fits(lit, d[j], subst) for lit, j in zip(c, choice)):
+            return True
+    return False

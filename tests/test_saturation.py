@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import ground_entails, matches, robinson_unify, substitute
+from oracles import (
+    clause_subsumes, ground_entails, matches, robinson_unify, substitute,
+)
 from satguide import saturation
 from satguide.clauses import App, Clause, Literal, Signature, Var
 from satguide.guidance import (
@@ -20,6 +22,7 @@ from satguide.pipeline import (
 )
 from satguide.saturation import (
     Limits, OUTCOME_PROOF, OUTCOME_RESOURCE_OUT, OUTCOME_SATURATED,
+    ProofSearchRecord,
     equality_axioms, factors, instance_mask, is_tautology, load_record,
     pattern_mask, prove, record_from_json, record_to_json, rename_apart,
     resolvents, save_record, subsumes, unify, apply_subst,
@@ -331,6 +334,33 @@ def test_subsumption_implies_the_literal_key_filter_passes(
     pattern = pattern_mask(c, key_bits)
     if subsumes(c, d):
         assert pattern & ~instance_mask(d, key_bits) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CLAUSE, min_size=1, max_size=6), _CLAUSE)
+def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
+    # partners: every processed clause with a literal complementary in sign
+    # and predicate, in selection order; subsumed: whether any processed
+    # clause, repeats included, subsumes the candidate
+    sig = Signature()
+    processed = saturation._Processed()
+    contents: dict = {}
+    cand = parse_one(cand_text, sig)
+    scanned = []
+    for k, text in enumerate(texts):
+        given = Clause(k, parse_one(text, sig).literals)
+        processed.add(given, contents.setdefault(given.literals, k))
+        scanned.append(given)
+        partners = [c.id for c, _, _ in processed.partners(given)]
+        assert partners == [
+            c.id for c in scanned
+            if any(g.positive != lit.positive and g.predicate == lit.predicate
+                   for g in given.literals for lit in c.literals)]
+        assert set(partners) >= {
+            c.id for c, primed, _ in processed.slots
+            if resolvents(given, c, primed)}
+        assert processed.subsumed(cand, 0) == \
+            any(subsumes(c, cand) for c in scanned)
 
 
 def test_tautology_detection():
@@ -722,6 +752,22 @@ RECORD_DIGESTS = {
         "e7ae2b505c744424a1bf77d509f29f568e14613fd4a48d8f30c77aa350235477",
 }
 
+# the same five group and chain problems at max_processed=120, where a
+# search selects many given clauses whose literals equal an earlier given
+# clause's (36-49 per group problem, against 6-11 at the cap of 60)
+DEEP_RECORD_DIGESTS = {
+    "group-right-identity":
+        "3ae54735d12a7e7a8c8a7ff391a08750a515bec8940d68e369a6741caae270dc",
+    "group-right-inverse":
+        "f3a310649728cd5267fb34461f51014ba87aec6775f90010d0a88f25760c4ee2",
+    "group-double-inverse":
+        "9853ecc39b0322b13bad0c7e9d7a7735223d1cee0f267ca6492e62179132a347",
+    "group-idempotent-is-identity":
+        "85fd75f8cad18a97b599dedd8dc34f5298d04563fbfb57f6305f124c62439171",
+    "chain":
+        "13f841b9d329bb33d2c69965b7e3d214fd7bc8f1ea1dd901625895a49c0fbbde",
+}
+
 
 def _records_digest(records):
     h = hashlib.sha256()
@@ -776,6 +822,61 @@ def test_hard_problem_record_is_pinned(name):
                    baseline_strategy(), Limits(max_processed=60), sig, name)
     assert record.outcome == OUTCOME_RESOURCE_OUT
     assert _records_digest([record]) == RECORD_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_RECORD_DIGESTS))
+def test_deeper_record_is_pinned(name):
+    sig = Signature()
+    text = {**HARD_PROBLEMS, "group-right-identity": GROUP_RIGHT_IDENTITY}
+    record = prove(parse_problem(text[name], sig), baseline_strategy(),
+                   Limits(max_processed=120), sig, name)
+    assert record.outcome == (OUTCOME_PROOF if name == "chain"
+                              else OUTCOME_RESOURCE_OUT)
+    assert _records_digest([record]) == DEEP_RECORD_DIGESTS[name]
+
+
+def forward_subsumed(record):
+    """(kept clause, subsumer) pairs that break forward subsumption.
+
+    A derived clause's first parent is the given clause it came from; no
+    clause selected up to that one may subsume it.
+    """
+    sig = Signature()
+    literals = {cid: parse_clause_text(text, sig)
+                for cid, text in record.clause_texts.items()}
+    selected = {cid: k for k, cid in enumerate(record.given_sequence)}
+    found = []
+    for cid, parents in record.dag.items():
+        if parents:
+            found += [(cid, old) for old
+                      in record.given_sequence[:selected[parents[0]] + 1]
+                      if clause_subsumes(literals[old], literals[cid])]
+    return found
+
+
+def test_no_kept_clause_is_subsumed_by_an_earlier_given_clause(
+        fixture_baseline_records):
+    records = list(fixture_baseline_records)
+    for name, text in sorted(HARD_PROBLEMS.items()):
+        sig = Signature()
+        records.append(prove(parse_problem(text, sig), baseline_strategy(),
+                             Limits(max_processed=60), sig, name))
+    for record in records:
+        assert forward_subsumed(record) == [], record.problem
+
+
+def test_forward_subsumption_check_rejects_a_subsumed_kept_clause():
+    # clause 3 is derived from given clause 1 after p(X0) was selected;
+    # q(a) subsumes it too, but is selected only after 3 is kept
+    record = ProofSearchRecord(
+        problem="hand-built", strategy="1*Fifo", outcome=OUTCOME_SATURATED,
+        given_sequence=[0, 1, 2], empty_clause=None, stats={},
+        dag={0: (), 1: (), 2: (), 3: (1, 0)},
+        clause_texts={0: "p(X0)", 1: "~r(X0) | s(X0)", 2: "q(a)",
+                      3: "q(a) | p(b)"})
+    assert forward_subsumed(record) == [(3, 0)]
+    record.given_sequence = [1, 2, 0]
+    assert forward_subsumed(record) == []
 
 
 def test_max_generated_stops_before_the_clause_past_it():

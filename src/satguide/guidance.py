@@ -87,11 +87,17 @@ def next_entry_index(strategy: Strategy, step: int) -> int:
 
 
 def evaluate(clause: Clause, cef: CEF, sig: Signature,
-             stats: dict | None = None) -> float:
-    """The CEF's weight for a clause; lower means selected earlier."""
+             stats: dict | None = None, positive: bool | None = None) -> float:
+    """The CEF's weight for a clause; lower means selected earlier.
+
+    ``positive`` is the learned CEF's prediction for the clause when the
+    caller already knows it; otherwise the model is asked.
+    """
     if cef.kind != LEARNED:
         return PLAIN_WEIGHTS[cef.kind](clause)
-    if predict(clause, cef.model, sig, stats) == POS:
+    if positive is None:
+        positive = predict(clause, cef.model, sig, stats) == POS
+    if positive:
         return cef.gamma * clause_len(clause) + POSITIVE_WEIGHT
     return cef.gamma * clause_len(clause) + NEGATIVE_WEIGHT
 

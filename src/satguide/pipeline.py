@@ -7,10 +7,14 @@ classifier is evaluated on the corpus; a greedy cover picks the strategies
 whose proofs feed the next round.  Proofs accumulate across rounds, so the
 training set only grows.
 
-Each problem is parsed into its own signature (seeded from the model's
-snapshot when a learned CEF is in play), so corpus runs are independent and
-can execute in a process pool; records carry clause text and are re-read
-under the trainer's signature when examples are collected.
+A corpus run hands out one task per problem, serially or in a process
+pool.  The task reads the problem file once and parses it once per
+distinct model snapshot among the strategies (a fresh signature for the
+strategies without a model); the strategies of one snapshot share that
+parse and one content memo, and each record is the one an independent
+search would make.  A problem that cannot be read or parsed is logged and
+counted as unsolved, and the run carries on.  Records carry clause text
+and are re-read under the trainer's signature when examples are collected.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .clauses import Clause, Signature
+from .clauses import ArityClash, Clause, FrozenSignature, Signature
 from .features import clause_features, vectorize
 from .guidance import Strategy, baseline_strategy, learned_cef
-from .saturation import Limits, OUTCOME_PROOF, ProofSearchRecord, prove
+from .saturation import (
+    ContentMemo, Limits, OUTCOME_PROOF, ProofSearchRecord, prove,
+)
 from .svm import Model, SolverConfig, accuracy, train_vectors
-from .tptp import parse_problem
+from .tptp import ParseError, parse_problem
 
 log = logging.getLogger("satguide")
 
@@ -172,7 +178,8 @@ def train_from_examples(examples: tuple[list[Clause], list[Clause]],
     return train_vectors(training_set(examples, sig), sig.freeze(), cfg)
 
 
-def signature_for_strategy(strategy: Strategy) -> Signature:
+def model_snapshot(strategy: Strategy) -> FrozenSignature | None:
+    """The signature snapshot of the strategy's model; None without one."""
     frozen = None
     for _, cef in strategy.entries:
         if cef.model is not None:
@@ -180,48 +187,104 @@ def signature_for_strategy(strategy: Strategy) -> Signature:
             if frozen is not None and snap is not frozen:
                 raise ValueError("strategies may reference only one model")
             frozen = snap
-    if frozen is None:
-        return Signature()
-    return Signature.from_frozen(frozen)
+    return frozen
+
+
+def _signature(frozen: FrozenSignature | None) -> Signature:
+    return Signature() if frozen is None else Signature.from_frozen(frozen)
+
+
+def signature_for_strategy(strategy: Strategy) -> Signature:
+    return _signature(model_snapshot(strategy))
 
 
 def run_problem(problem: CorpusProblem, strategy: Strategy,
                 limits: Limits) -> ProofSearchRecord:
-    """Run one proof search; the problem gets a fresh signature."""
+    """Run one proof search with its own file read, fresh signature and
+    private memo: the search :func:`run_corpus` must agree with."""
     sig = signature_for_strategy(strategy)
     with open(problem.path, "r", encoding="utf-8") as fp:
         clauses = parse_problem(fp.read(), sig, problem.path)
     return prove(clauses, strategy, limits, sig, problem_id=problem.pid)
 
 
+def _solve_problem(problem: CorpusProblem, strategies: dict[str, Strategy],
+                   groups: list, limits: Limits):
+    """Run every strategy on one problem: ``(records by key, failures)``.
+
+    The file is read once.  ``groups`` pairs each distinct model snapshot
+    (None for no model) with the keys of the strategies that use it; a
+    group's strategies share one parse into its signature and one
+    :class:`ContentMemo`, and their records equal those of independent
+    :func:`run_problem` searches.  A file that cannot be read, or cannot be
+    parsed into a group's signature, gives no record for the strategies
+    concerned and a message naming the file.
+    """
+    try:
+        with open(problem.path, "r", encoding="utf-8") as fp:
+            text = fp.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return {}, [f"{problem.path}: cannot read: "
+                    f"{getattr(exc, 'strerror', None) or exc}"]
+    records: dict[str, ProofSearchRecord] = {}
+    failures: list[str] = []
+    for frozen, keys in groups:
+        sig = _signature(frozen)
+        try:
+            clauses = parse_problem(text, sig, problem.path)
+            if not clauses:
+                raise ParseError(f"{problem.path}: no clauses found")
+        except (ParseError, ArityClash) as exc:
+            failure = str(exc) if isinstance(exc, ParseError) \
+                else f"{problem.path}: {exc}"
+            # a syntax error repeats under every signature
+            if failure not in failures:
+                failures.append(failure)
+            continue
+        memo = ContentMemo(sig)
+        for key in keys:
+            records[key] = prove(clauses, strategies[key], limits, sig,
+                                 problem_id=problem.pid, memo=memo)
+    return records, failures
+
+
 # set once per pool worker, so tasks need not carry the strategies
 _POOL_STATE: dict = {}
 
 
-def _pool_init(strategies: dict, limits: Limits) -> None:
-    _POOL_STATE["strategies"] = strategies
-    _POOL_STATE["limits"] = limits
+def _pool_init(*args) -> None:
+    _POOL_STATE["args"] = args
 
 
-def _pool_run(task: tuple[str, str, str]) -> tuple[str, str, ProofSearchRecord]:
-    key, pid, path = task
-    record = run_problem(CorpusProblem(pid, path),
-                         _POOL_STATE["strategies"][key], _POOL_STATE["limits"])
-    return key, pid, record
+def _pool_run(problem: CorpusProblem):
+    return _solve_problem(problem, *_POOL_STATE["args"])
 
 
 def run_corpus(problems, strategies: dict[str, Strategy], limits: Limits,
                jobs: int = 1) -> dict[tuple[str, str], ProofSearchRecord]:
-    """Run every (strategy, problem) pair, optionally in a process pool."""
-    tasks = [(key, p.pid, p.path) for key in strategies for p in problems]
-    if jobs <= 1 or len(tasks) <= 1:
-        return {(key, pid): run_problem(CorpusProblem(pid, path),
-                                        strategies[key], limits)
-                for key, pid, path in tasks}
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                             initargs=(strategies, limits)) as pool:
-        return {(key, pid): record
-                for key, pid, record in pool.map(_pool_run, tasks)}
+    """Run every (strategy, problem) pair, one problem per task, optionally
+    in a process pool.
+
+    A problem that cannot be read or parsed is logged as a warning and has
+    no record, and the run carries on.
+    """
+    by_snapshot: dict = {}
+    for key, strategy in strategies.items():
+        by_snapshot.setdefault(model_snapshot(strategy), []).append(key)
+    args = (strategies, list(by_snapshot.items()), limits)
+    if jobs <= 1 or len(problems) <= 1:
+        results = [_solve_problem(problem, *args) for problem in problems]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
+                                 initargs=args) as pool:
+            results = list(pool.map(_pool_run, problems))
+    for _, failures in results:
+        for failure in failures:
+            log.warning("%s; counted as unsolved", failure)
+    return {(key, problem.pid): records[key]
+            for key in strategies
+            for problem, (records, _) in zip(problems, results)
+            if key in records}
 
 
 @dataclass
@@ -274,7 +337,9 @@ def run_rows(problems, rows: list[StrategyResult], limits: Limits,
                          limits, jobs)
     for row in rows:
         for problem in problems:
-            record = records[(row.key, problem.pid)]
+            record = records.get((row.key, problem.pid))
+            if record is None:  # the problem could not be read or parsed
+                continue
             row.processed[problem.pid] = record.stats["processed"]
             if record.outcome == OUTCOME_PROOF:
                 row.solved.add(problem.pid)

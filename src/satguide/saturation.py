@@ -27,6 +27,15 @@ resolve with the given clause, and visiting them in slot order keeps the
 candidate order, so clause ids and records are the same as without any of
 this.
 
+The content ids, the derived clauses, the printed texts and each CEF's
+weights (for a learned CEF, the model's predictions) per content live in
+a :class:`ContentMemo`.  They depend only on a content and the
+signature, so the searches of one problem under one signature can share a
+memo: a corpus run gives each problem and model snapshot one memo for all
+its strategies.  A candidate's fate stays per search, since it depends on
+that search's processed set.  A search without a memo makes its own, and
+the records are the same either way.
+
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
 the problem's symbols) are added as extra input clauses.
@@ -46,6 +55,7 @@ from .clauses import (
 from .guidance import (
     CEF, Strategy, evaluate, format_strategy, next_entry_index,
 )
+from .svm import POS, Model, predict
 from .tptp import format_clause, parse_clause_text
 
 OUTCOME_PROOF = "proof_found"
@@ -413,6 +423,78 @@ class _Processed:
         return False
 
 
+class ContentMemo:
+    """Per-content work shared by the searches of one problem under one
+    signature.
+
+    A clause's derived clauses, printed text and CEF weights depend only on
+    its literals and the signature, so searches that parse the problem into
+    the same signature can share them: the content ids, the resolvents and
+    factors made per content pair, the text per content, a plain CEF's
+    weight per content and a model's prediction per content.  ``Fifo``
+    weighs a clause by its id, so its weights are not kept.  A prediction
+    keeps the number of feature triples it dropped, which each search that
+    reuses it adds to its own ``dropped_triples``.  Per-search state (fates,
+    processed clauses, queues, clause ids) stays in :func:`prove`.
+    """
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        # literal tuple -> content id
+        self.contents: dict[tuple[Literal, ...], int] = {}
+        # (given content, partner content) or (given content,) -> the
+        # (content id, clause) pairs resolution or factoring derives
+        self.derived: dict[tuple, list[tuple[int, Clause]]] = {}
+        # content id -> printed clause
+        self.texts: dict[int, str] = {}
+        # plain CEF kind, or (id of the model, gamma) -> content id -> weight
+        self.weights: dict[object, dict[int, float]] = {}
+        # id of the model -> content id -> (positive, triples dropped); the
+        # models are held, so no id is reused while the memo lives
+        self.predictions: dict[int, dict[int, tuple[bool, int]]] = {}
+        self.models: dict[int, Model] = {}
+
+    def content(self, literals: tuple[Literal, ...]) -> int:
+        return self.contents.setdefault(literals, len(self.contents))
+
+    def weigher(self, cef: CEF, stats: dict):
+        """``weigh(clause, content)``, equal to ``evaluate(clause, cef, sig,
+        stats)``, that reuses what the memo knows of the content."""
+        sig = self.sig
+        if cef.kind == "Fifo":
+            return lambda clause, content: evaluate(clause, cef, sig, stats)
+        model = cef.model
+        if model is None:
+            weights = self.weights.setdefault(cef.kind, {})
+
+            def weigh(clause: Clause, content: int) -> float:
+                weight = weights.get(content)
+                if weight is None:
+                    weight = weights[content] = evaluate(clause, cef, sig,
+                                                         stats)
+                return weight
+            return weigh
+        self.models[id(model)] = model
+        predictions = self.predictions.setdefault(id(model), {})
+        weights = self.weights.setdefault((id(model), cef.gamma), {})
+
+        def weigh_learned(clause: Clause, content: int) -> float:
+            prediction = predictions.get(content)
+            if prediction is None:
+                before = stats["dropped_triples"]
+                positive = predict(clause, model, sig, stats) == POS
+                prediction = predictions[content] = (
+                    positive, stats["dropped_triples"] - before)
+            else:
+                stats["dropped_triples"] += prediction[1]
+            weight = weights.get(content)
+            if weight is None:
+                weight = weights[content] = evaluate(
+                    clause, cef, sig, positive=prediction[0])
+            return weight
+        return weigh_learned
+
+
 class _CefQueue:
     """Lazy per-CEF ordering view over the unprocessed set.
 
@@ -423,18 +505,19 @@ class _CefQueue:
     CEF in the meantime are skipped on pop.
     """
 
-    def __init__(self, cef: CEF, sig: Signature, stats: dict):
-        self.cef = cef
-        self.sig = sig
-        self.stats = stats
+    def __init__(self, weigh):
+        # (clause, content id) -> weight under this queue's CEF
+        self.weigh = weigh
         self.heap: list[tuple[float, int]] = []
         self.seen = 0
 
-    def pop(self, clauses: list, unprocessed: dict) -> Clause | None:
+    def pop(self, clauses: list, content_of: list,
+            unprocessed: dict) -> Clause | None:
+        weigh = self.weigh
         for clause in clauses[self.seen:]:
             if clause.id in unprocessed:
-                w = evaluate(clause, self.cef, self.sig, self.stats)
-                heapq.heappush(self.heap, (w, clause.id))
+                heapq.heappush(self.heap, (weigh(clause, content_of[clause.id]),
+                                           clause.id))
         self.seen = len(clauses)
         while self.heap:
             _, cid = heapq.heappop(self.heap)
@@ -445,15 +528,22 @@ class _CefQueue:
 
 
 def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
-          problem_id: str = "", inject_equality: bool = True) -> ProofSearchRecord:
+          problem_id: str = "", inject_equality: bool = True,
+          memo: ContentMemo | None = None) -> ProofSearchRecord:
     """Run the given-clause loop on a list of input clauses.
 
     The record stores the full given-clause sequence and derivation DAG
     regardless of outcome; hitting a limit is the ``resource_out`` outcome,
-    not an error.
+    not an error.  ``memo`` shares per-content work with other searches on
+    the same problem and signature; without it the search keeps its own.
+    The record is the same either way.
     """
     if not problem:
         raise ValueError("problem must contain at least one clause")
+    if memo is None:
+        memo = ContentMemo(sig)
+    elif memo.sig is not sig:
+        raise ValueError("the memo belongs to another signature")
     started = time.monotonic()
     stats = {"generated": 0, "processed": 0, "kept": 0, "subsumed": 0,
              "discarded": 0, "tautologies": 0, "equality_axioms": 0,
@@ -463,14 +553,11 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     unprocessed: dict[int, Clause] = {}
     # every kept clause; a clause's id is its index
     clauses: list[Clause] = []
-    # a clause's content is its literal tuple: each distinct content of
-    # this search gets an id, and ``content_of`` holds it by clause id
-    contents: dict[tuple[Literal, ...], int] = {}
+    # a clause's content is its literal tuple; ``content_of`` holds its
+    # memo id by clause id
+    content = memo.content
     content_of: list[int] = []
-    # the (content id, clause) pairs derived from a (given content, partner
-    # content) pair, or from a given content by factoring; derived literals
-    # depend only on the parents' literals
-    derived: dict[tuple, list[tuple[int, Clause]]] = {}
+    derived = memo.derived
     # a candidate content's fate: the counter it bumps when dropped, which
     # is final since the processed set only grows, or, once kept, the
     # number of subsumers it has been checked against
@@ -480,13 +567,12 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     # entries with equal CEFs share one queue: they would pick alike.  A
     # learned CEF is told apart by its model object, not its model path.
     queues: dict = {}
-    entry_queues = [
-        queues.setdefault((cef.kind, cef.gamma, id(cef.model)),
-                          _CefQueue(cef, sig, stats))
-        for _, cef in strategy.entries]
-
-    def content(literals) -> int:
-        return contents.setdefault(literals, len(contents))
+    entry_queues = []
+    for _, cef in strategy.entries:
+        key = (cef.kind, cef.gamma, id(cef.model))
+        if key not in queues:
+            queues[key] = _CefQueue(memo.weigher(cef, stats))
+        entry_queues.append(queues[key])
 
     def register(literals, parents, content_id: int) -> Clause:
         clause = Clause(len(clauses), literals, parents)
@@ -534,7 +620,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             outcome = OUTCOME_RESOURCE_OUT
             break
         entry = next_entry_index(strategy, stats["processed"])
-        given = entry_queues[entry].pop(clauses, unprocessed)
+        given = entry_queues[entry].pop(clauses, content_of, unprocessed)
         assert given is not None, "unprocessed nonempty but queue is dry"
         del unprocessed[given.id]
         given_content = content_of[given.id]
@@ -575,7 +661,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             admit(clause)
 
     # one text per content
-    texts: dict[int, str] = {}
+    texts = memo.texts
     for clause in clauses:
         cid = content_of[clause.id]
         if cid not in texts:

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -544,6 +545,33 @@ def test_loop_reports_a_round_with_no_negative_example(tmp_path, capsys):
     assert out == ("round 0: solved 1/1 (+1 new), cover [0], "
                    "not enough examples to train\n"
                    f"models written to {tmp_path / 'out'}\n")
+
+
+@pytest.mark.parametrize("text,warning", [
+    ("cnf(a,axiom,(p(a) | ).\n", "bad.p:1: expected a term"),
+    (None, "bad.p: cannot read"),
+], ids=["malformed", "missing"])
+def test_loop_counts_a_problem_it_cannot_read_as_unsolved(tmp_path, capsys,
+                                                          caplog, text,
+                                                          warning):
+    if text is not None:
+        (tmp_path / "bad.p").write_text(text)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"prob00 {CORPUS / 'prob00.p'}\nbad bad.p\n")
+    results = []
+    for jobs in ("1", "2"):
+        outdir = tmp_path / f"out{jobs}"
+        with caplog.at_level(logging.WARNING, logger="satguide"):
+            code, out, err = run(capsys, "loop", str(manifest), "--rounds", "1",
+                                 "--jobs", jobs, "-o", str(outdir))
+        assert code == 0, err
+        assert warning in caplog.text
+        caplog.clear()
+        results.append((out.replace(str(outdir), "OUT"),
+                        (outdir / "model_round0.bin").read_bytes(),
+                        (outdir / "grid_round1.csv").read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0].startswith("round 0: solved 1/2 (+1 new)")
 
 
 def test_prove_no_equality_axioms_flag(tmp_path, capsys):

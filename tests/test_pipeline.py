@@ -9,11 +9,11 @@ import pytest
 
 from oracles import brute_force_min_cover
 from satguide.clauses import Signature
-from satguide.guidance import baseline_strategy
+from satguide.guidance import Strategy, baseline_strategy, learned_cef
 from satguide.pipeline import (
     CorpusProblem, GridSpec, NoProof, ancestor_ids, boost_rows,
-    extract_examples, greedy_cover, grid_table,
-    load_manifest, loop, pool_examples, run_corpus, run_grid,
+    extract_examples, greedy_cover, grid_strategies, grid_table,
+    load_manifest, loop, pool_examples, run_corpus, run_grid, run_problem,
     training_set, train_from_examples,
 )
 from satguide.saturation import Limits, OUTCOME_PROOF, prove, record_to_json
@@ -214,6 +214,46 @@ def test_run_corpus_sequential_and_parallel_agree(corpus, corpus_limits):
     assert seq.keys() == par.keys()
     for key in seq:
         assert record_to_json(seq[key]) == record_to_json(par[key])
+
+
+def test_run_corpus_records_equal_independent_searches(tmp_path, corpus,
+                                                       corpus_limits,
+                                                       trained_on_corpus):
+    # run_corpus parses each problem once per model snapshot and shares one
+    # content memo between the searches of a snapshot; each record must
+    # still be the one a search with its own file read, fresh signature and
+    # private memo makes
+    _, sig, (positives, negatives), model = trained_on_corpus
+    # same symbols, so the same snapshot and memo, but other predictions
+    other = train_from_examples((positives[::4], negatives[::4]), sig)
+    assert other.signature == model.signature
+    base = baseline_strategy()
+    strategies = {row.key: row.strategy for row in grid_strategies(
+        model, base, GridSpec(gammas=[0, 0.2], frequencies=[5]))}
+    cef = learned_cef(other, 0.2, "<other>")
+    strategies["other:f5:g0.2"] = Strategy(base.entries + ((5, cef),))
+    strategies["other:finf:g0.2"] = Strategy(((1, cef),))
+    # renamed decoys are not in the model's signature, so their feature
+    # triples are dropped
+    problems = corpus[:2]
+    for problem in corpus[2:5]:
+        path = tmp_path / Path(problem.path).name
+        path.write_text(Path(problem.path).read_text().replace("junk", "waste"))
+        problems.append(CorpusProblem(problem.pid, str(path)))
+
+    records = run_corpus(problems, strategies, corpus_limits)
+    assert list(records) == [(key, p.pid) for key in strategies
+                             for p in problems]
+    for (key, pid), record in records.items():
+        problem = next(p for p in problems if p.pid == pid)
+        alone = run_problem(problem, strategies[key], corpus_limits)
+        assert record_to_json(record) == record_to_json(alone), (key, pid)
+    assert any(r.stats["dropped_triples"] for r in records.values())
+    # the two models steer some search apart, so a prediction shared
+    # across models would show
+    assert any(records[("f5:g0.2", p.pid)].given_sequence
+               != records[("other:f5:g0.2", p.pid)].given_sequence
+               for p in problems)
 
 
 def test_run_grid_table_shape(corpus, corpus_limits, trained_on_corpus):

@@ -3,9 +3,14 @@
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-PERFBENCH = Path(__file__).parent.parent / "perfbench"
+from satguide import cli, pipeline
+from satguide.guidance import format_strategy
+
+ROOT = Path(__file__).parent.parent
+PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
@@ -48,3 +53,42 @@ def test_every_library_name_the_workloads_use_exists():
     missing = [f"{module}.{name}" for module, name in sorted(used)
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_a_corpus_run_proves_each_pair_once_and_parses_once_per_snapshot(
+        tmp_path, monkeypatch, capsys):
+    # perfbench times each call of pipeline.prove as one attempt, so a corpus
+    # run must call it, by that name, once per (strategy, problem) pair
+    runs = []
+    run_corpus, prove, parse_problem = (
+        pipeline.run_corpus, pipeline.prove, pipeline.parse_problem)
+
+    def counting_run_corpus(problems, strategies, *args, **kwargs):
+        snapshots = {pipeline.model_snapshot(s) for s in strategies.values()}
+        runs.append((problems, strategies, snapshots, Counter(), Counter()))
+        return run_corpus(problems, strategies, *args, **kwargs)
+
+    def counting_prove(problem, strategy, *args, problem_id="", **kwargs):
+        runs[-1][3][format_strategy(strategy), problem_id] += 1
+        return prove(problem, strategy, *args, problem_id=problem_id, **kwargs)
+
+    def counting_parse(text, sig, path="<string>"):
+        runs[-1][4][path] += 1
+        return parse_problem(text, sig, path)
+
+    monkeypatch.setattr(pipeline, "run_corpus", counting_run_corpus)
+    monkeypatch.setattr(pipeline, "prove", counting_prove)
+    monkeypatch.setattr(pipeline, "parse_problem", counting_parse)
+    manifest = ROOT / "tests" / "fixtures" / "corpus" / "manifest.txt"
+    assert cli.main(["loop", str(manifest), "--rounds", "1",
+                     "-o", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(runs) == 2  # round 0 and the round-1 grid
+    for problems, strategies, snapshots, proves, parses in runs:
+        assert proves == Counter({(format_strategy(s), p.pid): 1
+                                  for s in strategies.values()
+                                  for p in problems})
+        assert set(parses) == {p.path for p in problems}
+        assert max(parses.values()) <= len(snapshots)
+    # the grid holds the base strategy, with no model, and the learned rows
+    assert len(runs[1][2]) == 2

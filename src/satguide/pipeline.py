@@ -22,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .clauses import ArityClash, Clause, FrozenSignature, Signature
@@ -235,8 +234,7 @@ def _solve_problem(problem: CorpusProblem, strategies: dict[str, Strategy],
             if not clauses:
                 raise ParseError(f"{problem.path}: no clauses found")
         except (ParseError, ArityClash) as exc:
-            failure = str(exc) if isinstance(exc, ParseError) \
-                else f"{problem.path}: {exc}"
+            failure = str(exc)  # names path and line
             # a syntax error repeats under every signature
             if failure not in failures:
                 failures.append(failure)
@@ -275,6 +273,8 @@ def run_corpus(problems, strategies: dict[str, Strategy], limits: Limits,
     if jobs <= 1 or len(problems) <= 1:
         results = [_solve_problem(problem, *args) for problem in problems]
     else:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
                                  initargs=args) as pool:
             results = list(pool.map(_pool_run, problems))

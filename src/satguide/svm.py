@@ -9,6 +9,11 @@ Training runs in plain Python floats and sums each dot product in entry
 order, so the weights do not depend on the BLAS build.  Defaults for c,
 the stopping tolerance, and the epoch cap are this implementation's own
 choices and are exposed as flags.
+
+numpy is used by :func:`solve_l2svm` alone, for the seeded per-epoch
+shuffle, the per-epoch dual objective and the returned weight array, and
+it is imported there: proving, scoring, evaluating and model I/O never
+load it.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .clauses import (
     DEFAULT_SKOLEM_PREFIXES, Clause, FrozenSignature, Signature, Symbol,
@@ -80,14 +83,16 @@ class Model:
     seed: int
 
 
-def solve_l2svm(vectors, labels, dimension: int,
-                cfg: SolverConfig) -> tuple[np.ndarray, SolverInfo]:
-    """Dual coordinate descent on raw vectors; returns the weight vector.
+def solve_l2svm(vectors, labels, dimension: int, cfg: SolverConfig):
+    """Dual coordinate descent on raw vectors; returns the weight vector
+    as a numpy array, with its :class:`SolverInfo`.
 
     Stops when the largest projected-gradient violation seen in an epoch
     drops below the tolerance, or after ``max_epochs`` epochs.  Example
     order is reshuffled each epoch from the configured seed.
     """
+    import numpy as np
+
     n = len(vectors)
     d_diag = 1.0 / (2.0 * cfg.c)
     qdiag = [sum(v * v for _, v in vec) + d_diag for vec in vectors]
@@ -160,7 +165,8 @@ def train_vectors(rows, frozen: FrozenSignature,
         logging.getLogger("satguide").warning(
             "SVM training stopped at max_epochs=%d without converging "
             "(final violation %.2e)", info.epochs, info.final_violation)
-    weights = {features[k]: float(w[k]) for k in np.nonzero(w)[0]}
+    weights = {features[k]: value for k, value in enumerate(w.tolist())
+               if value != 0.0}
     return Model(weights, frozen, cfg.c, info.epochs, info.final_violation,
                  cfg.seed)
 
@@ -337,6 +343,6 @@ def _parse_model(fp: io.TextIOBase, path: str) -> Model:
         last = index
     if _read_line(fp, path) != "end":
         raise FormatError(f"{path}: missing end marker")
-    if not np.isfinite(list(w.values())).all():
+    if not all(math.isfinite(value) for value in w.values()):
         raise FormatError(f"{path}: non-finite weights")
     return Model(w, frozen, c, epochs, violation, seed)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 
 from .clauses import (
-    App, Clause, EQUALITY, KIND_FUNCTION, KIND_PREDICATE, Literal, Signature,
-    Term, Var,
+    App, ArityClash, Clause, EQUALITY, KIND_FUNCTION, KIND_PREDICATE, Literal,
+    Signature, Term, Var,
 )
 
 ACCEPTED_ROLES = ("axiom", "hypothesis", "negated_conjecture")
@@ -85,12 +85,20 @@ class _Parser:
         _, value, line = self.peek()
         return ParseError(f"{self.path}:{line}: {message} (at {value!r})")
 
-    # raw terms are (name, args-or-None) pairs; args None marks a variable
+    def intern(self, name: str, arity: int, kind: str, line: int) -> int:
+        """Intern a symbol; a clash names the file and line of this use."""
+        try:
+            return self.sig.intern_symbol(name, arity, kind)
+        except ArityClash as exc:
+            raise ArityClash(f"{self.path}:{line}: {exc}") from None
+
+    # raw terms are (name, args-or-None, line) triples; args None marks a
+    # variable
 
     def parse_raw_term(self, depth: int = 1):
         kind, value, line = self.next()
         if kind == "upper":
-            return (value, None)
+            return (value, None, line)
         if kind != "lower":
             raise ParseError(
                 f"{self.path}:{line}: expected a term, found {value!r}")
@@ -105,13 +113,13 @@ class _Parser:
                 self.next()
                 args.append(self.parse_raw_term(depth + 1))
             self.expect(")")
-        return (value, args)
+        return (value, args, line)
 
     def to_term(self, raw) -> Term:
-        name, args = raw
+        name, args, line = raw
         if args is None:
             return Var(name)
-        sym = self.sig.intern_symbol(name, len(args), KIND_FUNCTION)
+        sym = self.intern(name, len(args), KIND_FUNCTION, line)
         return App(sym, tuple(self.to_term(a) for a in args))
 
     def parse_literal(self) -> Literal | None:
@@ -132,10 +140,10 @@ class _Parser:
             pred = self.sig.intern_symbol(EQUALITY, 2, KIND_PREDICATE)
             positive = (op == "=") != negated
             return Literal(positive, pred, (self.to_term(raw), self.to_term(rhs)))
-        name, args = raw
+        name, args, line = raw
         if args is None:
             raise self.error(f"variable {name!r} cannot be a literal")
-        pred = self.sig.intern_symbol(name, len(args), KIND_PREDICATE)
+        pred = self.intern(name, len(args), KIND_PREDICATE, line)
         return Literal(not negated, pred, tuple(self.to_term(a) for a in args))
 
     def parse_disjunction(self) -> tuple[Literal, ...]:

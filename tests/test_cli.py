@@ -307,6 +307,64 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.startswith("usage: satguide")
 
 
+# Runs CLI commands given as a JSON list of argument lists, after blocking
+# the modules named by its first argument, and prints which of numpy and
+# multiprocessing ended up loaded.
+IMPORT_CHILD = """
+import json, sys
+for name in json.loads(sys.argv[1]):
+    sys.modules[name] = None  # any import of it raises ImportError
+from satguide.cli import main
+for argv in json.loads(sys.argv[2]):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+print(json.dumps([name for name in ("numpy", "multiprocessing")
+                  if sys.modules.get(name) is not None]))
+"""
+
+
+def run_import_child(blocked, commands):
+    src = str(Path(satguide.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHILD, json.dumps(blocked),
+         json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_only_training_loads_numpy_and_only_a_pool_multiprocessing(
+        tmp_path, capsys):
+    # the model comes from this process, which has numpy
+    record = str(tmp_path / "prob00.json")
+    assert run(capsys, "prove", str(CORPUS / "prob00.p"),
+               "--record", record)[0] == 0
+    examples, model = str(tmp_path / "ex.txt"), str(tmp_path / "model.bin")
+    assert run(capsys, "extract", record, "-o", examples)[0] == 0
+    assert run(capsys, "train", examples, "-o", model)[0] == 0
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"prob{i:02d} {CORPUS / f'prob{i:02d}.p'}\n"
+                                for i in range(3)))
+    child_record = str(tmp_path / "child.json")
+    commands = [
+        ["--help"],
+        ["featurize", str(CORPUS / "prob01.p")],
+        ["prove", str(CORPUS / "prob01.p"), "--record", child_record],
+        ["extract", child_record, "-o", str(tmp_path / "child.txt")],
+        ["eval", model, str(tmp_path / "child.txt")],
+        ["grid", str(manifest), "--model", model, "--gammas", "0.2",
+         "--frequencies", "5", "--jobs", "1"],
+    ]
+    assert run_import_child(["numpy", "concurrent.futures.process"],
+                            commands) == []
+    assert "numpy" in run_import_child(
+        [], [["train", examples, "-o", str(tmp_path / "child.bin")]])
+    assert (tmp_path / "child.bin").read_bytes() == Path(model).read_bytes()
+
+
 def test_train_on_a_count_past_the_float_range_names_the_line(tmp_path,
                                                              capsys):
     examples = tmp_path / "ex.txt"
@@ -547,10 +605,16 @@ def test_loop_reports_a_round_with_no_negative_example(tmp_path, capsys):
                    f"models written to {tmp_path / 'out'}\n")
 
 
+CLASH_PROBLEM = "cnf(a, axiom, (p(a))).\ncnf(b, axiom, (~p(a,b))).\n"
+CLASH_MESSAGE = ("symbol 'p' already registered as predicate/1, "
+                 "cannot re-register as predicate/2")
+
+
 @pytest.mark.parametrize("text,warning", [
     ("cnf(a,axiom,(p(a) | ).\n", "bad.p:1: expected a term"),
+    (CLASH_PROBLEM, f"bad.p:2: {CLASH_MESSAGE}; counted as unsolved"),
     (None, "bad.p: cannot read"),
-], ids=["malformed", "missing"])
+], ids=["malformed", "arity-clash", "missing"])
 def test_loop_counts_a_problem_it_cannot_read_as_unsolved(tmp_path, capsys,
                                                           caplog, text,
                                                           warning):
@@ -572,6 +636,14 @@ def test_loop_counts_a_problem_it_cannot_read_as_unsolved(tmp_path, capsys,
                         (outdir / "grid_round1.csv").read_bytes()))
     assert results[0] == results[1]
     assert results[0][0].startswith("round 0: solved 1/2 (+1 new)")
+
+
+def test_prove_on_an_arity_clash_names_the_line(tmp_path, capsys):
+    problem = tmp_path / "clash.p"
+    problem.write_text(CLASH_PROBLEM)
+    code, _, err = run(capsys, "prove", str(problem))
+    assert code == 2
+    assert err == f"error: {problem}:2: {CLASH_MESSAGE}\n"
 
 
 def test_prove_no_equality_axioms_flag(tmp_path, capsys):

@@ -750,6 +750,8 @@ RECORD_DIGESTS = {
         "98fca5c237f5c6988ab4783e60049fa433201d8c4e2b2dd989d712fc0a175f4d",
     "chain":
         "e7ae2b505c744424a1bf77d509f29f568e14613fd4a48d8f30c77aa350235477",
+    "group-double-inverse-guided":
+        "14d16991c50de48f037b5f55d6e63a5edeee258af37119e4f61314964da6ba4c",
 }
 
 # the same five group and chain problems at max_processed=120, where a
@@ -813,6 +815,23 @@ def test_group_problem_record_is_pinned():
                    baseline_strategy(), Limits(max_processed=40), sig, "group")
     assert record.outcome == OUTCOME_RESOURCE_OUT
     assert _records_digest([record]) == RECORD_DIGESTS["group-right-identity"]
+
+
+def test_guided_equality_record_is_pinned(fixture_baseline_records):
+    # parsed into the model's signature, as a corpus run does: the group
+    # symbols take ids after the model's, and the congruence axioms follow
+    # symbol-id order
+    train_sig = Signature()
+    model = train_from_examples(
+        pool_examples(fixture_baseline_records, train_sig), train_sig)
+    sig = Signature.from_frozen(model.signature)
+    strategy = Strategy(baseline_strategy().entries
+                        + ((5, learned_cef(model, 0.2)),))
+    record = prove(parse_problem(HARD_PROBLEMS["group-double-inverse"], sig),
+                   strategy, Limits(max_processed=40), sig, "group")
+    assert record.stats["equality_axioms"] > 0
+    assert _records_digest([record]) == \
+        RECORD_DIGESTS["group-double-inverse-guided"]
 
 
 @pytest.mark.parametrize("name", sorted(HARD_PROBLEMS))

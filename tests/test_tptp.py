@@ -90,6 +90,17 @@ def test_arity_clash_is_reported():
         parse_problem("cnf(a, axiom, (p(X) | p(X, Y))).", Signature())
 
 
+@pytest.mark.parametrize("text,line,symbol", [
+    ("cnf(a, axiom, (p(a))).\n\ncnf(b, axiom, (~p(a,b))).\n", 3, "p"),
+    ("cnf(a, axiom, (q(f(a)))).\ncnf(b, axiom, (q(f(a,\nb)))).\n", 2, "f"),
+], ids=["predicate", "function"])
+def test_arity_clash_names_the_file_and_line(text, line, symbol):
+    from satguide.clauses import ArityClash
+    with pytest.raises(ArityClash,
+                       match=rf"^clash\.p:{line}: symbol '{symbol}' already"):
+        parse_problem(text, Signature(), "clash.p")
+
+
 def random_clause_text(rng):
     def term(depth):
         if depth == 0 or rng.random() < 0.4:

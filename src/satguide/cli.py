@@ -165,8 +165,10 @@ def cmd_train(args) -> int:
     except EmptyClass as exc:
         raise UsageError(f"{args.examples}: {exc}") from exc
     svm.save_model(model, args.output)
-    print(f"trained on {len(rows)} examples; model written to {args.output} "
-          f"(epochs {model.epochs}, final violation {model.final_violation:.2e})")
+    distinct = len({vec for vec, _ in rows})
+    print(f"trained on {len(rows)} examples ({distinct} distinct vectors); "
+          f"model written to {args.output} (epochs {model.epochs}, "
+          f"{'converged' if model.converged else 'not converged'})")
     return 0
 
 

@@ -142,37 +142,46 @@ def write_examples(fp, rows) -> None:
 
 
 def read_examples(fp, dimension: int, path: str = "<examples>"):
-    """Parse the sparse text format back into (vector, label) pairs."""
+    """Parse the sparse text format back into (vector, label) pairs.
+
+    Each distinct line is parsed once, and its repeats share that row."""
     rows = []
+    parsed: dict[str, tuple] = {}
     for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
-        cells = line.split()
-        if cells[0] == "+1":
-            label = 1
-        elif cells[0] == "-1":
-            label = -1
-        else:
-            raise FormatError(f"{path}:{lineno}: bad label {cells[0]!r}")
-        entries = []
-        last = 0
-        for cell in cells[1:]:
-            try:
-                idx_text, val_text = cell.split(":")
-                idx, val = int(idx_text), int(val_text)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad entry {cell!r}") from None
-            if abs(val) > sys.float_info.max:
-                raise FormatError(
-                    f"{path}:{lineno}: count at index {idx} is too large")
-            if idx <= last:
-                raise FormatError(
-                    f"{path}:{lineno}: indices must be strictly increasing")
-            if not 1 <= idx <= dimension:
-                raise FormatError(
-                    f"{path}:{lineno}: index {idx} outside [1, {dimension}]")
-            last = idx
-            entries.append((idx, val))
-        rows.append((tuple(entries), label))
+        row = parsed.get(line)
+        if row is None:
+            row = parsed[line] = _example_row(line, dimension,
+                                              f"{path}:{lineno}")
+        rows.append(row)
     return rows
+
+
+def _example_row(line: str, dimension: int, where: str):
+    """One ``(vector, label)`` row; errors name ``where``, the file and line."""
+    cells = line.split()
+    if cells[0] == "+1":
+        label = 1
+    elif cells[0] == "-1":
+        label = -1
+    else:
+        raise FormatError(f"{where}: bad label {cells[0]!r}")
+    entries = []
+    last = 0
+    for cell in cells[1:]:
+        try:
+            idx_text, val_text = cell.split(":")
+            idx, val = int(idx_text), int(val_text)
+        except ValueError:
+            raise FormatError(f"{where}: bad entry {cell!r}") from None
+        if abs(val) > sys.float_info.max:
+            raise FormatError(f"{where}: count at index {idx} is too large")
+        if idx <= last:
+            raise FormatError(f"{where}: indices must be strictly increasing")
+        if not 1 <= idx <= dimension:
+            raise FormatError(f"{where}: index {idx} outside [1, {dimension}]")
+        last = idx
+        entries.append((idx, val))
+    return tuple(entries), label

@@ -31,7 +31,7 @@ from .saturation import (
     ContentMemo, Limits, OUTCOME_PROOF, ProofSearchRecord, prove,
 )
 from .svm import Model, SolverConfig, accuracy, train_vectors
-from .tptp import ParseError, parse_problem
+from .tptp import ParseError, parse_clause_text, parse_problem
 
 log = logging.getLogger("satguide")
 
@@ -113,16 +113,25 @@ def ancestor_ids(record: ProofSearchRecord) -> set[int]:
     return seen
 
 
-def extract_examples(record: ProofSearchRecord,
-                     sig: Signature) -> tuple[list[Clause], list[Clause]]:
-    """Split the record's given clauses into proof members and the rest."""
+def extract_examples(record: ProofSearchRecord, sig: Signature,
+                     parsed: dict | None = None
+                     ) -> tuple[list[Clause], list[Clause]]:
+    """Split the record's given clauses into proof members and the rest.
+
+    ``parsed`` maps clause texts to their literals; a text found there is
+    not parsed again, and each text parsed here is added to it."""
     if record.outcome != OUTCOME_PROOF:
         raise NoProof(f"record for {record.problem!r} has outcome {record.outcome}")
+    parsed = {} if parsed is None else parsed
     ancestors = ancestor_ids(record)
     positives = []
     negatives = []
     for cid in record.given_sequence:
-        clause = record.clause(cid, sig)
+        text = record.clause_texts[cid]
+        literals = parsed.get(text)
+        if literals is None:
+            literals = parsed[text] = parse_clause_text(text, sig)
+        clause = Clause(cid, literals, record.dag[cid])
         if cid in ancestors:
             positives.append(clause)
         else:
@@ -135,12 +144,14 @@ def pool_examples(records,
     """Extract and pool ``(positives, negatives)`` from many proof records.
 
     Labels are pooled as-is: a clause can be positive in one search and
-    negative in another, and both examples are kept.
+    negative in another, and both examples are kept.  Each distinct clause
+    text is parsed once, so its copies share one literal tuple.
     """
     positives: list[Clause] = []
     negatives: list[Clause] = []
+    parsed: dict = {}
     for record in records:
-        pos, neg = extract_examples(record, sig)
+        pos, neg = extract_examples(record, sig, parsed)
         positives.extend(pos)
         negatives.extend(neg)
     return positives, negatives
@@ -159,11 +170,19 @@ def boost_rows(rows: list, k: int) -> list:
 def training_set(examples: tuple[list[Clause], list[Clause]],
                  sig: Signature) -> list:
     """``(vector, label)`` rows: positives labelled +1, then negatives -1,
-    vectorized against the signature's current snapshot."""
+    vectorized against the signature's current snapshot.  Each distinct
+    literal tuple is featurized once."""
     frozen = sig.freeze()
-    return [(vectorize(clause_features(clause, sig), frozen), label)
-            for clauses, label in zip(examples, (1, -1))
-            for clause in clauses]
+    vectors: dict = {}
+    rows = []
+    for clauses, label in zip(examples, (1, -1)):
+        for clause in clauses:
+            vec = vectors.get(clause.literals)
+            if vec is None:
+                vec = vectors[clause.literals] = vectorize(
+                    clause_features(clause, sig), frozen)
+            rows.append((vec, label))
+    return rows
 
 
 def train_from_examples(examples: tuple[list[Clause], list[Clause]],

@@ -4,9 +4,10 @@ Nothing here shares code with the solver or prover under test: the SVM
 oracle minimizes the primal objective directly (active-set Newton steps
 with a gradient-descent fallback), and the entailment oracle grounds
 clauses over a finite universe and enumerates truth assignments.  The one
-exception is :func:`numpy_dcd_reference`, the earlier numpy form of the
-dual coordinate-descent solver, which shares only the solver's result and
-error types; it pins the plain-Python loop to the same arithmetic.  The
+exception is :func:`numpy_dcd_reference`, a numpy form of the dual
+coordinate-descent solver, which shares only the solver's result and error
+types and its sweep threshold; it pins the plain-Python loop to the same
+arithmetic and schedule.  The
 feature tree builds each literal's tree explicitly and shares only the
 signature's symbol labels with the featurizer.  The unifier is the
 textbook recursive Robinson algorithm over the term classes alone, and
@@ -14,17 +15,20 @@ clause subsumption tries every injective map of literals.
 """
 
 import itertools
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from satguide.clauses import App, NEG_MARKER, POS_MARKER, VAR_MARKER, Var
-from satguide.svm import NonFinite, SolverInfo
+from satguide.svm import _ACTIVE_FRACTION, NonFinite, SolverInfo
 
 _PG_FLOOR = 1e-12
 
 
 def svm_primal_value(w, x_rows, y, c):
+    w = np.asarray(w, dtype=float)  # the solver returns a list
     margins = 1.0 - y * (x_rows @ w)
     hinge = np.maximum(margins, 0.0)
     return 0.5 * float(w @ w) + c * float(hinge @ hinge)
@@ -76,57 +80,110 @@ def svm_reference_minimizer(x_rows, y, c, grad_tol=1e-10):
 
 
 def numpy_dcd_reference(vectors, labels, dimension, cfg):
-    """The numpy dual coordinate descent that ``solve_l2svm`` replaced.
+    """Dual coordinate descent over numpy arrays, on the solver's schedule.
 
-    Same signature and result.  Each step makes numpy calls on the row's
-    few entries, and ``@`` goes to the BLAS ``ddot``.
+    Same signature and result as ``solve_l2svm``.  Rows are grouped by
+    vector, in first-occurrence order; the k rows of a (vector, label)
+    pair share one dual with diagonal term 1/(2kc).  Each step makes numpy
+    calls on the vector's few entries, and ``@`` goes to the BLAS ``ddot``.
+    A vector with both labels moves its two duals together, to the exact
+    minimizer over the nonnegative quadrant.
 
-    Stops when the largest projected-gradient violation seen in an epoch
-    drops below the tolerance, or after ``max_epochs`` epochs.  Example
-    order is reshuffled each epoch from the configured seed.
+    Each epoch visits every vector in an order reshuffled by
+    ``random.Random(seed)``.  An epoch whose largest projected-gradient
+    violation is not below the tolerance is followed by reshuffled sweeps
+    over the connected components, in the graph whose edges join vectors
+    that share a feature, that hold a violation of at least
+    ``tolerance * _ACTIVE_FRACTION``: at most (rows // their vectors)
+    sweeps, and none after one that finds them all below that.
     """
-    n = len(vectors)
-    d_diag = 1.0 / (2.0 * cfg.c)
+    first: dict = {}
+    for k, (vec, label) in enumerate(zip(vectors, labels)):
+        first.setdefault(vec, [k, 0, 0])[1 if label > 0 else 2] += 1
+    m = len(first)
     idxs = []
     vals = []
-    qdiag = np.empty(n)
-    for k, vec in enumerate(vectors):
+    q = np.empty(m)
+    diag = np.zeros((m, 2))  # column 0 for label +1, column 1 for -1
+    for u, (vec, (k, n_pos, n_neg)) in enumerate(first.items()):
         idx = np.array([i - 1 for i, _ in vec], dtype=np.intp)
         val = np.array([v for _, v in vec], dtype=np.float64)
         idxs.append(idx)
         vals.append(val)
-        qdiag[k] = float(val @ val) + d_diag
-        if not np.isfinite(val).all() or not np.isfinite(qdiag[k]):
+        q[u] = float(val @ val)
+        if not np.isfinite(val).all() or not np.isfinite(q[u]):
             raise NonFinite(f"example {k} has non-finite or overflowing "
                             "feature values; rescale the input")
-    y = np.array(labels, dtype=np.float64)
+        for col, count in ((0, n_pos), (1, n_neg)):
+            if count:
+                diag[u, col] = 1.0 / (2.0 * count * cfg.c)
+
+    component = np.full(m, -1)
+    by_feature: dict = {}
+    for u, idx in enumerate(idxs):
+        for j in idx.tolist():
+            by_feature.setdefault(j, []).append(u)
+    for start in range(m):
+        if component[start] < 0:
+            component[start] = start
+            queue = [start]
+            while queue:
+                for j in idxs[queue.pop()].tolist():
+                    for u in by_feature[j]:
+                        if component[u] < 0:
+                            component[u] = start
+                            queue.append(u)
 
     w = np.zeros(dimension)
-    alpha = np.zeros(n)
-    rng = np.random.default_rng(cfg.seed)
+    alpha = np.zeros((m, 2))
+
+    def step(u):
+        xi, vi = idxs[u], vals[u]
+        dot = float(w[xi] @ vi)
+        old = alpha[u].copy()
+        g = np.array([dot - 1.0 + diag[u, 0] * old[0],
+                      -dot - 1.0 + diag[u, 1] * old[1]])
+        pg = np.where(old == 0.0, np.minimum(g, 0.0), g)
+        violation = float(np.max(np.abs(pg[diag[u] != 0.0])))
+        if violation <= _PG_FLOOR:
+            return violation
+        new = old.copy()
+        for col in (0, 1):
+            if diag[u, 1 - col] == 0.0:  # one label: a one-variable step
+                new[col] = old[col] - g[col] / (q[u] + diag[u, col])
+                if new[col] < 0.0:
+                    new[col] = 0.0
+        if diag[u, 0] != 0.0 and diag[u, 1] != 0.0:
+            new = _quadrant_minimizer(q[u], diag[u], old, g)
+        alpha[u] = new
+        change = (new[0] - old[0]) - (new[1] - old[1])
+        if change != 0.0:
+            w[xi] += change * vi
+        return violation
+
+    rng = random.Random(cfg.seed)
+    order = list(range(m))
     duals = [0.0]
     converged = False
     violation = float("inf")
     epochs = 0
     for _ in range(cfg.max_epochs):
-        violation = 0.0
-        for i in rng.permutation(n):
-            xi, vi = idxs[i], vals[i]
-            g = y[i] * float(w[xi] @ vi) - 1.0 + d_diag * alpha[i]
-            pg = min(g, 0.0) if alpha[i] == 0.0 else g
-            if abs(pg) > violation:
-                violation = abs(pg)
-            if abs(pg) > _PG_FLOOR:
-                old = alpha[i]
-                new = old - g / qdiag[i]
-                if new < 0.0:
-                    new = 0.0
-                alpha[i] = new
-                if new != old:
-                    w[xi] += (new - old) * y[i] * vi
+        rng.shuffle(order)
+        seen = [step(u) for u in order]
+        violation = max(seen)
         epochs += 1
-        dual = float(alpha.sum()) - 0.5 * float(w @ w) \
-            - 0.5 * d_diag * float(alpha @ alpha)
+        if violation >= cfg.tolerance:
+            floor = cfg.tolerance * _ACTIVE_FRACTION
+            hot = set(component[[u for u, v in zip(order, seen) if v >= floor]])
+            active = [u for u in order if component[u] in hot]
+            for _ in range(max(1, len(vectors) // len(active))):
+                rng.shuffle(active)
+                if max([step(u) for u in active]) < floor:
+                    break
+        dual = math.fsum(alpha[:, 0]) + math.fsum(alpha[:, 1]) \
+            - 0.5 * math.fsum(w * w) \
+            - 0.5 * math.fsum(diag[:, 0] * alpha[:, 0] * alpha[:, 0]) \
+            - 0.5 * math.fsum(diag[:, 1] * alpha[:, 1] * alpha[:, 1])
         duals.append(dual)
         if not np.isfinite(dual):
             raise NonFinite("dual objective diverged; rescale the input")
@@ -136,6 +193,26 @@ def numpy_dcd_reference(vectors, labels, dimension, cfg):
     if not np.isfinite(w).all():
         raise NonFinite("weight vector contains non-finite values")
     return w, SolverInfo(epochs, float(violation), converged, duals)
+
+
+def _quadrant_minimizer(q, diag, old, g):
+    """Minimize g'd + d'Hd/2 over old + d >= 0, H = [[q+D+, -q], [-q, q+D-]]:
+    the Newton point if it is feasible, else the better of the two edges."""
+    hp, hn = q + diag[0], q + diag[1]
+    det = q * (diag[0] + diag[1]) + diag[0] * diag[1]
+    newton = np.array([old[0] - (hn * g[0] + q * g[1]) / det,
+                       old[1] - (q * g[0] + hp * g[1]) / det])
+    if newton[0] >= 0.0 and newton[1] >= 0.0:
+        return newton
+    edges = [np.array([max(old[0] - (g[0] + q * old[1]) / hp, 0.0), 0.0]),
+             np.array([0.0, max(old[1] - (g[1] + q * old[0]) / hn, 0.0)])]
+
+    def change(point):
+        d = point - old
+        return g[0] * d[0] + g[1] * d[1] + 0.5 * (
+            hp * d[0] * d[0] - 2.0 * q * d[0] * d[1] + hn * d[1] * d[1])
+
+    return edges[0] if change(edges[0]) <= change(edges[1]) else edges[1]
 
 
 def brute_force_min_cover(sets):

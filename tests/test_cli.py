@@ -99,6 +99,14 @@ def test_full_pipeline_prove_extract_train_eval(tmp_path, capsys):
     model = tmp_path / "model.bin"
     code, out, _ = run(capsys, "train", str(examples), "-o", str(model))
     assert code == 0 and model.exists()
+    lines = examples.read_text().splitlines()
+    distinct = len({tuple(line.split()[1:]) for line in lines})
+    assert out == (f"trained on {len(lines)} examples ({distinct} distinct "
+                   f"vectors); model written to {model} (epochs "
+                   f"{load_model(str(model)).epochs}, converged)\n")
+    code, out, _ = run(capsys, "train", str(examples), "-o", str(model),
+                       "--max-epochs", "1", "--tolerance", "1e-12")
+    assert code == 0 and out.endswith("(epochs 1, not converged)\n")
 
     code, out, _ = run(capsys, "eval", str(model), str(examples))
     assert code == 0
@@ -336,7 +344,7 @@ def run_import_child(blocked, commands):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_only_training_loads_numpy_and_only_a_pool_multiprocessing(
+def test_no_command_loads_numpy_and_only_a_pool_multiprocessing(
         tmp_path, capsys):
     # the model comes from this process, which has numpy
     record = str(tmp_path / "prob00.json")
@@ -357,11 +365,12 @@ def test_only_training_loads_numpy_and_only_a_pool_multiprocessing(
         ["eval", model, str(tmp_path / "child.txt")],
         ["grid", str(manifest), "--model", model, "--gammas", "0.2",
          "--frequencies", "5", "--jobs", "1"],
+        ["train", examples, "-o", str(tmp_path / "child.bin")],
+        ["loop", str(manifest), "--rounds", "1", "--gammas", "0.2",
+         "--frequencies", "5", "-o", str(tmp_path / "loop")],
     ]
     assert run_import_child(["numpy", "concurrent.futures.process"],
                             commands) == []
-    assert "numpy" in run_import_child(
-        [], [["train", examples, "-o", str(tmp_path / "child.bin")]])
     assert (tmp_path / "child.bin").read_bytes() == Path(model).read_bytes()
 
 

@@ -235,6 +235,21 @@ def test_examples_file_rejects_a_count_past_the_float_range(tmp_path):
             read_examples(fp, 125, str(path))
 
 
+def test_examples_file_parses_each_distinct_line_once(tmp_path):
+    path = tmp_path / "ex.txt"
+    path.write_text("+1 1:2\n-1 3:1\n  +1 1:2 \n+1 1:2\n")
+    with open(path) as fp:
+        rows = read_examples(fp, 125, str(path))
+    assert rows == [(((1, 2),), 1), (((3, 1),), -1)] + [(((1, 2),), 1)] * 2
+    assert rows[0] is rows[2] is rows[3]
+    # a repeated bad line is reported at its first occurrence
+    path.write_text("+1 1:2\n-1 4:x\n+1 1:2\n-1 4:x\n")
+    with open(path) as fp:
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:2: bad entry '4:x'")):
+            read_examples(fp, 125, str(path))
+
+
 def test_format_multiset_debug_view():
     sig = Signature()
     clause = parse_one("p(X)", sig)

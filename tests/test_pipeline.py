@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_min_cover
+from satguide import pipeline
 from satguide.clauses import Signature
+from satguide.features import clause_features, vectorize
 from satguide.guidance import Strategy, baseline_strategy, learned_cef
 from satguide.pipeline import (
     CorpusProblem, GridSpec, NoProof, ancestor_ids, boost_rows,
@@ -183,6 +185,54 @@ def trained_on_corpus(corpus, corpus_limits):
     pool = pool_examples(records.values(), sig)
     model = train_from_examples(pool, sig)
     return records, sig, pool, model
+
+
+def test_pooling_parses_each_text_once_and_featurizes_each_clause_once(
+        trained_on_corpus, monkeypatch):
+    proofs = [record for record in trained_on_corpus[0].values()
+              if record.outcome == OUTCOME_PROOF]
+    # every record twice, so every given clause text repeats
+    records = proofs * 2
+    parsed = []
+    parse = pipeline.parse_clause_text  # looked up by name, as tracers see it
+
+    def counting(text, sig, *args):
+        parsed.append(text)
+        return parse(text, sig, *args)
+
+    monkeypatch.setattr(pipeline, "parse_clause_text", counting)
+    sig = Signature()
+    pool = pool_examples(records, sig)
+    featurized = []
+    features = pipeline.clause_features
+
+    def counting_features(clause, sig):
+        featurized.append(clause.literals)
+        return features(clause, sig)
+
+    monkeypatch.setattr(pipeline, "clause_features", counting_features)
+    rows = training_set(pool, sig)
+    monkeypatch.undo()
+    given = [record.clause_texts[cid] for record in records
+             for cid in record.given_sequence]
+    assert sorted(parsed) == sorted(set(given)) and len(parsed) < len(given)
+    assert len(featurized) == len(set(featurized)) <= len(set(given))
+
+    # the construction clause by clause, with its own parse of every copy
+    own = Signature()
+    expected = ([], [])
+    for record in records:
+        ancestors = ancestor_ids(record)
+        for cid in record.given_sequence:
+            expected[cid not in ancestors].append(record.clause(cid, own))
+    assert own.freeze() == sig.freeze()
+    for got, want in zip(pool, expected):
+        assert [(c.id, c.literals, c.parents) for c in got] \
+            == [(c.id, c.literals, c.parents) for c in want]
+    frozen = own.freeze()
+    assert rows == [(vectorize(clause_features(clause, own), frozen), label)
+                    for clauses, label in zip(expected, (1, -1))
+                    for clause in clauses]
 
 
 def test_manifest_loading(tmp_path):
@@ -383,21 +433,21 @@ def test_loop_stalls_cleanly(corpus, corpus_limits):
 
 # sha256 of each round's weights expanded to a dense float64 vector over all
 # (size+1)^3 feature indices, and (accuracy, positive recall, negative
-# recall) per trained round, recorded before the loop featurized each pooled
-# clause once instead of twice; the weights must stay bit-identical.  The
-# default limits stall after round 0; a processed cap of 40 leaves problems
-# for the grid to win, so three models are trained.
+# recall) per trained round, recorded when the solver began to train on
+# distinct vectors with multiplicities.  The default limits stall after
+# round 0; a processed cap of 40 leaves problems for the grid to win, so
+# three models are trained.
 LOOP_PINS = {
     (1, 1000): (
-        ["dd5b32138a389d90d897158e9fc965b4686366df4ee995ba91674ebff27273eb"],
+        ["83da1d0661205a5ccd8b07aff49ed09d84e623befc41b98a762af573767a3fc0"],
         [(1.0, 1.0, 1.0)]),
     (2, 40): (
-        ["48e783fb65eb25652e0a64356192b1dd67f4d3e42ab6ff08d62e660b522882b2",
-         "5e0ae297e5f340eeae8d910245ab1de9c761104d79414b6ef2c5c4c16b83cb6a",
-         "42901a1183ba9da590cb8d951db9e1c03d8eac8e860deb59e963195cb1ab33e9"],
+        ["d535fe6015c9114af2a30c0a7e235433a74f999ef1a5568628aebe01826b927a",
+         "d63c3637d7f17e1070da47abbb034d7745ef57d69664067cb48f51136f719b05",
+         "8a2d0fbb7dc707a213b3b77be93f50e6307b12131150fcb1f235c89a7b67280c"],
         [(1.0, 1.0, 1.0),
          (0.9490861618798956, 0.9867549668874173, 0.9245689655172413),
-         (0.9207207207207208, 0.9756554307116105, 0.8697916666666666)]),
+         (0.9225225225225225, 0.9719101123595506, 0.8767361111111112)]),
 }
 
 

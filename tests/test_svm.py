@@ -16,8 +16,8 @@ from satguide.features import FormatError
 from satguide.pipeline import train_from_examples
 from satguide.svm import (
     EmptyClass, Model, NEG, NonFinite, POS, SolverConfig, accuracy,
-    load_model, predict, predict_vector, save_model, score_vector,
-    solve_l2svm,
+    _pair_step, load_model, predict, predict_vector, save_model,
+    score_vector, solve_l2svm,
 )
 from satguide.tptp import parse_problem
 
@@ -128,14 +128,17 @@ def test_training_is_deterministic_for_a_seed():
 
 @st.composite
 def dcd_instances(draw, values, max_entries, max_dim):
-    """Random sparse rows with both labels, a penalty and a seed."""
+    """Random sparse rows with both labels, a penalty and a seed; some
+    rows repeat earlier vectors, with either label."""
     dim = draw(st.integers(1, max_dim))
     n = draw(st.integers(2, 12))
     vectors = []
-    for _ in range(n):
+    for _ in range(draw(st.integers(1, n))):
         size = draw(st.integers(1, min(max_entries, dim)))
         idx = draw(st.sets(st.integers(1, dim), min_size=size, max_size=size))
         vectors.append(tuple((i, draw(values)) for i in sorted(idx)))
+    vectors += [draw(st.sampled_from(vectors)) for _ in range(n - len(vectors))]
+    vectors = draw(st.permutations(vectors))
     labels = [1, -1] + draw(st.lists(st.sampled_from([1, -1]),
                                      min_size=n - 2, max_size=n - 2))
     return (vectors, labels, dim, draw(st.sampled_from([0.5, 1.0, 2.0])),
@@ -154,6 +157,74 @@ def test_solver_repeats_the_numpy_reference_bit_for_bit(instance):
     assert np.array_equal(w, ref_w)
     assert (info.epochs, info.final_violation, info.dual_objectives) \
         == (ref.epochs, ref.final_violation, ref.dual_objectives)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_weighted_solver_matches_the_minimizer_on_expanded_rows(data):
+    # each distinct vector stands for up to 1,000 copies per label, often
+    # with both labels; the oracle sees every copy as its own row.  Heavy
+    # duals on nearly dependent vectors take the solver up to seconds at
+    # this tolerance, so the draws are fixed to keep the run time steady.
+    dim = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim,
+                                       max_size=dim),
+                              min_size=1, max_size=4, unique_by=tuple))
+    # copies of each row per label, one label or both; the first row
+    # carries both, so both classes occur
+    counts = [data.draw(st.tuples(st.integers(0, 1000), st.integers(0, 1000))
+                        .filter(any)) for _ in rows]
+    counts[0] = (max(counts[0][0], 1), max(counts[0][1], 1))
+    c = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    expanded = [(r, label) for r, (k_pos, k_neg) in zip(rows, counts)
+                for label, k in ((1, k_pos), (-1, k_neg)) for _ in range(k)]
+    random.Random(data.draw(st.integers(0, 99))).shuffle(expanded)
+    w, info = solve_l2svm([dense(r) for r, _ in expanded],
+                          [label for _, label in expanded], dim,
+                          SolverConfig(c=c, tolerance=1e-8, max_epochs=20000))
+    assert info.converged
+    ref = svm_reference_minimizer(
+        np.array([r for r, _ in expanded], dtype=float),
+        np.array([y for _, y in expanded], dtype=float), c)
+    assert np.max(np.abs(np.array(w) - ref)) < 1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 50.0), st.floats(1e-4, 2.0), st.floats(1e-4, 2.0),
+       st.floats(0.0, 100.0), st.floats(0.0, 100.0),
+       st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+def test_pair_step_meets_the_optimality_conditions(q, d_pos, d_neg, a, b,
+                                                    ga, gb):
+    # the step must land on the minimizer over a, b >= 0: the gradient
+    # there is zero in a positive coordinate and nonnegative at a bound
+    new_a, new_b = _pair_step(q, d_pos, d_neg, a, b, ga, gb)
+    da, db = new_a - a, new_b - b
+    grad_a = ga + (q + d_pos) * da - q * db
+    grad_b = gb - q * da + (q + d_neg) * db
+    scale = 1e-7 * (1.0 + abs(ga) + abs(gb) + q * (abs(a) + abs(b)))
+    for value, grad in ((new_a, grad_a), (new_b, grad_b)):
+        assert value >= 0.0
+        assert grad >= -scale and (value == 0.0 or abs(grad) <= scale)
+
+
+def test_heavy_conflicting_vector_coupled_through_a_cycle_converges():
+    # the shape of the learn workload's slow component: a one-hot vector
+    # 900 times with each label, tied by two-feature vectors (features
+    # 1..4 against 5..8, in a cycle) that are heavy and disagree, so the
+    # duals of the whole group move together only slowly
+    signed_counts = [([(1, 1)], 900), ([(1, 1)], -900)]
+    for i in range(4):
+        signed_counts.append(([(i + 1, 1), (i + 5, 1)], 900))
+        signed_counts.append(([((i + 1) % 4 + 1, 1), (i + 5, 1)], -900))
+    rows = [(tuple(vec), 1 if k > 0 else -1) for vec, k in signed_counts
+            for _ in range(abs(k))]
+    w, info = solve_l2svm([vec for vec, _ in rows],
+                          [label for _, label in rows], 8, SolverConfig())
+    assert info.converged
+    ref = svm_reference_minimizer(to_rows([vec for vec, _ in rows], 8),
+                                  np.array([y for _, y in rows], dtype=float),
+                                  1.0)
+    assert np.max(np.abs(np.array(w) - ref)) < 1e-3
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,6 +366,32 @@ def test_model_without_skolem_prefixes_reads_the_defaults(tmp_path):
     assert loaded.signature.skolem_prefixes == DEFAULT_SKOLEM_PREFIXES
 
 
+def test_model_records_whether_training_converged(tmp_path, caplog):
+    sig = Signature()
+    pos, neg = clause_sets(sig)
+    path = tmp_path / "model.bin"
+    with caplog.at_level(logging.WARNING, logger="satguide"):
+        for cfg, converged in ((SolverConfig(), True),
+                               (SolverConfig(max_epochs=1, tolerance=1e-12),
+                                False)):
+            model = train_from_examples((pos, neg), sig, cfg)
+            assert model.converged is converged
+            save_model(model, str(path))
+            lines = path.read_text().splitlines(keepends=True)
+            at = next(k for k, line in enumerate(lines)
+                      if line.startswith("violation "))
+            assert lines[at + 1] == f"converged {str(converged).lower()}\n"
+            assert load_model(str(path)).converged is converged
+    # a file written before the line existed still loads
+    path.write_text("".join(lines[:at + 1] + lines[at + 2:]))
+    loaded = load_model(str(path))
+    assert loaded.converged is None and loaded.w == model.w
+    path.write_text("".join(lines[:at + 1] + ["converged maybe\n"]
+                            + lines[at + 2:]))
+    with pytest.raises(FormatError, match="bad converged line"):
+        load_model(str(path))
+
+
 def test_load_model_rejects_corrupt_files(tmp_path):
     sig = Signature()
     pos, neg = clause_sets(sig)
@@ -347,13 +444,16 @@ def test_model_file_round_trip(tmp_path_factory, data):
     model = Model({i: w[i] for i in order}, frozen,
                   data.draw(st.floats(min_value=1e-3, max_value=1e3)),
                   data.draw(st.integers(0, 1000)), data.draw(values),
-                  data.draw(st.integers(0, 2 ** 32)))
+                  data.draw(st.integers(0, 2 ** 32)),
+                  data.draw(st.sampled_from([None, True, False])))
     path = tmp_path_factory.getbasetemp() / "round_trip.bin"
     save_model(model, str(path))
     loaded = load_model(str(path))
     assert loaded.w == model.w
-    assert (loaded.c, loaded.epochs, loaded.final_violation, loaded.seed) \
-        == (model.c, model.epochs, model.final_violation, model.seed)
+    assert (loaded.c, loaded.epochs, loaded.final_violation, loaded.seed,
+            loaded.converged) \
+        == (model.c, model.epochs, model.final_violation, model.seed,
+            model.converged)
     assert loaded.signature == model.signature
     again = path.with_name("round_trip_again.bin")
     save_model(loaded, str(again))

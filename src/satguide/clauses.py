@@ -156,6 +156,29 @@ class Signature:
         return sig
 
 
+class SymbolMap:
+    """The feature labels that a model's snapshot gives a signature's
+    symbols, matched by name, arity and kind.
+
+    A function symbol that the snapshot's Skolem prefixes match labels as
+    the Skolem marker.  A symbol the snapshot does not know gets its own id
+    past the snapshot's end, so vectorizing against the snapshot drops its
+    feature triples.  The map covers the symbols registered when it is
+    built.
+    """
+
+    def __init__(self, sig: Signature, frozen: FrozenSignature):
+        known = {(s.name, s.arity, s.kind): s.id for s in frozen.symbols}
+        self._labels = [
+            SKOLEM_MARKER if s.kind == KIND_FUNCTION
+            and s.name.startswith(frozen.skolem_prefixes)
+            else known.get((s.name, s.arity, s.kind), frozen.size + s.id)
+            for s in sig._symbols]
+
+    def feature_label(self, sym_id: int) -> int:
+        return self._labels[sym_id]
+
+
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str

@@ -113,7 +113,7 @@ def cmd_featurize(args) -> int:
 def cmd_prove(args) -> int:
     limits = _limits(args)
     strategy = _strategy(args.strategy)
-    sig = pipeline.signature_for_strategy(strategy)
+    sig = Signature()
     clauses = tptp.parse_problem(_read_text(args.problem), sig, args.problem)
     if not clauses:
         raise UsageError(f"{args.problem}: no clauses found")

@@ -7,7 +7,8 @@ literal are all parent/child/grandchild label chains in that tree, counted
 with multiplicity; a clause's features are the multiset union over its
 literals.  Trees too shallow to contain a three-node chain (propositional
 atoms) yield a single chain padded with the reserved symbol EPSILON, so no
-literal is featureless.
+literal is featureless.  Symbols are labelled by their own signature, or
+by a :class:`SymbolMap` of it into a model's snapshot.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .clauses import (
     Clause, FrozenSignature, Literal, NEG_MARKER, POS_MARKER, Signature,
-    Term, VAR_MARKER, Var,
+    SymbolMap, Term, VAR_MARKER, Var,
 )
 
 # Padding label for walks in trees of depth < 3.  It is never a real symbol
@@ -39,7 +40,8 @@ class FormatError(Exception):
     """A data file (examples, model) is malformed."""
 
 
-def literal_features(lit: Literal, sig: Signature) -> FeatureMultiset:
+def literal_features(lit: Literal,
+                     sig: Signature | SymbolMap) -> FeatureMultiset:
     """All three-node directed walks of the literal's feature tree."""
     counts: FeatureMultiset = {}
     root = POS_MARKER if lit.positive else NEG_MARKER
@@ -65,7 +67,8 @@ def literal_features(lit: Literal, sig: Signature) -> FeatureMultiset:
     return counts
 
 
-def clause_features(clause: Clause, sig: Signature) -> FeatureMultiset:
+def clause_features(clause: Clause,
+                    sig: Signature | SymbolMap) -> FeatureMultiset:
     """Pointwise sum of the literal feature multisets."""
     counts: FeatureMultiset = {}
     for lit in clause.literals:

@@ -8,13 +8,13 @@ whose proofs feed the next round.  Proofs accumulate across rounds, so the
 training set only grows.
 
 A corpus run hands out one task per problem, serially or in a process
-pool.  The task reads the problem file once and parses it once per
-distinct model snapshot among the strategies (a fresh signature for the
-strategies without a model); the strategies of one snapshot share that
-parse and one content memo, and each record is the one an independent
-search would make.  A problem that cannot be read or parsed is logged and
-counted as unsolved, and the run carries on.  Records carry clause text
-and are re-read under the trainer's signature when examples are collected.
+pool.  The task reads and parses the problem file once, into a fresh
+signature; all strategies share that parse and one content memo, a model
+maps the problem's symbols into its own table by name, and each record is
+the one an independent search would make.  A problem that cannot be read
+or parsed is logged and counted as unsolved, and the run carries on.
+Records carry clause text and are re-read under the trainer's signature
+when examples are collected.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .clauses import ArityClash, Clause, FrozenSignature, Signature
+from .clauses import ArityClash, Clause, Signature
 from .features import clause_features, vectorize
 from .guidance import Strategy, baseline_strategy, learned_cef
 from .saturation import (
@@ -196,73 +196,42 @@ def train_from_examples(examples: tuple[list[Clause], list[Clause]],
     return train_vectors(training_set(examples, sig), sig.freeze(), cfg)
 
 
-def model_snapshot(strategy: Strategy) -> FrozenSignature | None:
-    """The signature snapshot of the strategy's model; None without one."""
-    frozen = None
-    for _, cef in strategy.entries:
-        if cef.model is not None:
-            snap = cef.model.signature
-            if frozen is not None and snap is not frozen:
-                raise ValueError("strategies may reference only one model")
-            frozen = snap
-    return frozen
-
-
-def _signature(frozen: FrozenSignature | None) -> Signature:
-    return Signature() if frozen is None else Signature.from_frozen(frozen)
-
-
-def signature_for_strategy(strategy: Strategy) -> Signature:
-    return _signature(model_snapshot(strategy))
-
-
 def run_problem(problem: CorpusProblem, strategy: Strategy,
                 limits: Limits) -> ProofSearchRecord:
     """Run one proof search with its own file read, fresh signature and
     private memo: the search :func:`run_corpus` must agree with."""
-    sig = signature_for_strategy(strategy)
+    sig = Signature()
     with open(problem.path, "r", encoding="utf-8") as fp:
         clauses = parse_problem(fp.read(), sig, problem.path)
     return prove(clauses, strategy, limits, sig, problem_id=problem.pid)
 
 
 def _solve_problem(problem: CorpusProblem, strategies: dict[str, Strategy],
-                   groups: list, limits: Limits):
-    """Run every strategy on one problem: ``(records by key, failures)``.
+                   limits: Limits):
+    """Run every strategy on one problem: ``(records by key, failure)``.
 
-    The file is read once.  ``groups`` pairs each distinct model snapshot
-    (None for no model) with the keys of the strategies that use it; a
-    group's strategies share one parse into its signature and one
-    :class:`ContentMemo`, and their records equal those of independent
-    :func:`run_problem` searches.  A file that cannot be read, or cannot be
-    parsed into a group's signature, gives no record for the strategies
-    concerned and a message naming the file.
+    The file is read and parsed once, into a fresh signature, and the
+    searches share one :class:`ContentMemo`; their records equal those of
+    independent :func:`run_problem` searches.  A file that cannot be read
+    or parsed gives no records and a message naming the file.
     """
     try:
         with open(problem.path, "r", encoding="utf-8") as fp:
             text = fp.read()
     except (OSError, UnicodeDecodeError) as exc:
-        return {}, [f"{problem.path}: cannot read: "
-                    f"{getattr(exc, 'strerror', None) or exc}"]
-    records: dict[str, ProofSearchRecord] = {}
-    failures: list[str] = []
-    for frozen, keys in groups:
-        sig = _signature(frozen)
-        try:
-            clauses = parse_problem(text, sig, problem.path)
-            if not clauses:
-                raise ParseError(f"{problem.path}: no clauses found")
-        except (ParseError, ArityClash) as exc:
-            failure = str(exc)  # names path and line
-            # a syntax error repeats under every signature
-            if failure not in failures:
-                failures.append(failure)
-            continue
-        memo = ContentMemo(sig)
-        for key in keys:
-            records[key] = prove(clauses, strategies[key], limits, sig,
-                                 problem_id=problem.pid, memo=memo)
-    return records, failures
+        return {}, (f"{problem.path}: cannot read: "
+                    f"{getattr(exc, 'strerror', None) or exc}")
+    sig = Signature()
+    try:
+        clauses = parse_problem(text, sig, problem.path)
+        if not clauses:
+            raise ParseError(f"{problem.path}: no clauses found")
+    except (ParseError, ArityClash) as exc:
+        return {}, str(exc)  # names path and line
+    memo = ContentMemo(sig)
+    return {key: prove(clauses, strategy, limits, sig,
+                       problem_id=problem.pid, memo=memo)
+            for key, strategy in strategies.items()}, None
 
 
 # set once per pool worker, so tasks need not carry the strategies
@@ -285,10 +254,7 @@ def run_corpus(problems, strategies: dict[str, Strategy], limits: Limits,
     A problem that cannot be read or parsed is logged as a warning and has
     no record, and the run carries on.
     """
-    by_snapshot: dict = {}
-    for key, strategy in strategies.items():
-        by_snapshot.setdefault(model_snapshot(strategy), []).append(key)
-    args = (strategies, list(by_snapshot.items()), limits)
+    args = (strategies, limits)
     if jobs <= 1 or len(problems) <= 1:
         results = [_solve_problem(problem, *args) for problem in problems]
     else:
@@ -297,8 +263,8 @@ def run_corpus(problems, strategies: dict[str, Strategy], limits: Limits,
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
                                  initargs=args) as pool:
             results = list(pool.map(_pool_run, problems))
-    for _, failures in results:
-        for failure in failures:
+    for _, failure in results:
+        if failure is not None:
             log.warning("%s; counted as unsolved", failure)
     return {(key, problem.pid): records[key]
             for key in strategies

@@ -29,12 +29,13 @@ this.
 
 The content ids, the derived clauses, the printed texts and each CEF's
 weights (for a learned CEF, the model's predictions) per content live in
-a :class:`ContentMemo`.  They depend only on a content and the
-signature, so the searches of one problem under one signature can share a
-memo: a corpus run gives each problem and model snapshot one memo for all
-its strategies.  A candidate's fate stays per search, since it depends on
-that search's processed set.  A search without a memo makes its own, and
-the records are the same either way.
+a :class:`ContentMemo`.  They depend only on a content and the problem's
+signature, so the searches of one problem can share a memo: a corpus run
+gives each problem one memo for all its strategies.  A learned CEF reads
+the problem's symbols through a :class:`SymbolMap` into its model's
+snapshot, matched by name.  A candidate's fate stays per search, since it
+depends on that search's processed set.  A search without a memo makes
+its own, and the records are the same either way.
 
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
@@ -50,7 +51,8 @@ from dataclasses import dataclass, fields
 from itertools import product
 
 from .clauses import (
-    App, Clause, EQUALITY, Literal, Signature, Term, Var, clause_depth,
+    App, Clause, EQUALITY, Literal, Signature, SymbolMap, Term, Var,
+    clause_depth,
 )
 from .guidance import (
     CEF, Strategy, evaluate, format_strategy, next_entry_index,
@@ -424,17 +426,18 @@ class _Processed:
 
 
 class ContentMemo:
-    """Per-content work shared by the searches of one problem under one
-    signature.
+    """Per-content work shared by the searches of one problem.
 
     A clause's derived clauses, printed text and CEF weights depend only on
-    its literals and the signature, so searches that parse the problem into
-    the same signature can share them: the content ids, the resolvents and
-    factors made per content pair, the text per content, a plain CEF's
-    weight per content and a model's prediction per content.  ``Fifo``
-    weighs a clause by its id, so its weights are not kept.  A prediction
-    keeps the number of feature triples it dropped, which each search that
-    reuses it adds to its own ``dropped_triples``.  Per-search state (fates,
+    its literals and the problem's signature, so every search of the
+    problem can share them: the content ids, the resolvents and factors
+    made per content pair, the text per content, a plain CEF's weight per
+    content and a model's prediction per content.  ``Fifo`` weighs a
+    clause by its id, so its weights are not kept.  Each model gets one
+    :class:`SymbolMap` of the signature into its snapshot, which its
+    predictions read feature labels through.  A prediction keeps the
+    number of feature triples it dropped, which each search that reuses it
+    adds to its own ``dropped_triples``.  Per-search state (fates,
     processed clauses, queues, clause ids) stays in :func:`prove`.
     """
 
@@ -449,10 +452,10 @@ class ContentMemo:
         self.texts: dict[int, str] = {}
         # plain CEF kind, or (id of the model, gamma) -> content id -> weight
         self.weights: dict[object, dict[int, float]] = {}
-        # id of the model -> content id -> (positive, triples dropped); the
-        # models are held, so no id is reused while the memo lives
-        self.predictions: dict[int, dict[int, tuple[bool, int]]] = {}
-        self.models: dict[int, Model] = {}
+        # id of the model -> (the model, the signature's map into it,
+        # content id -> (positive, triples dropped)); the models are held,
+        # so no id is reused while the memo lives
+        self.models: dict[int, tuple[Model, SymbolMap, dict]] = {}
 
     def content(self, literals: tuple[Literal, ...]) -> int:
         return self.contents.setdefault(literals, len(self.contents))
@@ -474,15 +477,17 @@ class ContentMemo:
                                                          stats)
                 return weight
             return weigh
-        self.models[id(model)] = model
-        predictions = self.predictions.setdefault(id(model), {})
+        if id(model) not in self.models:
+            self.models[id(model)] = (model, SymbolMap(sig, model.signature),
+                                      {})
+        _, symbols, predictions = self.models[id(model)]
         weights = self.weights.setdefault((id(model), cef.gamma), {})
 
         def weigh_learned(clause: Clause, content: int) -> float:
             prediction = predictions.get(content)
             if prediction is None:
                 before = stats["dropped_triples"]
-                positive = predict(clause, model, sig, stats) == POS
+                positive = predict(clause, model, symbols, stats) == POS
                 prediction = predictions[content] = (
                     positive, stats["dropped_triples"] - before)
             else:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 from .clauses import (
     DEFAULT_SKOLEM_PREFIXES, Clause, FrozenSignature, Signature, Symbol,
+    SymbolMap,
 )
 from .features import FormatError, SparseVector, clause_features, vectorize
 
@@ -293,9 +294,10 @@ def predict_vector(model: Model, vec: SparseVector) -> str:
     return POS if score_vector(model, vec) > 0.0 else NEG
 
 
-def predict(clause: Clause, model: Model, sig: Signature,
+def predict(clause: Clause, model: Model, sig: Signature | SymbolMap,
             stats: dict | None = None) -> str:
-    """Classify a clause: positive iff w'x > 0 (strict), else negative."""
+    """Classify a clause: positive iff w'x > 0 (strict), else negative.
+    ``sig`` must label symbols as the model's snapshot does."""
     vec = vectorize(clause_features(clause, sig), model.signature, stats)
     return predict_vector(model, vec)
 
@@ -313,23 +315,22 @@ def accuracy(model: Model, rows) -> AccuracyReport:
     """Fraction classified correctly, plus per-class recall.
 
     A recall is None when the example set has no examples of that class.
+    Each distinct vector is scored once.
     """
-    correct = 0
-    pos_total = pos_correct = 0
-    neg_total = neg_correct = 0
+    # label -> [examples, classified correctly]
+    tally = {1: [0, 0], -1: [0, 0]}
+    predicted: dict[SparseVector, bool] = {}
     for vec, label in rows:
-        got = predict_vector(model, vec)
-        hit = (got == POS) == (label > 0)
-        correct += hit
-        if label > 0:
-            pos_total += 1
-            pos_correct += hit
-        else:
-            neg_total += 1
-            neg_correct += hit
+        positive = predicted.get(vec)
+        if positive is None:
+            positive = predicted[vec] = predict_vector(model, vec) == POS
+        counts = tally[1 if label > 0 else -1]
+        counts[0] += 1
+        counts[1] += positive == (label > 0)
+    (pos_total, pos_correct), (neg_total, neg_correct) = tally[1], tally[-1]
     n = len(rows)
     return AccuracyReport(
-        accuracy=correct / n if n else 0.0,
+        accuracy=(pos_correct + neg_correct) / n if n else 0.0,
         positive_recall=pos_correct / pos_total if pos_total else None,
         negative_recall=neg_correct / neg_total if neg_total else None,
         positives=pos_total,

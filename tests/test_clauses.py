@@ -6,7 +6,8 @@ import pytest
 
 from satguide.clauses import (
     ArityClash, DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION, KIND_PREDICATE, NEG_MARKER, POS_MARKER,
-    SKOLEM_MARKER, Signature, VAR_MARKER, clause_len, weighted_symbol_count,
+    SKOLEM_MARKER, Signature, SymbolMap, VAR_MARKER, clause_len,
+    weighted_symbol_count,
 )
 from satguide.tptp import parse_problem
 
@@ -70,6 +71,34 @@ def test_freeze_and_thaw_round_trip():
         assert thawed.feature_label(4) == sig.feature_label(4)
         # the thawed signature keeps growing past the snapshot
         assert thawed.intern_symbol("q", 0, KIND_PREDICATE) == 6
+
+
+def test_symbol_map_matches_by_name_arity_and_kind():
+    model = Signature(("h",))
+    for name, arity, kind in (("p", 1, KIND_PREDICATE), ("c", 0, KIND_FUNCTION),
+                              ("h", 1, KIND_FUNCTION), ("q", 0, KIND_PREDICATE)):
+        model.intern_symbol(name, arity, kind)
+    frozen = model.freeze()  # p=4, c=5, h=6, q=7
+    sig = Signature()
+    ids = {name: sig.intern_symbol(name, arity, kind)
+           for name, arity, kind in (
+               ("c", 0, KIND_FUNCTION), ("p", 2, KIND_PREDICATE),
+               ("hz", 1, KIND_FUNCTION), ("hq", 0, KIND_PREDICATE),
+               ("q", 0, KIND_FUNCTION), ("u", 1, KIND_FUNCTION),
+               ("sko1", 0, KIND_FUNCTION))}
+    symbols = SymbolMap(sig, frozen)
+    # the markers keep their ids
+    assert [symbols.feature_label(i) for i in range(4)] == [0, 1, 2, 3]
+    # a known name of the same arity and kind takes the model's id
+    assert symbols.feature_label(ids["c"]) == 5
+    # the model's Skolem prefixes decide, for functions only
+    assert symbols.feature_label(ids["hz"]) == SKOLEM_MARKER
+    # another arity, another kind, an unknown name, or a Skolem name under
+    # prefixes the model does not use: each its own id past the table
+    unknown = [symbols.feature_label(ids[name])
+               for name in ("p", "hq", "q", "u", "sko1")]
+    assert all(label >= frozen.size for label in unknown)
+    assert len(set(unknown)) == len(unknown)
 
 
 def test_clause_len_counts_symbols_not_polarity():

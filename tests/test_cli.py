@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import satguide
+from satguide import pipeline
 from satguide.cli import main
 from satguide.clauses import Signature
 from satguide.features import clause_features, format_multiset
-from satguide.svm import load_model
+from satguide.guidance import baseline_strategy
+from satguide.saturation import Limits
+from satguide.svm import load_model, save_model
 from satguide.tptp import parse_problem
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
@@ -582,6 +585,37 @@ def test_grid_cli_table_and_csv_bytes(tmp_path, capsys):
     assert csv_out.read_bytes() == (b"gamma,0,5,50,inf\r\n"
                                     b"0,3,4,3,2\r\n"
                                     b"0.2,3,4,3,3\r\n")
+
+
+def test_grid_solves_a_problem_that_reuses_a_trained_name_at_another_arity(
+        tmp_path, capsys):
+    # the round-0 model of the fixture corpus knows p1/1; a held-out copy
+    # of prob00 uses p1/2, which the model's table does not hold, so its
+    # feature triples are dropped and every guided strategy still runs
+    problems = pipeline.load_manifest(str(CORPUS / "manifest.txt"))
+    records = pipeline.run_corpus(problems, {"0": baseline_strategy()},
+                                  Limits())
+    sig = Signature()
+    model = tmp_path / "model.bin"
+    save_model(pipeline.train_from_examples(
+        pipeline.pool_examples(records.values(), sig), sig), str(model))
+    assert ("p1", 1, "predicate") in {
+        (s.name, s.arity, s.kind)
+        for s in load_model(str(model)).signature.symbols}
+    clash = tmp_path / "prob00.p"
+    clash.write_text((CORPUS / "prob00.p").read_text()
+                     .replace("p1(X)", "p1(X,X)"))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"prob00 {clash}\nprob01 {CORPUS / 'prob01.p'}\n"
+                        f"prob02 {CORPUS / 'prob02.p'}\n")
+    csv_out = tmp_path / "grid.csv"
+    code, _, err = run(capsys, "grid", str(manifest), "--model", str(model),
+                       "--gammas", "0,0.2", "--frequencies", "1,5,50",
+                       "--csv", str(csv_out))
+    assert code == 0, err
+    assert csv_out.read_text().splitlines() == ["gamma,0,1,5,50,inf",
+                                                "0,3,3,3,3,3",
+                                                "0.2,3,3,3,3,3"]
 
 
 def loop_on_one_problem(tmp_path, capsys, text):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_min_cover
-from satguide import pipeline
+from satguide import pipeline, saturation
 from satguide.clauses import Signature
 from satguide.features import clause_features, vectorize
 from satguide.guidance import Strategy, baseline_strategy, learned_cef
@@ -269,12 +269,11 @@ def test_run_corpus_sequential_and_parallel_agree(corpus, corpus_limits):
 def test_run_corpus_records_equal_independent_searches(tmp_path, corpus,
                                                        corpus_limits,
                                                        trained_on_corpus):
-    # run_corpus parses each problem once per model snapshot and shares one
-    # content memo between the searches of a snapshot; each record must
-    # still be the one a search with its own file read, fresh signature and
-    # private memo makes
+    # run_corpus parses each problem once and shares one content memo
+    # among all its searches; each record must still be the one a search
+    # with its own file read, fresh signature and private memo makes
     _, sig, (positives, negatives), model = trained_on_corpus
-    # same symbols, so the same snapshot and memo, but other predictions
+    # same symbols, but other predictions
     other = train_from_examples((positives[::4], negatives[::4]), sig)
     assert other.signature == model.signature
     base = baseline_strategy()
@@ -304,6 +303,109 @@ def test_run_corpus_records_equal_independent_searches(tmp_path, corpus,
     assert any(records[("f5:g0.2", p.pid)].given_sequence
                != records[("other:f5:g0.2", p.pid)].given_sequence
                for p in problems)
+
+
+def test_run_corpus_records_equal_searches_in_the_models_signature(
+        tmp_path, monkeypatch, corpus, corpus_limits, trained_on_corpus):
+    # a guided search used to parse its problem into its model's signature
+    # (Signature.from_frozen) and label symbols by that signature; mapping
+    # the problem's own symbols into the model's table by name must give
+    # the same records
+    _, _, _, model = trained_on_corpus
+    by_pid = {p.pid: p for p in corpus}
+    # trained as `extract --skolem-prefixes h` does, so h labels as the
+    # Skolem marker under this model and as itself under the default
+    # prefixes
+    h_sig = Signature(("h",))
+    h_records = run_corpus([by_pid["prob05"], by_pid["prob11"]],
+                           {"0": baseline_strategy()}, corpus_limits)
+    h_model = train_from_examples(pool_examples(h_records.values(), h_sig),
+                                  h_sig)
+    assert h_model.signature.skolem_prefixes == ("h",)
+    assert h_model.signature != model.signature
+    base = baseline_strategy()
+    strategies = {"0": base}
+    for name, m in (("", model), ("h:", h_model)):
+        strategies[f"{name}f5:g0.2"] = Strategy(
+            base.entries + ((5, learned_cef(m, 0.2, f"<{name}model>")),))
+        strategies[f"{name}finf:g0"] = Strategy(
+            ((1, learned_cef(m, 0, f"<{name}model>")),))
+    # two models with different signatures in one strategy
+    strategies["mixed"] = Strategy(
+        base.entries + ((5, learned_cef(model, 0.2, "<model>")),
+                        (5, learned_cef(h_model, 0.2, "<h:model>"))))
+
+    def copy(problem, *edits):
+        path = tmp_path / Path(problem.path).name
+        text = Path(problem.path).read_text()
+        for old, new in edits:
+            text = text.replace(old, new)
+        path.write_text(text)
+        return CorpusProblem(problem.pid, str(path))
+
+    # hz is in no table, but the h model's prefixes make it a Skolem symbol
+    problems = [by_pid["prob00"], by_pid["prob05"],
+                copy(by_pid["prob17"], ("h(", "hz(")),
+                copy(by_pid["prob23"], ("h(", "hz("))]
+    # renamed decoys are in no table either; the added clause holds two
+    # of them, which must drop two distinct triples
+    decoys = [copy(problem, ("junk", "waste"),
+                   ("cnf(goal,", "cnf(pair, axiom, (waste1(X) | waste2(X)))."
+                    "\ncnf(goal,"))
+              for problem in corpus[2:5]]
+
+    records = run_corpus(problems + decoys, strategies, corpus_limits)
+    assert len(records) == len(strategies) * len(problems + decoys)
+    for (key, pid), record in records.items():
+        problem = next(p for p in problems + decoys if p.pid == pid)
+        models = {id(cef.model): cef.model
+                  for _, cef in strategies[key].entries if cef.model}
+        if len(models) == 1:
+            (only,) = models.values()
+            sig = Signature.from_frozen(only.signature)
+            clauses = parse_problem(Path(problem.path).read_text(), sig,
+                                    problem.path)
+            with monkeypatch.context() as patch:
+                # no map: the signature's own labels
+                patch.setattr(saturation, "SymbolMap", lambda sig, _: sig)
+                alone = prove(clauses, strategies[key], corpus_limits, sig,
+                              problem_id=pid)
+        else:
+            alone = run_problem(problem, strategies[key], corpus_limits)
+        assert record_to_json(record) == record_to_json(alone), (key, pid)
+    for key in strategies:
+        if key != "0":
+            assert all(records[(key, p.pid)].stats["dropped_triples"] > 0
+                       for p in decoys), key
+
+
+EQUALITY_PROBLEM = """
+cnf(a, axiom, (f(X) = g(X))).
+cnf(b, axiom, (zz(f(c0)))).
+cnf(c, axiom, (p0(g(c0)))).
+cnf(goal, negated_conjecture, (~p0(f(c0)))).
+"""
+
+
+def test_every_strategy_of_a_problem_sees_the_same_input_clauses(
+        tmp_path, trained_on_corpus):
+    # the problem names zz, which the model does not know, before the
+    # model's p0; the congruence axioms follow the problem's own symbol
+    # order under every strategy, guided or not
+    _, _, _, model = trained_on_corpus
+    path = tmp_path / "eq.p"
+    path.write_text(EQUALITY_PROBLEM)
+    strategies = {row.key: row.strategy for row in grid_strategies(
+        model, baseline_strategy(), GridSpec(gammas=[0.2], frequencies=[5]))}
+    records = run_corpus([CorpusProblem("eq", str(path))], strategies,
+                         Limits(max_processed=40))
+    inputs = {key: [text for cid, text in record.clause_texts.items()
+                    if not record.dag[cid]]
+              for (key, _), record in records.items()}
+    assert list(inputs) == list(strategies)
+    assert all(texts == inputs["0"] for texts in inputs.values())
+    assert records[("0", "eq")].stats["equality_axioms"] == 7
+    assert "zz" in inputs["0"][-2] and "p0" in inputs["0"][-1]
 
 
 def test_run_grid_table_shape(corpus, corpus_limits, trained_on_corpus):

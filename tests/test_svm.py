@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     numpy_dcd_reference, svm_primal_value, svm_reference_minimizer,
 )
+from satguide import svm
 from satguide.clauses import DEFAULT_SKOLEM_PREFIXES, Signature
 from satguide.features import FormatError
 from satguide.pipeline import train_from_examples
@@ -335,6 +336,24 @@ def test_accuracy_reports_per_class_recall():
     report = accuracy(model, mixed)
     assert report.accuracy == 0.5
     assert report.positive_recall == 0.0
+
+
+def test_accuracy_scores_each_distinct_vector_once(monkeypatch):
+    frozen = Signature().freeze()
+    model = Model({1: 1.0, 2: -1.0}, frozen, 1.0, 0, 0.0, 0)
+    # (1,) scores positive and (2,) negative; each carries both labels
+    rows = [(((1, 1),), 1)] * 3 + [(((1, 1),), -1)] \
+        + [(((2, 1),), -1)] * 2 + [(((2, 1),), 1)] * 4
+    scored = []
+    monkeypatch.setattr(svm, "predict_vector",
+                        lambda m, vec: scored.append(vec) or
+                        predict_vector(m, vec))
+    report = accuracy(model, rows)
+    assert sorted(scored) == [((1, 1),), ((2, 1),)]
+    assert (report.positives, report.negatives) == (7, 3)
+    assert report.accuracy == 5 / 10
+    assert report.positive_recall == 3 / 7
+    assert report.negative_recall == 2 / 3
 
 
 def test_model_save_load_round_trip(tmp_path):

@@ -55,7 +55,7 @@ def test_every_library_name_the_workloads_use_exists():
     assert missing == []
 
 
-def test_a_corpus_run_proves_each_pair_once_and_parses_once_per_snapshot(
+def test_a_corpus_run_proves_each_pair_once_and_parses_once_per_problem(
         tmp_path, monkeypatch, capsys):
     # perfbench times each call of pipeline.prove as one attempt, so a corpus
     # run must call it, by that name, once per (strategy, problem) pair
@@ -64,16 +64,15 @@ def test_a_corpus_run_proves_each_pair_once_and_parses_once_per_snapshot(
         pipeline.run_corpus, pipeline.prove, pipeline.parse_problem)
 
     def counting_run_corpus(problems, strategies, *args, **kwargs):
-        snapshots = {pipeline.model_snapshot(s) for s in strategies.values()}
-        runs.append((problems, strategies, snapshots, Counter(), Counter()))
+        runs.append((problems, strategies, Counter(), Counter()))
         return run_corpus(problems, strategies, *args, **kwargs)
 
     def counting_prove(problem, strategy, *args, problem_id="", **kwargs):
-        runs[-1][3][format_strategy(strategy), problem_id] += 1
+        runs[-1][2][format_strategy(strategy), problem_id] += 1
         return prove(problem, strategy, *args, problem_id=problem_id, **kwargs)
 
     def counting_parse(text, sig, path="<string>"):
-        runs[-1][4][path] += 1
+        runs[-1][3][path] += 1
         return parse_problem(text, sig, path)
 
     monkeypatch.setattr(pipeline, "run_corpus", counting_run_corpus)
@@ -84,11 +83,12 @@ def test_a_corpus_run_proves_each_pair_once_and_parses_once_per_snapshot(
                      "-o", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     assert len(runs) == 2  # round 0 and the round-1 grid
-    for problems, strategies, snapshots, proves, parses in runs:
+    for problems, strategies, proves, parses in runs:
         assert proves == Counter({(format_strategy(s), p.pid): 1
                                   for s in strategies.values()
                                   for p in problems})
-        assert set(parses) == {p.path for p in problems}
-        assert max(parses.values()) <= len(snapshots)
-    # the grid holds the base strategy, with no model, and the learned rows
-    assert len(runs[1][2]) == 2
+        assert parses == Counter({p.path: 1 for p in problems})
+    # the grid's base strategy, without a model, and its learned rows
+    # share that one parse
+    assert all(cef.model is None for _, cef in runs[1][1]["0"].entries)
+    assert len(runs[1][1]) > 1

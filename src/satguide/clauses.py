@@ -1,10 +1,12 @@
 """First-order terms, literals, clauses, and the shared interned signature.
 
 Every symbol that appears in a term or literal is registered in a
-:class:`Signature`, which hands out dense, stable integer ids.  Four marker
-symbols are reserved at ids 0-3: one standing for all variables, one for all
-Skolem functions, and one for each literal polarity.  The featurizer relies
-on these ids being fixed.
+:class:`Signature`, the symbol table, which hands out dense, stable integer
+ids.  Four marker symbols are reserved at ids 0-3: one standing for all
+variables, one for all Skolem functions, and one for each literal polarity.
+The featurizer relies on these ids being fixed.  A :class:`SymbolMap` is the
+one thing that turns a signature's symbol ids into feature labels: the ids
+of a snapshot's table, with Skolem functions collapsed to their marker.
 """
 
 from __future__ import annotations
@@ -84,16 +86,14 @@ class Signature:
 
     A signature is single-writer while clauses are being read or generated;
     once frozen into a :class:`FrozenSignature` the snapshot is immutable and
-    can be shared freely.
+    can be shared freely.  Its Skolem prefixes are not used here; they go
+    into the snapshot, where a :class:`SymbolMap` reads them.
     """
 
     def __init__(self, skolem_prefixes: tuple[str, ...] = DEFAULT_SKOLEM_PREFIXES):
         self.skolem_prefixes = tuple(skolem_prefixes)
         self._symbols: list[Symbol] = []
         self._lookup: dict[str, int] = {}
-        # per-symbol label used in feature trees (Skolem functions collapse
-        # to the Skolem marker, everything else labels as itself)
-        self._feature_labels: list[int] = []
         for marker in _MARKERS:
             self._append(marker.name, marker.arity, marker.kind)
 
@@ -101,10 +101,6 @@ class Signature:
         sym_id = len(self._symbols)
         self._symbols.append(Symbol(sym_id, name, arity, kind))
         self._lookup[name] = sym_id
-        if kind == KIND_FUNCTION and self.is_skolem(name):
-            self._feature_labels.append(SKOLEM_MARKER)
-        else:
-            self._feature_labels.append(sym_id)
         return sym_id
 
     @property
@@ -125,18 +121,11 @@ class Signature:
             return existing
         return self._append(name, arity, kind)
 
-    def is_skolem(self, name: str) -> bool:
-        """Whether ``name`` looks like a Skolem symbol (by name prefix)."""
-        return name.startswith(self.skolem_prefixes)
-
     def symbol(self, sym_id: int) -> Symbol:
         return self._symbols[sym_id]
 
     def name_of(self, sym_id: int) -> str:
         return self._symbols[sym_id].name
-
-    def feature_label(self, sym_id: int) -> int:
-        return self._feature_labels[sym_id]
 
     def display_name(self, sym_id: int) -> str:
         """Name used in debug output; markers render as their glyphs."""
@@ -160,11 +149,13 @@ class SymbolMap:
     """The feature labels that a model's snapshot gives a signature's
     symbols, matched by name, arity and kind.
 
-    A function symbol that the snapshot's Skolem prefixes match labels as
-    the Skolem marker.  A symbol the snapshot does not know gets its own id
-    past the snapshot's end, so vectorizing against the snapshot drops its
-    feature triples.  The map covers the symbols registered when it is
-    built.
+    This is the one labeller: training and ``featurize`` map a signature
+    into its own snapshot, where every symbol keeps its id, and a guided
+    search maps the problem's signature into its model's.  A function
+    symbol that the snapshot's Skolem prefixes match labels as the Skolem
+    marker.  A symbol the snapshot does not know gets its own id past the
+    snapshot's end, so vectorizing against the snapshot drops its feature
+    triples.  The map covers the symbols registered when it is built.
     """
 
     def __init__(self, sig: Signature, frozen: FrozenSignature):

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import pipeline, saturation, svm, tptp
-from .clauses import DEFAULT_SKOLEM_PREFIXES, Signature
+from .clauses import DEFAULT_SKOLEM_PREFIXES, Signature, SymbolMap
 from .features import (
     FormatError, clause_features, format_multiset, read_examples,
     write_examples,
@@ -103,8 +103,9 @@ def _strategy(spec: str):
 def cmd_featurize(args) -> int:
     sig = _skolem_signature(args)
     clauses = tptp.parse_problem(_read_text(args.problem), sig, args.problem)
+    symbols = SymbolMap(sig, sig.freeze())
     for clause in clauses:
-        counts = clause_features(clause, sig)
+        counts = clause_features(clause, symbols)
         print(f"% clause {clause.id}: {tptp.format_clause(clause, sig)}")
         print(format_multiset(counts, sig))
     return 0

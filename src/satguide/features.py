@@ -7,8 +7,9 @@ literal are all parent/child/grandchild label chains in that tree, counted
 with multiplicity; a clause's features are the multiset union over its
 literals.  Trees too shallow to contain a three-node chain (propositional
 atoms) yield a single chain padded with the reserved symbol EPSILON, so no
-literal is featureless.  Symbols are labelled by their own signature, or
-by a :class:`SymbolMap` of it into a model's snapshot.
+literal is featureless.  Symbols are labelled through a :class:`SymbolMap`
+of their signature into a snapshot: the training signature's own for
+training and ``featurize``, the model's for guided proving.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ class FormatError(Exception):
     """A data file (examples, model) is malformed."""
 
 
-def literal_features(lit: Literal,
-                     sig: Signature | SymbolMap) -> FeatureMultiset:
+def literal_features(lit: Literal, symbols: SymbolMap) -> FeatureMultiset:
     """All three-node directed walks of the literal's feature tree."""
     counts: FeatureMultiset = {}
     root = POS_MARKER if lit.positive else NEG_MARKER
-    pred = sig.feature_label(lit.predicate)
+    pred = symbols.feature_label(lit.predicate)
     if not lit.args:
         counts[(root, pred, EPSILON)] = 1
         return counts
@@ -55,7 +55,7 @@ def literal_features(lit: Literal,
             c = VAR_MARKER
             args = ()
         else:
-            c = sig.feature_label(t.symbol)
+            c = symbols.feature_label(t.symbol)
             args = t.args
         key = (a, b, c)
         counts[key] = counts.get(key, 0) + 1
@@ -67,12 +67,11 @@ def literal_features(lit: Literal,
     return counts
 
 
-def clause_features(clause: Clause,
-                    sig: Signature | SymbolMap) -> FeatureMultiset:
+def clause_features(clause: Clause, symbols: SymbolMap) -> FeatureMultiset:
     """Pointwise sum of the literal feature multisets."""
     counts: FeatureMultiset = {}
     for lit in clause.literals:
-        for key, n in literal_features(lit, sig).items():
+        for key, n in literal_features(lit, symbols).items():
             counts[key] = counts.get(key, 0) + n
     return counts
 

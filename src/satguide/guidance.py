@@ -7,7 +7,8 @@ next, and so on.  Each CEF ranks unprocessed clauses by its own weight;
 lower weights are selected first.
 
 The learned CEF scores a clause as gamma * len(C) + 1 if the model
-classifies it positive, gamma * len(C) + 10 otherwise.
+classifies it positive, gamma * len(C) + 10 otherwise.  :func:`evaluate`
+takes that classification from its caller and does not ask the model.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .clauses import Clause, Signature, clause_len, weighted_symbol_count
-from .svm import Model, POS, load_model, predict
+from .clauses import Clause, clause_len, weighted_symbol_count
+from .svm import Model, load_model
 
 LEARNED = "Learned"
 # weight of a clause under each CEF that needs no model, keyed by the CEF's
@@ -86,17 +87,16 @@ def next_entry_index(strategy: Strategy, step: int) -> int:
     raise AssertionError("unreachable: cycle position out of range")
 
 
-def evaluate(clause: Clause, cef: CEF, sig: Signature,
-             stats: dict | None = None, positive: bool | None = None) -> float:
+def evaluate(clause: Clause, cef: CEF, positive: bool | None = None) -> float:
     """The CEF's weight for a clause; lower means selected earlier.
 
-    ``positive`` is the learned CEF's prediction for the clause when the
-    caller already knows it; otherwise the model is asked.
+    A learned CEF needs ``positive``, its model's prediction for the clause.
     """
     if cef.kind != LEARNED:
         return PLAIN_WEIGHTS[cef.kind](clause)
-    if positive is None:
-        positive = predict(clause, cef.model, sig, stats) == POS
+    if not isinstance(positive, bool):
+        raise ValueError(f"{cef.name} needs the model's prediction, a bool, "
+                         f"not {type(positive).__name__}")
     if positive:
         return cef.gamma * clause_len(clause) + POSITIVE_WEIGHT
     return cef.gamma * clause_len(clause) + NEGATIVE_WEIGHT

@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .clauses import ArityClash, Clause, Signature
+from .clauses import ArityClash, Clause, Signature, SymbolMap
 from .features import clause_features, vectorize
 from .guidance import Strategy, baseline_strategy, learned_cef
 from .saturation import (
@@ -170,9 +170,11 @@ def boost_rows(rows: list, k: int) -> list:
 def training_set(examples: tuple[list[Clause], list[Clause]],
                  sig: Signature) -> list:
     """``(vector, label)`` rows: positives labelled +1, then negatives -1,
-    vectorized against the signature's current snapshot.  Each distinct
-    literal tuple is featurized once."""
+    vectorized against the signature's current snapshot, through the map of
+    the signature into it.  Each distinct literal tuple is featurized
+    once."""
     frozen = sig.freeze()
+    symbols = SymbolMap(sig, frozen)
     vectors: dict = {}
     rows = []
     for clauses, label in zip(examples, (1, -1)):
@@ -180,7 +182,7 @@ def training_set(examples: tuple[list[Clause], list[Clause]],
             vec = vectors.get(clause.literals)
             if vec is None:
                 vec = vectors[clause.literals] = vectorize(
-                    clause_features(clause, sig), frozen)
+                    clause_features(clause, symbols), frozen)
             rows.append((vec, label))
     return rows
 

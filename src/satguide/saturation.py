@@ -433,12 +433,14 @@ class ContentMemo:
     problem can share them: the content ids, the resolvents and factors
     made per content pair, the text per content, a plain CEF's weight per
     content and a model's prediction per content.  ``Fifo`` weighs a
-    clause by its id, so its weights are not kept.  Each model gets one
+    clause by its id, so its weights are not kept.  The memo is the one
+    place that asks a model for a prediction: each model gets one
     :class:`SymbolMap` of the signature into its snapshot, which its
-    predictions read feature labels through.  A prediction keeps the
-    number of feature triples it dropped, which each search that reuses it
-    adds to its own ``dropped_triples``.  Per-search state (fates,
-    processed clauses, queues, clause ids) stays in :func:`prove`.
+    predictions read feature labels through, and ``evaluate`` is handed
+    the prediction.  A prediction keeps the number of feature triples it
+    dropped, which each search that reuses it adds to its own
+    ``dropped_triples``.  Per-search state (fates, processed clauses,
+    queues, clause ids) stays in :func:`prove`.
     """
 
     def __init__(self, sig: Signature):
@@ -461,11 +463,10 @@ class ContentMemo:
         return self.contents.setdefault(literals, len(self.contents))
 
     def weigher(self, cef: CEF, stats: dict):
-        """``weigh(clause, content)``, equal to ``evaluate(clause, cef, sig,
-        stats)``, that reuses what the memo knows of the content."""
-        sig = self.sig
+        """``weigh(clause, content)``, the CEF's weight of the clause, that
+        reuses what the memo knows of the content."""
         if cef.kind == "Fifo":
-            return lambda clause, content: evaluate(clause, cef, sig, stats)
+            return lambda clause, content: evaluate(clause, cef)
         model = cef.model
         if model is None:
             weights = self.weights.setdefault(cef.kind, {})
@@ -473,13 +474,12 @@ class ContentMemo:
             def weigh(clause: Clause, content: int) -> float:
                 weight = weights.get(content)
                 if weight is None:
-                    weight = weights[content] = evaluate(clause, cef, sig,
-                                                         stats)
+                    weight = weights[content] = evaluate(clause, cef)
                 return weight
             return weigh
         if id(model) not in self.models:
-            self.models[id(model)] = (model, SymbolMap(sig, model.signature),
-                                      {})
+            self.models[id(model)] = (
+                model, SymbolMap(self.sig, model.signature), {})
         _, symbols, predictions = self.models[id(model)]
         weights = self.weights.setdefault((id(model), cef.gamma), {})
 
@@ -494,8 +494,8 @@ class ContentMemo:
                 stats["dropped_triples"] += prediction[1]
             weight = weights.get(content)
             if weight is None:
-                weight = weights[content] = evaluate(
-                    clause, cef, sig, positive=prediction[0])
+                weight = weights[content] = evaluate(clause, cef,
+                                                     prediction[0])
             return weight
         return weigh_learned
 
@@ -755,6 +755,11 @@ def record_from_json(data) -> ProofSearchRecord:
         if not isinstance(cid, int) or cid not in record.dag \
                 or cid not in record.clause_texts:
             raise ValueError(f"clause {cid!r} has no dag entry or no text")
+    if record.outcome == OUTCOME_PROOF and (
+            record.empty_clause is None
+            or record.clause_texts[record.empty_clause] != "$false"):
+        raise ValueError("field 'empty_clause' of a proof must name a $false "
+                         f"clause, not {record.empty_clause!r}")
     for parents in record.dag.values():
         for parent in parents:
             if not isinstance(parent, int) or parent not in record.dag:

@@ -36,8 +36,7 @@ import random
 from dataclasses import dataclass, field
 
 from .clauses import (
-    DEFAULT_SKOLEM_PREFIXES, Clause, FrozenSignature, Signature, Symbol,
-    SymbolMap,
+    DEFAULT_SKOLEM_PREFIXES, Clause, FrozenSignature, Symbol, SymbolMap,
 )
 from .features import FormatError, SparseVector, clause_features, vectorize
 
@@ -294,11 +293,11 @@ def predict_vector(model: Model, vec: SparseVector) -> str:
     return POS if score_vector(model, vec) > 0.0 else NEG
 
 
-def predict(clause: Clause, model: Model, sig: Signature | SymbolMap,
+def predict(clause: Clause, model: Model, symbols: SymbolMap,
             stats: dict | None = None) -> str:
     """Classify a clause: positive iff w'x > 0 (strict), else negative.
-    ``sig`` must label symbols as the model's snapshot does."""
-    vec = vectorize(clause_features(clause, sig), model.signature, stats)
+    ``symbols`` maps the clause's signature into the model's snapshot."""
+    vec = vectorize(clause_features(clause, symbols), model.signature, stats)
     return predict_vector(model, vec)
 
 

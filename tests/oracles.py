@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from satguide.clauses import App, NEG_MARKER, POS_MARKER, VAR_MARKER, Var
+from satguide.clauses import (
+    App, KIND_FUNCTION, NEG_MARKER, POS_MARKER, SKOLEM_MARKER, VAR_MARKER, Var,
+)
 from satguide.svm import _ACTIVE_FRACTION, NonFinite, SolverInfo
 
 _PG_FLOOR = 1e-12
@@ -238,22 +240,42 @@ class FeatureNode:
     children: tuple["FeatureNode", ...] = ()
 
 
+def _label(sym_id, sig):
+    """A function symbol named with one of the signature's Skolem prefixes
+    labels as the Skolem marker; every other symbol labels as its id."""
+    sym = sig.symbol(sym_id)
+    if sym.kind == KIND_FUNCTION and sym.name.startswith(sig.skolem_prefixes):
+        return SKOLEM_MARKER
+    return sym_id
+
+
+class OwnLabels:
+    """A signature's own feature labels, by the rule of :func:`_label`; it
+    reads the symbol table at each call, so it covers later symbols too."""
+
+    def __init__(self, sig):
+        self.sig = sig
+
+    def feature_label(self, sym_id):
+        return _label(sym_id, self.sig)
+
+
 def _term_node(t, sig):
     if isinstance(t, Var):
         return FeatureNode(VAR_MARKER)
-    label = sig.feature_label(t.symbol)
-    return FeatureNode(label, tuple(_term_node(a, sig) for a in t.args))
+    return FeatureNode(_label(t.symbol, sig),
+                       tuple(_term_node(a, sig) for a in t.args))
 
 
 def feature_tree(lit, sig):
     """The literal's syntax tree with polarity root and relabeled leaves.
 
-    Built as an explicit tree, so its walks check the direct walk in
-    ``features.literal_features``; only the symbol labels come from the
-    signature.
+    Built as an explicit tree, with symbol labels by its own rule, so its
+    walks check the direct walk in ``features.literal_features`` and the
+    labels of ``clauses.SymbolMap``.
     """
     root = POS_MARKER if lit.positive else NEG_MARKER
-    pred = FeatureNode(sig.feature_label(lit.predicate),
+    pred = FeatureNode(_label(lit.predicate, sig),
                        tuple(_term_node(a, sig) for a in lit.args))
     return FeatureNode(root, (pred,))
 

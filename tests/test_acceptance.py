@@ -18,7 +18,7 @@ from oracles import (
 )
 from satguide.clauses import (
     App, KIND_FUNCTION, KIND_PREDICATE, NEG_MARKER, POS_MARKER,
-    SKOLEM_MARKER, Signature, VAR_MARKER, clause_len,
+    SKOLEM_MARKER, Signature, SymbolMap, VAR_MARKER, clause_len,
 )
 from satguide.features import (
     EPSILON, feature_index, literal_features,
@@ -60,14 +60,16 @@ def parse_one(text, sig):
 def test_criterion_01_feature_extraction_goldens():
     sig = Signature()
     p = parse_lit("p(X)", sig)
-    assert literal_features(p, sig) == {(POS_MARKER, p.predicate, VAR_MARKER): 1}
+    assert literal_features(p, SymbolMap(sig, sig.freeze())) == \
+        {(POS_MARKER, p.predicate, VAR_MARKER): 1}
     q = parse_lit("~q(X,Y)", sig)
-    assert literal_features(q, sig) == {(NEG_MARKER, q.predicate, VAR_MARKER): 2}
+    assert literal_features(q, SymbolMap(sig, sig.freeze())) == \
+        {(NEG_MARKER, q.predicate, VAR_MARKER): 2}
     eq_lit = parse_lit("f(X,Y) = g(sko1,sko2(X))", sig)
     eq = sig.intern_symbol("=", 2, KIND_PREDICATE)
     f = sig.intern_symbol("f", 2, KIND_FUNCTION)
     g = sig.intern_symbol("g", 2, KIND_FUNCTION)
-    assert literal_features(eq_lit, sig) == {
+    assert literal_features(eq_lit, SymbolMap(sig, sig.freeze())) == {
         (POS_MARKER, eq, f): 1,
         (POS_MARKER, eq, g): 1,
         (eq, f, VAR_MARKER): 2,
@@ -144,7 +146,7 @@ def test_criterion_04_prediction_rule_is_strict():
     assert predict_vector(model, tie) == NEG
     assert predict_vector(model, ()) == NEG
     empty_clause = parse_problem("cnf(e, axiom, $false).", sig)[0]
-    assert predict(empty_clause, model, sig) == NEG
+    assert predict(empty_clause, model, SymbolMap(sig, frozen)) == NEG
     report(4, "positive iff w'x > 0, strictly; ties and empty vectors negative")
 
 
@@ -155,13 +157,15 @@ def test_criterion_05_guidance_arithmetic_over_the_grids():
     positives = [parse_one(t, sig) for t in pos_texts]
     negatives = [parse_one(t, sig) for t in neg_texts]
     model = train_from_examples((positives, negatives), sig)
+    symbols = SymbolMap(sig, model.signature)
     clauses = positives + negatives
     checked = 0
     for gamma in GAMMA_GRID:
         for clause in clauses:
-            pre = evaluate(clause, learned_cef(model, 0.0), sig)
+            positive = predict(clause, model, symbols) == POS
+            pre = evaluate(clause, learned_cef(model, 0.0), positive)
             assert pre in (POSITIVE_WEIGHT, NEGATIVE_WEIGHT)
-            assert evaluate(clause, learned_cef(model, gamma), sig) == \
+            assert evaluate(clause, learned_cef(model, gamma), positive) == \
                 gamma * clause_len(clause) + pre
             checked += 1
     # every frequency in the grid yields an exact round-robin block
@@ -332,10 +336,11 @@ def test_criterion_10_featurize_and_predict_throughput():
     positives = clauses[:100]
     negatives = clauses[100:]
     model = train_from_examples((positives, negatives), sig)
+    symbols = SymbolMap(sig, model.signature)
 
     def run_once():
         for clause in clauses:
-            predict(clause, model, sig)
+            predict(clause, model, symbols)
 
     run_once()  # warm up
     repeats = 25

@@ -45,13 +45,16 @@ def test_intern_rejects_arity_and_kind_clashes():
 
 
 def test_skolem_detection_by_prefix():
-    sig = Signature()
-    assert sig.is_skolem("sko1")
-    assert sig.is_skolem("esk2_0")
-    assert not sig.is_skolem("f")
-    custom = Signature(skolem_prefixes=("mysk",))
-    assert custom.is_skolem("mysk9")
-    assert not custom.is_skolem("sko1")
+    def is_skolem(name, prefixes=DEFAULT_SKOLEM_PREFIXES):
+        sig = Signature(prefixes)
+        sym_id = sig.intern_symbol(name, 0, KIND_FUNCTION)
+        return SymbolMap(sig, sig.freeze()).feature_label(sym_id) == SKOLEM_MARKER
+
+    assert is_skolem("sko1")
+    assert is_skolem("esk2_0")
+    assert not is_skolem("f")
+    assert is_skolem("mysk9", ("mysk",))
+    assert not is_skolem("sko1", ("mysk",))
 
 
 def test_freeze_and_thaw_round_trip():
@@ -68,7 +71,8 @@ def test_freeze_and_thaw_round_trip():
         assert thawed.size == sig.size
         assert thawed.name_of(4) == "f"
         assert thawed.skolem_prefixes == prefixes
-        assert thawed.feature_label(4) == sig.feature_label(4)
+        assert SymbolMap(thawed, frozen).feature_label(4) == \
+            SymbolMap(sig, frozen).feature_label(4)
         # the thawed signature keeps growing past the snapshot
         assert thawed.intern_symbol("q", 0, KIND_PREDICATE) == 6
 

@@ -12,7 +12,7 @@ import pytest
 import satguide
 from satguide import pipeline
 from satguide.cli import main
-from satguide.clauses import Signature
+from satguide.clauses import Signature, SymbolMap
 from satguide.features import clause_features, format_multiset
 from satguide.guidance import baseline_strategy
 from satguide.saturation import Limits
@@ -133,7 +133,8 @@ def test_model_keeps_the_skolem_prefixes_it_was_trained_with(tmp_path, capsys):
     assert run(capsys, "train", str(examples), "-o", str(model))[0] == 0
     sig = Signature.from_frozen(load_model(str(model)).signature)
     clause = parse_problem("cnf(c, axiom, (p(h(c0)))).", sig)[0]
-    assert format_multiset(clause_features(clause, sig), sig) \
+    assert format_multiset(clause_features(clause, SymbolMap(sig, sig.freeze())),
+                           sig) \
         == "{(⊕,p,⊙) ↦ 1, (p,⊙,c0) ↦ 1}"
 
 
@@ -289,11 +290,15 @@ def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
      "clause 0 must be str, not int"),
     (lambda r: dict(r, dag={**r["dag"], "x": []}),
      "field 'dag' has key 'x', not a clause id"),
+    (lambda r: dict(r, empty_clause=None),
+     "field 'empty_clause' of a proof must name a $false clause, not None"),
+    (lambda r: dict(r, empty_clause=r["given_sequence"][0]),
+     "field 'empty_clause' of a proof must name a $false clause, not 0"),
 ], ids=["no-problem-key", "empty-clause-not-in-dag",
         "given-clause-without-text", "parent-not-in-dag", "record-not-an-object",
         "dag-a-list", "given-sequence-an-int", "given-id-a-list",
         "dag-parents-an-int", "dag-parent-a-list", "clause-text-a-number",
-        "dag-key-not-an-id"])
+        "dag-key-not-an-id", "empty-clause-null", "empty-clause-not-false"])
 def test_extract_on_a_malformed_record_is_a_usage_error(tmp_path, capsys,
                                                         breaks, reason):
     problem = tmp_path / "chain.p"

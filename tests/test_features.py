@@ -8,7 +8,7 @@ import pytest
 
 from satguide.clauses import (
     KIND_FUNCTION, KIND_PREDICATE, NEG_MARKER, POS_MARKER, SKOLEM_MARKER,
-    Signature, VAR_MARKER,
+    Signature, SymbolMap, VAR_MARKER,
 )
 from oracles import FeatureNode, feature_tree
 from satguide.features import (
@@ -26,6 +26,14 @@ def parse_lit(text, sig):
 
 def parse_one(text, sig):
     return parse_problem(f"cnf(c, axiom, ({text})).", sig)[0]
+
+
+def own(sig):
+    """The map of a signature into its own snapshot, as training labels it.
+
+    A map covers the symbols registered when it is built, so each call
+    site builds it after its parse."""
+    return SymbolMap(sig, sig.freeze())
 
 
 def tree_walks(node):
@@ -62,9 +70,9 @@ def test_literal_features_golden_singletons():
     sig = Signature()
     p = parse_lit("p(X)", sig)
     pid = p.predicate
-    assert literal_features(p, sig) == {(POS_MARKER, pid, VAR_MARKER): 1}
+    assert literal_features(p, own(sig)) == {(POS_MARKER, pid, VAR_MARKER): 1}
     q = parse_lit("~q(X,Y)", sig)
-    assert literal_features(q, sig) == {(NEG_MARKER, q.predicate, VAR_MARKER): 2}
+    assert literal_features(q, own(sig)) == {(NEG_MARKER, q.predicate, VAR_MARKER): 2}
 
 
 def test_literal_features_golden_equality():
@@ -73,7 +81,7 @@ def test_literal_features_golden_equality():
     eq = sig.intern_symbol("=", 2, KIND_PREDICATE)
     f = sig.intern_symbol("f", 2, KIND_FUNCTION)
     g = sig.intern_symbol("g", 2, KIND_FUNCTION)
-    assert literal_features(lit, sig) == {
+    assert literal_features(lit, own(sig)) == {
         (POS_MARKER, eq, f): 1,
         (POS_MARKER, eq, g): 1,
         (eq, f, VAR_MARKER): 2,
@@ -85,20 +93,20 @@ def test_literal_features_golden_equality():
 def test_propositional_literals_are_padded():
     sig = Signature()
     lit = parse_lit("p0", sig)
-    assert literal_features(lit, sig) == {(POS_MARKER, lit.predicate, EPSILON): 1}
+    assert literal_features(lit, own(sig)) == {(POS_MARKER, lit.predicate, EPSILON): 1}
     neg = parse_lit("~p0", sig)
-    assert literal_features(neg, sig) == {(NEG_MARKER, neg.predicate, EPSILON): 1}
+    assert literal_features(neg, own(sig)) == {(NEG_MARKER, neg.predicate, EPSILON): 1}
 
 
 def test_clause_features_union_and_empty():
     sig = Signature()
     clause = parse_one("p(X) | p(Y)", sig)
     pid = clause.literals[0].predicate
-    assert clause_features(clause, sig) == {(POS_MARKER, pid, VAR_MARKER): 2}
-    assert clause_features(parse_one("$false", sig), sig) == {}
+    assert clause_features(clause, own(sig)) == {(POS_MARKER, pid, VAR_MARKER): 2}
+    assert clause_features(parse_one("$false", sig), own(sig)) == {}
     single = parse_one("f(X,Y) = g(sko1,sko2(X))", sig)
     (lit,) = single.literals
-    assert clause_features(single, sig) == literal_features(lit, sig)
+    assert clause_features(single, own(sig)) == literal_features(lit, own(sig))
 
 
 def test_walk_count_conservation_against_tree_oracle():
@@ -114,7 +122,7 @@ def test_walk_count_conservation_against_tree_oracle():
             for _ in range(rng.randint(1, 4))))
     for text in texts:
         clause = parse_one(text, sig)
-        counts = clause_features(clause, sig)
+        counts = clause_features(clause, own(sig))
         expected = {}
         total_walks = 0
         for lit in clause.literals:
@@ -138,7 +146,7 @@ def test_literal_order_and_variable_names_do_not_matter():
     sig = Signature()
     a = parse_one("p(X) | ~q(X, f(Y,a))", sig)
     b = parse_one("~q(U, f(V,a)) | p(U)", sig)
-    assert clause_features(a, sig) == clause_features(b, sig)
+    assert clause_features(a, own(sig)) == clause_features(b, own(sig))
 
 
 def test_feature_index_formula_and_bounds():
@@ -166,13 +174,13 @@ def test_vectorize_golden_and_determinism():
     sig = Signature()
     clause = parse_one("f(X,Y) = g(sko1,sko2(X))", sig)
     frozen = sig.freeze()
-    counts = clause_features(clause, sig)
+    counts = clause_features(clause, own(sig))
     vec = vectorize(counts, frozen)
     assert len(vec) == 5
     assert sum(n for _, n in vec) == 7
     assert list(vec) == sorted(vec)
     assert all(1 <= i <= frozen.dimension for i, _ in vec)
-    again = vectorize(clause_features(clause, sig), frozen)
+    again = vectorize(clause_features(clause, own(sig)), frozen)
     assert again == vec
     assert vectorize({}, frozen) == ()
     assert vectorize({(0, 0, 0): 3}, frozen) == ((1, 3),)
@@ -185,13 +193,14 @@ def test_vectorize_drops_unknown_symbols_with_counter():
     # new predicate appears only after the freeze
     later = parse_one("brandnew(a) | p(a)", sig)
     stats = {}
-    vec = vectorize(clause_features(later, sig), frozen, stats)
+    vec = vectorize(clause_features(later, SymbolMap(sig, frozen)), frozen, stats)
     assert stats["dropped_triples"] == 1
     assert sum(n for _, n in vec) == 1  # only the p(a) walk survives
     # unknown Skolem functions collapse to the marker instead of dropping
     sko = parse_one("p(sko99)", sig)
     stats2 = {}
-    vec2 = vectorize(clause_features(sko, sig), frozen, stats2)
+    vec2 = vectorize(clause_features(sko, SymbolMap(sig, frozen)), frozen,
+                     stats2)
     assert "dropped_triples" not in stats2
     assert sum(n for _, n in vec2) == 1
 
@@ -253,5 +262,5 @@ def test_examples_file_parses_each_distinct_line_once(tmp_path):
 def test_format_multiset_debug_view():
     sig = Signature()
     clause = parse_one("p(X)", sig)
-    out = format_multiset(clause_features(clause, sig), sig)
+    out = format_multiset(clause_features(clause, own(sig)), sig)
     assert out == "{(⊕,p,⊛) ↦ 1}"

@@ -4,13 +4,13 @@ import itertools
 
 import pytest
 
-from satguide.clauses import Signature, clause_len
+from satguide.clauses import Signature, SymbolMap, clause_len
 from satguide.guidance import (
     CEF, NEGATIVE_WEIGHT, POSITIVE_WEIGHT, Strategy, baseline_strategy,
     evaluate, format_strategy, learned_cef, next_entry_index, parse_strategy,
 )
 from satguide.pipeline import train_from_examples
-from satguide.svm import save_model
+from satguide.svm import POS, predict, save_model
 from satguide.tptp import parse_problem
 
 GAMMA_GRID = [0, 0.1, 0.2, 0.4, 0.7, 1, 2, 4, 8]
@@ -33,34 +33,48 @@ def trained():
     return sig, clauses, model
 
 
+def positive(clause, model, sig):
+    """The model's prediction for a clause of ``sig``, as a search makes it.
+
+    The map is built at each call, so it covers every symbol parsed so far."""
+    return predict(clause, model, SymbolMap(sig, model.signature)) == POS
+
+
 def test_preweight_is_one_or_ten(trained):
     sig, clauses, model = trained
     pre = learned_cef(model, 0.0)
-    assert evaluate(clauses[0], pre, sig) == POSITIVE_WEIGHT
-    assert evaluate(clauses[2], pre, sig) == NEGATIVE_WEIGHT
+    assert evaluate(clauses[0], pre, positive(clauses[0], model, sig)) \
+        == POSITIVE_WEIGHT
+    assert evaluate(clauses[2], pre, positive(clauses[2], model, sig)) \
+        == NEGATIVE_WEIGHT
     # the empty clause scores 0, which is a negative classification
-    assert evaluate(clauses[5], pre, sig) == NEGATIVE_WEIGHT
+    assert evaluate(clauses[5], pre, positive(clauses[5], model, sig)) \
+        == NEGATIVE_WEIGHT
 
 
 def test_weight_formula(trained):
     sig, clauses, model = trained
     good = clauses[0]
     assert clause_len(good) == 2
-    assert evaluate(good, learned_cef(model, 0.2), sig) == \
-        pytest.approx(0.2 * 2 + 1)
-    assert evaluate(good, learned_cef(model, 0.0), sig) == 1.0
+    assert evaluate(good, learned_cef(model, 0.2),
+                    positive(good, model, sig)) == pytest.approx(0.2 * 2 + 1)
+    assert evaluate(good, learned_cef(model, 0.0),
+                    positive(good, model, sig)) == 1.0
     bad = clauses[2]
-    assert evaluate(bad, learned_cef(model, 0.0), sig) == 10.0
-    assert evaluate(bad, learned_cef(model, 8), sig) == \
-        pytest.approx(8 * 2 + 10)
+    assert evaluate(bad, learned_cef(model, 0.0),
+                    positive(bad, model, sig)) == 10.0
+    assert evaluate(bad, learned_cef(model, 8),
+                    positive(bad, model, sig)) == pytest.approx(8 * 2 + 10)
 
 
 def test_weight_over_full_gamma_grid(trained):
     sig, clauses, model = trained
     for gamma in GAMMA_GRID:
         for clause in clauses[:4]:
-            pre = evaluate(clause, learned_cef(model, 0.0), sig)
-            assert evaluate(clause, learned_cef(model, gamma), sig) == \
+            pre = evaluate(clause, learned_cef(model, 0.0),
+                           positive(clause, model, sig))
+            assert evaluate(clause, learned_cef(model, gamma),
+                            positive(clause, model, sig)) == \
                 gamma * clause_len(clause) + pre
 
 
@@ -70,21 +84,26 @@ def test_weight_monotone_in_length_for_fixed_class(trained):
     clauses = [parse_problem(f"cnf(c, axiom, ({t})).", sig)[0] for t in texts]
     lens = [clause_len(c) for c in clauses]
     assert lens == sorted(lens) and len(set(lens)) == 3
-    pres = {evaluate(c, learned_cef(model, 0.0), sig) for c in clauses}
+    pres = {evaluate(c, learned_cef(model, 0.0), positive(c, model, sig))
+            for c in clauses}
     if len(pres) == 1:  # same classification: strictly increasing weight
-        ws = [evaluate(c, learned_cef(model, 0.5), sig) for c in clauses]
+        ws = [evaluate(c, learned_cef(model, 0.5), positive(c, model, sig))
+              for c in clauses]
         assert ws == sorted(ws) and len(set(ws)) == 3
 
 
 def test_classification_dominance_at_gamma_zero(trained):
     sig, clauses, model = trained
     cef = learned_cef(model, 0.0)
-    positives = [c for c in clauses[:4] if evaluate(c, cef, sig) == 1.0]
-    negatives = [c for c in clauses[:4] if evaluate(c, cef, sig) == 10.0]
+    positives = [c for c in clauses[:4]
+                 if evaluate(c, cef, positive(c, model, sig)) == 1.0]
+    negatives = [c for c in clauses[:4]
+                 if evaluate(c, cef, positive(c, model, sig)) == 10.0]
     assert positives and negatives
     for p in positives:
         for n in negatives:
-            assert evaluate(p, cef, sig) < evaluate(n, cef, sig)
+            assert evaluate(p, cef, positive(p, model, sig)) \
+                < evaluate(n, cef, positive(n, model, sig))
 
 
 def test_round_robin_block_schedule():
@@ -116,21 +135,29 @@ def test_evaluate_dispatch(trained):
     clause = clauses[0]
     clause17 = parse_problem("cnf(c, axiom, (good(q))).", sig)[0]
     clause17.id = 17
-    assert evaluate(clause17, CEF("Fifo"), sig) == 17.0
-    assert evaluate(clause, CEF("ClauseLen"), sig) == 2.0
+    assert evaluate(clause17, CEF("Fifo")) == 17.0
+    assert evaluate(clause, CEF("ClauseLen")) == 2.0
     pc = parse_problem("cnf(c, axiom, (good(X))).", sig)[0]
-    assert evaluate(pc, CEF("SymbolCount"), sig) == 1.5
+    assert evaluate(pc, CEF("SymbolCount")) == 1.5
     cef = learned_cef(model, 0.2)
-    assert evaluate(clause, cef, sig) == \
+    assert evaluate(clause, cef, positive(clause, model, sig)) == \
         0.2 * clause_len(clause) + POSITIVE_WEIGHT
+
+
+def test_a_learned_cef_needs_the_prediction(trained):
+    _, clauses, model = trained
+    with pytest.raises(ValueError, match="needs the model's prediction"):
+        evaluate(clauses[0], learned_cef(model, 0.2))
 
 
 def test_learned_weight_on_long_equality_clause(trained):
     sig, clauses, model = trained
     eq_clause = clauses[4]
     assert clause_len(eq_clause) == 8
-    got = evaluate(eq_clause, learned_cef(model, 0.2), sig)
-    pre = evaluate(eq_clause, learned_cef(model, 0.0), sig)
+    got = evaluate(eq_clause, learned_cef(model, 0.2),
+                   positive(eq_clause, model, sig))
+    pre = evaluate(eq_clause, learned_cef(model, 0.0),
+                   positive(eq_clause, model, sig))
     assert got == pytest.approx(0.2 * 8 + pre)
     if pre == 1.0:
         assert got == pytest.approx(2.6)
@@ -147,7 +174,8 @@ def test_argmin_invariance_under_weight_scaling(trained):
 
     def argmin(scale):
         best = min(clauses,
-                   key=lambda c: (scale * evaluate(c, cef, sig), c.id))
+                   key=lambda c: (scale * evaluate(
+                       c, cef, positive(c, model, sig)), c.id))
         return best.id
 
     assert argmin(1.0) == argmin(3.5) == argmin(0.25)

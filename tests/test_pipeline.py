@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brute_force_min_cover
+from oracles import OwnLabels, brute_force_min_cover
 from satguide import pipeline, saturation
-from satguide.clauses import Signature
+from satguide.clauses import Signature, SymbolMap
 from satguide.features import clause_features, vectorize
 from satguide.guidance import Strategy, baseline_strategy, learned_cef
 from satguide.pipeline import (
@@ -19,6 +19,7 @@ from satguide.pipeline import (
     training_set, train_from_examples,
 )
 from satguide.saturation import Limits, OUTCOME_PROOF, prove, record_to_json
+from satguide.svm import predict
 from satguide.tptp import parse_problem
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
@@ -230,7 +231,8 @@ def test_pooling_parses_each_text_once_and_featurizes_each_clause_once(
         assert [(c.id, c.literals, c.parents) for c in got] \
             == [(c.id, c.literals, c.parents) for c in want]
     frozen = own.freeze()
-    assert rows == [(vectorize(clause_features(clause, own), frozen), label)
+    symbols = SymbolMap(own, frozen)
+    assert rows == [(vectorize(clause_features(clause, symbols), frozen), label)
                     for clauses, label in zip(expected, (1, -1))
                     for clause in clauses]
 
@@ -305,6 +307,30 @@ def test_run_corpus_records_equal_independent_searches(tmp_path, corpus,
                for p in problems)
 
 
+def test_a_fresh_signature_predicts_through_the_map_as_in_the_models(
+        corpus, trained_on_corpus):
+    # each fixture problem parsed into a fresh signature and read through
+    # the map classifies every input clause as the same clauses parsed
+    # into the model's signature and labelled by it; the fresh signature's
+    # own labels misalign with the model's table
+    _, _, _, model = trained_on_corpus
+    misaligned = 0
+    for problem in corpus:
+        text = Path(problem.path).read_text()
+        fresh = Signature()
+        clauses = parse_problem(text, fresh, problem.path)
+        thawed = Signature.from_frozen(model.signature)
+        reference = parse_problem(text, thawed, problem.path)
+        symbols = SymbolMap(fresh, model.signature)
+        for clause, same in zip(clauses, reference, strict=True):
+            want = predict(same, model, OwnLabels(thawed))
+            assert predict(clause, model, symbols) == want, problem.pid
+            assert predict(same, model,
+                           SymbolMap(thawed, model.signature)) == want
+            misaligned += predict(clause, model, OwnLabels(fresh)) != want
+    assert misaligned > 0
+
+
 def test_run_corpus_records_equal_searches_in_the_models_signature(
         tmp_path, monkeypatch, corpus, corpus_limits, trained_on_corpus):
     # a guided search used to parse its problem into its model's signature
@@ -367,7 +393,8 @@ def test_run_corpus_records_equal_searches_in_the_models_signature(
                                     problem.path)
             with monkeypatch.context() as patch:
                 # no map: the signature's own labels
-                patch.setattr(saturation, "SymbolMap", lambda sig, _: sig)
+                patch.setattr(saturation, "SymbolMap",
+                              lambda sig, _: OwnLabels(sig))
                 alone = prove(clauses, strategies[key], corpus_limits, sig,
                               problem_id=pid)
         else:

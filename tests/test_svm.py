@@ -12,7 +12,7 @@ from oracles import (
     numpy_dcd_reference, svm_primal_value, svm_reference_minimizer,
 )
 from satguide import svm
-from satguide.clauses import DEFAULT_SKOLEM_PREFIXES, Signature
+from satguide.clauses import DEFAULT_SKOLEM_PREFIXES, Signature, SymbolMap
 from satguide.features import FormatError
 from satguide.pipeline import train_from_examples
 from satguide.svm import (
@@ -256,10 +256,11 @@ def test_train_and_predict_on_clauses():
     sig = Signature()
     pos, neg = clause_sets(sig)
     model = train_from_examples((pos, neg), sig)
+    symbols = SymbolMap(sig, model.signature)
     for clause in pos:
-        assert predict(clause, model, sig) == POS
+        assert predict(clause, model, symbols) == POS
     for clause in neg:
-        assert predict(clause, model, sig) == NEG
+        assert predict(clause, model, symbols) == NEG
 
 
 def test_train_requires_both_classes_and_sane_signature():
@@ -283,9 +284,11 @@ def test_large_signature_trains_and_round_trips(tmp_path):
     save_model(model, str(path))
     loaded = load_model(str(path))
     assert loaded.w == model.w and loaded.signature == model.signature
+    symbols = SymbolMap(sig, model.signature)
     for clause in clauses:
-        assert predict(clause, loaded, sig) == predict(clause, model, sig)
-    assert all(predict(c, model, sig) == POS for c in pos)
+        assert predict(clause, loaded, symbols) == \
+            predict(clause, model, symbols)
+    assert all(predict(c, model, symbols) == POS for c in pos)
 
 
 def test_unconverged_training_warns(caplog):
@@ -307,9 +310,9 @@ def test_predict_tie_is_negative():
     model = train_from_examples((pos, neg), sig)
     model.w.clear()
     for clause in pos + neg:
-        assert predict(clause, model, sig) == NEG
+        assert predict(clause, model, SymbolMap(sig, model.signature)) == NEG
     empty = parse_problem("cnf(e, axiom, $false).", sig)[0]
-    assert predict(empty, model, sig) == NEG
+    assert predict(empty, model, SymbolMap(sig, model.signature)) == NEG
 
 
 def test_score_vector_golden():
@@ -356,6 +359,18 @@ def test_accuracy_scores_each_distinct_vector_once(monkeypatch):
     assert report.negative_recall == 2 / 3
 
 
+def test_predict_refuses_a_signature_for_a_symbol_map():
+    # a signature's ids are not the model's feature labels, so it is not
+    # taken in place of a map into the model's snapshot
+    sig = Signature()
+    pos, neg = clause_sets(sig)
+    model = train_from_examples((pos, neg), sig)
+    fresh = Signature()
+    (clause,) = parse_problem("cnf(c, axiom, (good(a))).", fresh)
+    with pytest.raises(AttributeError, match="feature_label"):
+        predict(clause, model, fresh)
+
+
 def test_model_save_load_round_trip(tmp_path):
     sig = Signature()
     pos, neg = clause_sets(sig)
@@ -366,8 +381,10 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.w == model.w
     assert loaded.signature == model.signature
     assert loaded.c == model.c and loaded.epochs == model.epochs
+    symbols = SymbolMap(sig, model.signature)
     for clause in pos + neg:
-        assert predict(clause, loaded, sig) == predict(clause, model, sig)
+        assert predict(clause, loaded, symbols) == \
+            predict(clause, model, symbols)
 
 
 def test_model_without_skolem_prefixes_reads_the_defaults(tmp_path):

@@ -29,13 +29,16 @@ this.
 
 The content ids, the derived clauses, the printed texts and each CEF's
 weights (for a learned CEF, the model's predictions) per content live in
-a :class:`ContentMemo`.  They depend only on a content and the problem's
-signature, so the searches of one problem can share a memo: a corpus run
-gives each problem one memo for all its strategies.  A learned CEF reads
-the problem's symbols through a :class:`SymbolMap` into its model's
-snapshot, matched by name.  A candidate's fate stays per search, since it
-depends on that search's processed set.  A search without a memo makes
-its own, and the records are the same either way.
+a :class:`ContentMemo`, and so does the loop's bookkeeping per content:
+a processed content's primed copy, literal keys and pattern mask, and a
+candidate content's literal count, depth, tautology flag and instance
+mask.  All of it depends only on a content and the problem's signature,
+so the searches of one problem can share a memo: a corpus run gives each
+problem one memo for all its strategies.  A learned CEF reads the
+problem's symbols through a :class:`SymbolMap` into its model's snapshot,
+matched by name.  A candidate's fate stays per search, since it depends
+on that search's processed set and limits.  A search without a memo
+makes its own, and the records are the same either way.
 
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
@@ -385,42 +388,57 @@ class _Processed:
     literal, so :meth:`partners` visits only clauses that can resolve with
     the given clause, in slot order.  Only the first processed clause of
     each content is a subsumer: equal clauses subsume the same candidates.
+    What depends only on a content (primed copies, keys, masks) comes from
+    the :class:`ContentMemo`, shared with the problem's other searches;
+    the slots, the index and the subsumers are this search's own.
     """
 
-    def __init__(self):
+    def __init__(self, memo: ContentMemo):
+        self.memo = memo
         # (clause, primed copy, content id) by slot
         self.slots: list[tuple[Clause, tuple[Literal, ...], int]] = []
         self.by_key: dict[tuple[bool, int], list[int]] = {}
-        # (clause, pattern mask), one per processed content
-        self.subsumers: list[tuple[Clause, int]] = []
+        # (clause, pattern mask, literal count), one per processed content
+        self.subsumers: list[tuple[Clause, int, int]] = []
         self.subsuming: set[int] = set()
-        # literal key -> bit of the pattern masks
-        self.key_bits: dict = {}
 
     def add(self, clause: Clause, content: int) -> None:
+        primed, keys, _, pattern = self.memo.given_facts(clause, content)
         slot = len(self.slots)
-        self.slots.append((clause, rename_apart(clause.literals), content))
-        for key in {(lit.positive, lit.predicate) for lit in clause.literals}:
+        self.slots.append((clause, primed, content))
+        for key in keys:
             self.by_key.setdefault(key, []).append(slot)
         if content not in self.subsuming:
             self.subsuming.add(content)
-            self.subsumers.append((clause, pattern_mask(clause,
-                                                        self.key_bits)))
+            self.subsumers.append((clause, pattern, len(clause.literals)))
 
-    def partners(self, given: Clause) -> list:
+    def partners(self, given: Clause, content: int | None = None) -> list:
         """The slots holding a literal complementary in sign and predicate
-        to one of the given clause's, in slot order."""
-        keys = {(not lit.positive, lit.predicate) for lit in given.literals}
-        found = self.by_key.get(keys.pop(), ()) if len(keys) == 1 else \
+        to one of the given clause's, in slot order.  ``content`` is the
+        given clause's content id, whose keys the memo holds; without it
+        the keys are read off the clause."""
+        keys = tuple({(not lit.positive, lit.predicate)
+                      for lit in given.literals}) if content is None \
+            else self.memo.given_facts(given, content)[2]
+        found = self.by_key.get(keys[0], ()) if len(keys) == 1 else \
             sorted(set().union(*(self.by_key.get(key, ()) for key in keys)))
         return [self.slots[slot] for slot in found]
 
-    def subsumed(self, cand: Clause, since: int) -> bool:
+    def subsumed(self, cand: Clause, since: int,
+                 content: int | None = None) -> bool:
         """Whether a subsumer added at or after index ``since`` subsumes
-        ``cand``."""
-        missing = ~instance_mask(cand, self.key_bits)
-        for old, pattern in self.subsumers[since:]:
-            if not pattern & missing and subsumes(old, cand):
+        ``cand``.  ``content`` is the candidate's content id, whose instance
+        mask the memo keeps; without it the mask is made afresh.  Subsumers
+        with more literals than ``cand`` cannot subsume it and are not
+        tried."""
+        if since >= len(self.subsumers):
+            return False
+        missing = ~(instance_mask(cand, self.memo.key_bits) if content is None
+                    else self.memo.instance_mask(cand, content))
+        width = len(cand.literals)
+        for old, pattern, size in self.subsumers[since:]:
+            if size <= width and not pattern & missing \
+                    and subsumes(old, cand):
                 return True
         return False
 
@@ -428,19 +446,30 @@ class _Processed:
 class ContentMemo:
     """Per-content work shared by the searches of one problem.
 
-    A clause's derived clauses, printed text and CEF weights depend only on
-    its literals and the problem's signature, so every search of the
-    problem can share them: the content ids, the resolvents and factors
-    made per content pair, the text per content, a plain CEF's weight per
-    content and a model's prediction per content.  ``Fifo`` weighs a
-    clause by its id, so its weights are not kept.  The memo is the one
-    place that asks a model for a prediction: each model gets one
-    :class:`SymbolMap` of the signature into its snapshot, which its
-    predictions read feature labels through, and ``evaluate`` is handed
+    A clause's derived clauses, printed text, CEF weights and search
+    bookkeeping depend only on its literals and the problem's signature,
+    so every search of the problem can share them: the content ids, the
+    resolvents and factors made per content pair, the text per content, a
+    plain CEF's weight per content and a model's prediction per content.
+    ``Fifo`` weighs a clause by its id, so its weights are not kept.  The
+    memo is the one place that asks a model for a prediction: each model
+    gets one :class:`SymbolMap` of the signature into its snapshot, which
+    its predictions read feature labels through, and ``evaluate`` is handed
     the prediction.  A prediction keeps the number of feature triples it
     dropped, which each search that reuses it adds to its own
-    ``dropped_triples``.  Per-search state (fates, processed clauses,
-    queues, clause ids) stays in :func:`prove`.
+    ``dropped_triples``.
+
+    The memo also keeps what the loop computes of a content, made once per
+    content for all searches.  A processed content has its primed copy,
+    its ``(sign, predicate)`` keys, the complementary keys its partners
+    hold and its pattern mask.  ``key_bits`` numbers the literal keys of
+    the masks; a key keeps its bit, so a pattern mask is fixed.  A
+    candidate content has its literal count, depth and whether it is a
+    tautology, which each search's :class:`Limits` judge, and its instance
+    mask, tagged with the number of keys it saw: it is made again once the
+    memo has more keys, so no subsumer is skipped for a key the mask
+    lacks.  Per-search state (fates, processed clauses, queues, clause ids)
+    stays in :func:`prove`.
     """
 
     def __init__(self, sig: Signature):
@@ -458,9 +487,50 @@ class ContentMemo:
         # content id -> (positive, triples dropped)); the models are held,
         # so no id is reused while the memo lives
         self.models: dict[int, tuple[Model, SymbolMap, dict]] = {}
+        # literal key -> bit of the pattern and instance masks
+        self.key_bits: dict = {}
+        # processed content id -> (primed copy, (sign, predicate) keys,
+        # complementary keys, pattern mask)
+        self.given: dict[int, tuple] = {}
+        # candidate content id -> (literal count, depth, tautology?)
+        self.facts: dict[int, tuple[int, int, bool]] = {}
+        # candidate content id -> (len(key_bits) when made, instance mask)
+        self.masks: dict[int, tuple[int, int]] = {}
 
     def content(self, literals: tuple[Literal, ...]) -> int:
         return self.contents.setdefault(literals, len(self.contents))
+
+    def given_facts(self, clause: Clause, content: int) -> tuple:
+        """(primed copy, keys, complementary keys, pattern mask) of a
+        processed content."""
+        facts = self.given.get(content)
+        if facts is None:
+            keys = tuple({(lit.positive, lit.predicate)
+                          for lit in clause.literals})
+            facts = self.given[content] = (
+                rename_apart(clause.literals), keys,
+                tuple({(not sign, predicate) for sign, predicate in keys}),
+                pattern_mask(clause, self.key_bits))
+        return facts
+
+    def candidate_facts(self, clause: Clause,
+                        content: int) -> tuple[int, int, bool]:
+        """(literal count, depth, tautology?) of a candidate content."""
+        facts = self.facts.get(content)
+        if facts is None:
+            facts = self.facts[content] = (
+                len(clause.literals), clause_depth(clause),
+                is_tautology(clause))
+        return facts
+
+    def instance_mask(self, clause: Clause, content: int) -> int:
+        """The candidate content's instance mask over every key known now."""
+        known = len(self.key_bits)
+        tagged = self.masks.get(content)
+        if tagged is None or tagged[0] != known:
+            tagged = self.masks[content] = (
+                known, instance_mask(clause, self.key_bits))
+        return tagged[1]
 
     def weigher(self, cef: CEF, stats: dict):
         """``weigh(clause, content)``, the CEF's weight of the clause, that
@@ -553,7 +623,8 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     stats = {"generated": 0, "processed": 0, "kept": 0, "subsumed": 0,
              "discarded": 0, "tautologies": 0, "equality_axioms": 0,
              "dropped_triples": 0}
-    processed = _Processed()
+    processed = _Processed(memo)
+    candidate_facts = memo.candidate_facts
     # no clause is both processed and unprocessed
     unprocessed: dict[int, Clause] = {}
     # every kept clause; a clause's id is its index
@@ -633,7 +704,8 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         stats["processed"] += 1
 
         candidates = []
-        for partner, primed, partner_content in processed.partners(given):
+        for partner, primed, partner_content in processed.partners(
+                given, given_content):
             candidates += derive((given_content, partner_content),
                                  (given.id, partner.id),
                                  resolvents, given, partner, primed)
@@ -646,12 +718,12 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             fate = fates.get(cid)
             if fate is None:
                 fate = 0
-                if len(cand.literals) > limits.max_literals \
-                        or clause_depth(cand) > limits.max_depth:
+                size, depth, tautology = candidate_facts(cand, cid)
+                if size > limits.max_literals or depth > limits.max_depth:
                     fate = "discarded"
-                elif is_tautology(cand):
+                elif tautology:
                     fate = "tautologies"
-            if isinstance(fate, int) and processed.subsumed(cand, fate):
+            if isinstance(fate, int) and processed.subsumed(cand, fate, cid):
                 fate = "subsumed"
             if isinstance(fate, str):
                 fates[cid] = fate

@@ -11,7 +11,10 @@ arithmetic and schedule.  The
 feature tree builds each literal's tree explicitly and shares only the
 signature's symbol labels with the featurizer.  The unifier is the
 textbook recursive Robinson algorithm over the term classes alone, and
-clause subsumption tries every injective map of literals.
+clause subsumption tries every injective map of literals.  The proof-step
+checker re-derives each step of a proof with that unifier and its own
+resolution, factoring and equality axioms, and compares clauses as
+literal sets up to a renaming of variables.
 """
 
 import itertools
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from satguide.clauses import (
-    App, KIND_FUNCTION, NEG_MARKER, POS_MARKER, SKOLEM_MARKER, VAR_MARKER, Var,
+    App, KIND_FUNCTION, Literal, NEG_MARKER, POS_MARKER, SKOLEM_MARKER,
+    VAR_MARKER, Var,
 )
 from satguide.svm import _ACTIVE_FRACTION, NonFinite, SolverInfo
 
@@ -497,3 +501,174 @@ def clause_subsumes(c, d):
         if all(fits(lit, d[j], subst) for lit, j in zip(c, choice)):
             return True
     return False
+
+
+def _renames(pattern, target, renaming):
+    """Whether ``renaming`` extends, variable to variable, to turn
+    ``pattern`` into ``target``."""
+    if isinstance(pattern, Var):
+        return isinstance(target, Var) \
+            and renaming.setdefault(pattern.name, target.name) == target.name
+    return (isinstance(target, App) and pattern.symbol == target.symbol
+            and len(pattern.args) == len(target.args)
+            and all(_renames(a, b, renaming)
+                    for a, b in zip(pattern.args, target.args)))
+
+
+def _is_variant(c, d):
+    """Whether a one-to-one renaming of variables maps the literal set of
+    ``c`` onto the literal set of ``d``."""
+    c, d = list(dict.fromkeys(c)), list(dict.fromkeys(d))
+
+    def extend(i, renaming, free):
+        if i == len(c):
+            return len(set(renaming.values())) == len(renaming)
+        lit = c[i]
+        for j in free:
+            target = d[j]
+            attempt = dict(renaming)
+            if (lit.positive == target.positive
+                    and lit.predicate == target.predicate
+                    and len(lit.args) == len(target.args)
+                    and all(_renames(a, b, attempt)
+                            for a, b in zip(lit.args, target.args))
+                    and extend(i + 1, attempt, free - {j})):
+                return True
+        return False
+
+    return len(c) == len(d) and extend(0, {}, frozenset(range(len(d))))
+
+
+def _substituted(literals, subst):
+    return [Literal(lit.positive, lit.predicate,
+                    tuple(substitute(a, subst) for a in lit.args))
+            for lit in literals]
+
+
+def _renamed_apart(t):
+    """``t`` with a name no parsed variable has for each variable."""
+    if isinstance(t, Var):
+        return Var(t.name + "#")
+    return App(t.symbol, tuple(_renamed_apart(a) for a in t.args))
+
+
+def _unify_literals(l1, l2):
+    if l1.predicate != l2.predicate or len(l1.args) != len(l2.args):
+        return None
+    subst = {}
+    for a, b in zip(l1.args, l2.args):
+        subst = robinson_unify(a, b, subst)
+        if subst is None:
+            return None
+    return subst
+
+
+def _resolvents(c1, c2):
+    """Every binary resolvent of two literal sequences, ``c2`` renamed
+    apart first."""
+    c2 = [Literal(lit.positive, lit.predicate,
+                  tuple(_renamed_apart(a) for a in lit.args)) for lit in c2]
+    out = []
+    for i, l1 in enumerate(c1):
+        for j, l2 in enumerate(c2):
+            if l1.positive == l2.positive:
+                continue
+            subst = _unify_literals(l1, l2)
+            if subst is not None:
+                out.append(_substituted(
+                    c1[:i] + c1[i + 1:] + c2[:j] + c2[j + 1:], subst))
+    return out
+
+
+def _factors(c):
+    """Every clause made by unifying two literals of ``c`` of one sign."""
+    out = []
+    for i, j in itertools.combinations(range(len(c)), 2):
+        if c[i].positive == c[j].positive:
+            subst = _unify_literals(c[i], c[j])
+            if subst is not None:
+                out.append(_substituted(c, subst))
+    return out
+
+
+def _equality_axioms(problem, sig):
+    """Reflexivity, symmetry, transitivity and congruence for every symbol
+    of the problem's literal sequences, or nothing without ``=``."""
+    eq = next((lit.predicate for c in problem for lit in c
+               if sig.symbol(lit.predicate).name == "="), None)
+    if eq is None:
+        return []
+    functions, predicates = set(), set()
+
+    def scan(t):
+        if isinstance(t, App):
+            if t.args:
+                functions.add((t.symbol, len(t.args)))
+            for a in t.args:
+                scan(a)
+
+    for c in problem:
+        for lit in c:
+            if lit.args and lit.predicate != eq:
+                predicates.add((lit.predicate, len(lit.args)))
+            for a in lit.args:
+                scan(a)
+    x, y, z = Var("A"), Var("B"), Var("C")
+    axioms = [[Literal(True, eq, (x, x))],
+              [Literal(False, eq, (x, y)), Literal(True, eq, (y, x))],
+              [Literal(False, eq, (x, y)), Literal(False, eq, (y, z)),
+               Literal(True, eq, (x, z))]]
+    for symbol, arity in sorted(functions | predicates):
+        xs = tuple(Var(f"A{k}") for k in range(arity))
+        ys = tuple(Var(f"B{k}") for k in range(arity))
+        body = [Literal(False, eq, (a, b)) for a, b in zip(xs, ys)]
+        if (symbol, arity) in functions:
+            axioms.append(body + [Literal(True, eq, (App(symbol, xs),
+                                                     App(symbol, ys)))])
+        else:
+            axioms.append(body + [Literal(False, symbol, xs),
+                                  Literal(True, symbol, ys)])
+    return axioms
+
+
+def proof_step_faults(dag, clauses, empty_clause, problem, sig):
+    """The steps of a proof that do not check, as (clause id, reason) pairs.
+
+    ``dag`` maps clause ids to parent ids and ``clauses`` maps them to
+    literal sequences; ``problem`` holds the problem's literal sequences.
+    Every ancestor of ``empty_clause`` is checked.  A clause without
+    parents must be a variant of a problem clause or of an equality axiom
+    of the problem's symbols; a clause with one parent, of a binary factor
+    of it; one with two, of a binary resolvent of them.  Parents must have
+    smaller ids, so the proof is well founded.
+    """
+    faults = []
+    if clauses[empty_clause]:
+        faults.append((empty_clause, "not empty"))
+    inputs = [list(c) for c in problem] + _equality_axioms(problem, sig)
+    seen = set()
+    todo = [empty_clause]
+    while todo:
+        cid = todo.pop()
+        if cid in seen:
+            continue
+        seen.add(cid)
+        parents = dag[cid]
+        todo.extend(parents)
+        derived = clauses[cid]
+        if any(parent >= cid for parent in parents):
+            faults.append((cid, "a parent is not older"))
+        elif len(parents) == 0:
+            if not any(_is_variant(derived, c) for c in inputs):
+                faults.append((cid, "not an input clause"))
+        elif len(parents) == 1:
+            if not any(_is_variant(derived, c)
+                       for c in _factors(list(clauses[parents[0]]))):
+                faults.append((cid, "not a factor of its parent"))
+        elif len(parents) == 2:
+            if not any(_is_variant(derived, c) for c in _resolvents(
+                    list(clauses[parents[0]]), list(clauses[parents[1]]))):
+                faults.append((cid, "not a resolvent of its parents"))
+        else:
+            faults.append((cid, f"{len(parents)} parents"))
+    return sorted(faults)

@@ -1,6 +1,7 @@
 """Unification, inference rules, subsumption, and the given-clause loop."""
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
-    clause_subsumes, ground_entails, matches, robinson_unify, substitute,
+    clause_subsumes, ground_entails, matches, proof_step_faults,
+    robinson_unify, substitute,
 )
 from satguide import saturation
 from satguide.clauses import App, Clause, Literal, Signature, Var
@@ -343,7 +345,7 @@ def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
     # and predicate, in selection order; subsumed: whether any processed
     # clause, repeats included, subsumes the candidate
     sig = Signature()
-    processed = saturation._Processed()
+    processed = saturation._Processed(saturation.ContentMemo(sig))
     contents: dict = {}
     cand = parse_one(cand_text, sig)
     scanned = []
@@ -360,6 +362,44 @@ def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
             c.id for c, primed, _ in processed.slots
             if resolvents(given, c, primed)}
         assert processed.subsumed(cand, 0) == \
+            any(subsumes(c, cand) for c in scanned)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CLAUSE, max_size=4), st.lists(_CLAUSE, min_size=1, max_size=6),
+       _CLAUSE)
+# the candidate's mask, made before p(X) had a key bit, must not skip p(X)
+@example(["q(b)"], ["p(X)"], "p(a)")
+def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
+        others, texts, cand_text):
+    # another search first fills the memo with primed copies, key bits and
+    # an instance mask of the candidate, none of which this search made;
+    # partners and subsumed read them by content id and must still agree
+    # with a scan of this search's clauses
+    sig = Signature()
+    memo = saturation.ContentMemo(sig)
+    cand = parse_one(cand_text, sig)
+    cand_content = memo.content(cand.literals)
+    other = saturation._Processed(memo)
+    for k, text in enumerate(others):
+        clause = Clause(k, parse_one(text, sig).literals)
+        content = memo.content(clause.literals)
+        other.add(clause, content)
+        other.partners(clause, content)
+        other.subsumed(cand, 0, cand_content)
+    processed = saturation._Processed(memo)
+    scanned = []
+    for k, text in enumerate(texts):
+        given = Clause(k, parse_one(text, sig).literals)
+        content = memo.content(given.literals)
+        processed.add(given, content)
+        scanned.append(given)
+        partners = [c.id for c, _, _ in processed.partners(given, content)]
+        assert partners == [
+            c.id for c in scanned
+            if any(g.positive != lit.positive and g.predicate == lit.predicate
+                   for g in given.literals for lit in c.literals)]
+        assert processed.subsumed(cand, 0, cand_content) == \
             any(subsumes(c, cand) for c in scanned)
 
 
@@ -615,6 +655,8 @@ def test_prover_outcome_matches_ground_satisfiability_oracle():
         assert record.outcome != OUTCOME_RESOURCE_OUT, text
         expected_unsat = ground_unsatisfiable(clauses, sig)
         assert (record.outcome == OUTCOME_PROOF) == expected_unsat, text
+        if expected_unsat:
+            assert proof_faults(record, text) == [], text
         outcomes[record.outcome] += 1
     # the generator must exercise both outcomes to test anything
     assert outcomes["proof_found"] >= 5
@@ -796,17 +838,25 @@ def test_fixture_baseline_records_are_pinned(fixture_baseline_records):
         RECORD_DIGESTS["fixture-baseline"]
 
 
-def test_repeated_cef_records_are_pinned(fixture_problems,
-                                         fixture_baseline_records):
+@pytest.fixture(scope="module")
+def fixture_model(fixture_baseline_records):
     sig = Signature()
-    model = train_from_examples(
+    return train_from_examples(
         pool_examples(fixture_baseline_records, sig), sig)
+
+
+@pytest.fixture(scope="module")
+def repeated_cef_records(fixture_problems, fixture_model):
     # two entries share one learned CEF, so they share one ordering
     strategy = parse_strategy(
         "2*Learned(m,gamma=0.2),5*ClauseLen,1*Fifo,3*Learned(m,gamma=0.2)",
-        model_loader=lambda path: model)
-    records = [run_problem(p, strategy, Limits()) for p in fixture_problems]
-    assert _records_digest(records) == RECORD_DIGESTS["fixture-repeated-cefs"]
+        model_loader=lambda path: fixture_model)
+    return [run_problem(p, strategy, Limits()) for p in fixture_problems]
+
+
+def test_repeated_cef_records_are_pinned(repeated_cef_records):
+    assert _records_digest(repeated_cef_records) == \
+        RECORD_DIGESTS["fixture-repeated-cefs"]
 
 
 def test_group_problem_record_is_pinned():
@@ -854,6 +904,33 @@ def test_deeper_record_is_pinned(name):
     assert _records_digest([record]) == DEEP_RECORD_DIGESTS[name]
 
 
+def test_searches_sharing_a_memo_in_either_order_equal_private_searches(
+        fixture_model):
+    # the second search through a memo finds the first one's primed
+    # copies, key bits, masks and candidate facts; neither order may change
+    # a record
+    text = HARD_PROBLEMS["group-double-inverse"]
+    base = baseline_strategy()
+    strategies = [base, Strategy(base.entries
+                                 + ((5, learned_cef(fixture_model, 0.2)),))]
+    limits = Limits(max_processed=60)
+
+    def private(strategy):
+        sig = Signature()
+        return record_to_json(prove(parse_problem(text, sig), strategy,
+                                    limits, sig))
+
+    alone = [private(strategy) for strategy in strategies]
+    assert alone[0] != alone[1]
+    for order in ([0, 1], [1, 0]):
+        sig = Signature()
+        clauses = parse_problem(text, sig)
+        memo = saturation.ContentMemo(sig)
+        for k in order:
+            assert record_to_json(prove(clauses, strategies[k], limits, sig,
+                                        memo=memo)) == alone[k]
+
+
 def forward_subsumed(record):
     """(kept clause, subsumer) pairs that break forward subsumption.
 
@@ -896,6 +973,95 @@ def test_forward_subsumption_check_rejects_a_subsumed_kept_clause():
     assert forward_subsumed(record) == [(3, 0)]
     record.given_sequence = [1, 2, 0]
     assert forward_subsumed(record) == []
+
+
+def proof_faults(record, problem_text):
+    """The proof-step checker's faults in a record's proof, the record's
+    clauses parsed beside the problem's."""
+    sig = Signature()
+    problem = [c.literals for c in parse_problem(problem_text, sig)]
+    clauses = {cid: parse_clause_text(text, sig)
+               for cid, text in record.clause_texts.items()}
+    return proof_step_faults(record.dag, clauses, record.empty_clause,
+                             problem, sig)
+
+
+def hard_tier_chains():
+    """The chain problems of the benchmark's seed-1 hard tier."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_hardtier",
+        Path(__file__).parent.parent / "perfbench" / "hardtier.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [p.text for p in module.generate(1) if p.family == "chain"]
+
+
+def test_every_step_of_the_fixture_proofs_checks(
+        fixture_problems, fixture_baseline_records, repeated_cef_records):
+    # the guided searches reuse derivations made for earlier content
+    # pairs, copied under the ids of their own parents
+    texts = {p.pid: Path(p.path).read_text() for p in fixture_problems}
+    records = fixture_baseline_records + repeated_cef_records
+    proofs = [r for r in records if r.outcome == OUTCOME_PROOF]
+    assert len(proofs) == 48
+    for record in proofs:
+        assert proof_faults(record, texts[record.problem]) == [], \
+            record.problem
+
+
+def test_every_step_of_the_hard_tier_chain_proofs_checks():
+    texts = [HARD_PROBLEMS["chain"]] + hard_tier_chains()
+    assert len(texts) == 3
+    for text in texts:
+        sig = Signature()
+        record = prove(parse_problem(text, sig), baseline_strategy(),
+                       Limits(max_processed=120), sig)
+        assert record.outcome == OUTCOME_PROOF
+        assert proof_faults(record, text) == []
+
+
+def proof_ancestors(record):
+    """The ids of the empty clause and every clause its proof rests on."""
+    seen = set()
+    todo = [record.empty_clause]
+    while todo:
+        cid = todo.pop()
+        if cid not in seen:
+            seen.add(cid)
+            todo.extend(record.dag[cid])
+    return seen
+
+
+def test_the_proof_step_checker_rejects_a_swapped_parent_or_dropped_literal(
+        fixture_problems, fixture_baseline_records):
+    # each derived step of each fixture proof, once with a parent swapped
+    # for an input clause it does not use, and once a literal short
+    texts = {p.pid: Path(p.path).read_text() for p in fixture_problems}
+    accepted = []
+    mutations = 0
+    for record in fixture_baseline_records:
+        text = texts[record.problem]
+        inputs = [cid for cid, parents in record.dag.items() if not parents]
+        for cid in sorted(proof_ancestors(record)):
+            parents = record.dag[cid]
+            if not parents:
+                continue
+            other = next(i for i in inputs if i not in parents)
+            swapped = ProofSearchRecord(**{**vars(record), "dag": {
+                **record.dag, cid: (other,) + parents[1:]}})
+            mutants = [swapped]
+            if record.clause_texts[cid] != "$false":
+                literals = record.clause_texts[cid].split(" | ")
+                mutants.append(ProofSearchRecord(**{
+                    **vars(record), "clause_texts": {
+                        **record.clause_texts,
+                        cid: " | ".join(literals[1:]) or "$false"}}))
+            for mutant in mutants:
+                mutations += 1
+                if not any(f[0] == cid for f in proof_faults(mutant, text)):
+                    accepted.append((record.problem, cid))
+    assert mutations >= 100
+    assert accepted == []
 
 
 def test_max_generated_stops_before_the_clause_past_it():

@@ -8,10 +8,12 @@ one walk through its unifier (variables named X0, X1, ... by first
 occurrence, repeated literals merged).  New clauses that are too large,
 tautological, or subsumed by a processed clause are dropped; the exact
 subsumption check runs only on processed clauses whose literal keys all
-generalise some literal key of the new clause.  The search stops on the
-empty clause, an empty unprocessed set, or a resource limit (the
-generated-clause cap and the timeout are checked before each new clause),
-and always returns a full record of the derivation.
+generalise some literal key of the new clause, and each processed content
+takes part in it as a matcher compiled once (:func:`compile_matcher`).
+The search stops on the empty clause, an empty unprocessed set, or a
+resource limit (the generated-clause cap and the timeout are checked
+before each new clause), and always returns a full record of the
+derivation.
 
 A search does each piece of repeated work once per *content*, a clause's
 literal tuple.  Resolvents are made once per (given content, partner
@@ -30,11 +32,13 @@ this.
 The content ids, the derived clauses, the printed texts and each CEF's
 weights (for a learned CEF, the model's predictions) per content live in
 a :class:`ContentMemo`, and so does the loop's bookkeeping per content:
-a processed content's primed copy, literal keys and pattern mask, and a
-candidate content's literal count, depth, tautology flag and instance
-mask.  All of it depends only on a content and the problem's signature,
-so the searches of one problem can share a memo: a corpus run gives each
-problem one memo for all its strategies.  A learned CEF reads the
+a processed content's primed copy, literal keys, pattern mask and
+matcher, the matcher made lazily on the first exact check that reaches
+the content, and a candidate content's literal count, depth, tautology
+flag, generalised literal keys and instance mask.  All of it depends only
+on a content and the problem's signature, so the searches of one problem
+can share a memo: a corpus run gives each problem one memo for all its
+strategies.  A learned CEF reads the
 problem's symbols through a :class:`SymbolMap` into its model's snapshot,
 matched by name.  A candidate's fate stays per search, since it depends
 on that search's processed set and limits.  A search without a memo
@@ -249,42 +253,110 @@ def factors(clause: Clause) -> list[Clause]:
     return out
 
 
-def _match_term(pattern: Term, target: Term, subst: dict) -> bool:
-    if isinstance(pattern, Var):
-        bound = subst.get(pattern.name)
-        if bound is None:
-            subst[pattern.name] = target
-            return True
-        return bound == target
-    if isinstance(target, Var) or pattern.symbol != target.symbol:
-        return False
-    return all(_match_term(a, b, subst) for a, b in zip(pattern.args, target.args))
+def _is_ground(t: Term) -> bool:
+    return isinstance(t, App) and all(_is_ground(a) for a in t.args)
 
 
-def subsumes(c: Clause, d: Clause) -> bool:
-    """Whether some substitution makes ``c`` a sub-multiset of ``d``."""
+def compile_matcher(clause: Clause):
+    """``match(literals)``: whether one substitution maps the clause's
+    literals injectively onto some of ``literals``.
+
+    The pattern's literals are matched in clause order and each term left
+    to right, so every variable's first occurrence is known here: it gets
+    a slot of a list made per call, which the first occurrence fills with
+    the target subterm and every later occurrence compares with ``==``.
+    Trying a literal on another target fills that literal's own slots
+    again before anything reads them, so no substitution is ever copied.
+    ``used`` marks the target literals already taken, since each pattern
+    literal needs a target of its own.
+    """
+    slots: dict[str, int] = {}
+
+    def term(p: Term):
+        """``m(t, s)``: whether ``p`` matches ``t`` under the slots ``s``."""
+        if isinstance(p, Var):
+            k = slots.get(p.name)
+            if k is not None:
+                return lambda t, s: s[k] == t
+            k = slots[p.name] = len(slots)
+
+            def bind(t, s) -> bool:
+                s[k] = t
+                return True
+            return bind
+        if _is_ground(p):
+            return lambda t, s: t == p
+        sym, ms = p.symbol, arguments(p.args)
+        # a symbol has one arity, so a target App of it has len(p.args) args
+        return lambda t, s: t.__class__ is App and t.symbol == sym \
+            and ms(t.args, s)
+
+    def arguments(args: tuple):
+        """``ms(targets, s)``: whether every argument pattern matches."""
+        ms = [term(a) for a in args]
+        if not ms:
+            return lambda ts, s: True
+        if len(ms) == 1:
+            m0, = ms
+            return lambda ts, s: m0(ts[0], s)
+        if len(ms) == 2:
+            m0, m1 = ms
+
+            def both(ts, s) -> bool:
+                a, b = ts
+                return m0(a, s) and m1(b, s)
+            return both
+        return lambda ts, s: all(m(t, s) for m, t in zip(ms, ts))
+
+    steps = [(lit.positive, lit.predicate, arguments(lit.args))
+             for lit in clause.literals]
+    size = len(slots)
+    if len(steps) == 1:
+        (positive, predicate, ms), = steps
+
+        def match_one(literals) -> bool:
+            s = [None] * size
+            for t in literals:
+                if t.predicate == predicate and t.positive == positive \
+                        and ms(t.args, s):
+                    return True
+            return False
+        return match_one
+
+    def literal_step(positive: bool, predicate: int, ms, rest):
+        """``step(literals, used, s)``: whether this pattern literal takes
+        an unused target literal after which ``rest`` matches too."""
+        def step(literals, used, s) -> bool:
+            for j, t in enumerate(literals):
+                if t.predicate == predicate and t.positive == positive \
+                        and not used[j] and ms(t.args, s):
+                    used[j] = True
+                    if rest(literals, used, s):
+                        return True
+                    used[j] = False
+            return False
+        return step
+
+    def done(literals, used, s) -> bool:
+        return True
+
+    first = done
+    for positive, predicate, ms in reversed(steps):
+        first = literal_step(positive, predicate, ms, first)
+    return lambda literals: first(literals, [False] * len(literals),
+                                  [None] * size)
+
+
+def subsumes(c: Clause, d: Clause, match=None) -> bool:
+    """Whether some substitution makes ``c`` a sub-multiset of ``d``.
+
+    ``match`` is ``compile_matcher(c)``, made here when not given.
+    """
     if len(c.literals) > len(d.literals):
         return False
-    used = [False] * len(d.literals)
-
-    def backtrack(i: int, subst: dict) -> bool:
-        if i == len(c.literals):
-            return True
-        lit = c.literals[i]
-        for j, cand in enumerate(d.literals):
-            if used[j] or cand.positive != lit.positive \
-                    or cand.predicate != lit.predicate:
-                continue
-            attempt = dict(subst)
-            if all(_match_term(a, b, attempt)
-                   for a, b in zip(lit.args, cand.args)):
-                used[j] = True
-                if backtrack(i + 1, attempt):
-                    return True
-                used[j] = False
-        return False
-
-    return backtrack(0, {})
+    if match is None:
+        match = compile_matcher(c)
+    return match(d.literals)
 
 
 def _literal_key(lit: Literal) -> tuple:
@@ -293,8 +365,8 @@ def _literal_key(lit: Literal) -> tuple:
     A variable top is None.
     """
     return (lit.positive, lit.predicate,
-            tuple(a.symbol if isinstance(a, App) else None
-                  for a in lit.args[:2]))
+            tuple([a.symbol if isinstance(a, App) else None
+                   for a in lit.args[:2]]))
 
 
 def pattern_mask(clause: Clause, key_bits: dict) -> int:
@@ -309,20 +381,41 @@ def pattern_mask(clause: Clause, key_bits: dict) -> int:
     return mask
 
 
+def _generalised_keys(clause: Clause, generalised: dict) -> tuple:
+    """Every generalisation of each of the clause's literal keys.
+
+    A generalisation keeps each top symbol or replaces it by None.
+    ``generalised`` keeps each literal key's generalisations, so the
+    clauses that share a literal key share those key objects.
+    """
+    keys: tuple = ()
+    for lit in clause.literals:
+        key = _literal_key(lit)
+        gens = generalised.get(key)
+        if gens is None:
+            sign, predicate, tops = key
+            gens = generalised[key] = tuple(
+                (sign, predicate, gen)
+                for gen in product(*((t, None) for t in tops)))
+        keys += gens
+    return keys
+
+
+def _known_bits(keys: tuple, key_bits: dict) -> int:
+    mask = 0
+    for key in keys:
+        mask |= key_bits.get(key, 0)
+    return mask
+
+
 def instance_mask(clause: Clause, key_bits: dict) -> int:
     """Bits of every known key that generalises one of the clause's keys.
 
-    A generalisation keeps each top symbol or replaces it by None.
     Instantiation keeps the sign, the predicate and every non-variable
     top, so if ``c`` subsumes ``d`` then
     ``pattern_mask(c, bits) & ~instance_mask(d, bits) == 0``.
     """
-    mask = 0
-    for lit in clause.literals:
-        sign, predicate, tops = _literal_key(lit)
-        for gen in product(*((t, None) for t in tops)):
-            mask |= key_bits.get((sign, predicate, gen), 0)
-    return mask
+    return _known_bits(_generalised_keys(clause, {}), key_bits)
 
 
 def is_tautology(clause: Clause) -> bool:
@@ -388,9 +481,10 @@ class _Processed:
     literal, so :meth:`partners` visits only clauses that can resolve with
     the given clause, in slot order.  Only the first processed clause of
     each content is a subsumer: equal clauses subsume the same candidates.
-    What depends only on a content (primed copies, keys, masks) comes from
-    the :class:`ContentMemo`, shared with the problem's other searches;
-    the slots, the index and the subsumers are this search's own.
+    What depends only on a content (primed copies, keys, masks, matchers)
+    comes from the :class:`ContentMemo`, shared with the problem's other
+    searches; the slots, the index and the subsumers are this search's
+    own.
     """
 
     def __init__(self, memo: ContentMemo):
@@ -398,8 +492,9 @@ class _Processed:
         # (clause, primed copy, content id) by slot
         self.slots: list[tuple[Clause, tuple[Literal, ...], int]] = []
         self.by_key: dict[tuple[bool, int], list[int]] = {}
-        # (clause, pattern mask, literal count), one per processed content
-        self.subsumers: list[tuple[Clause, int, int]] = []
+        # (clause, pattern mask, literal count, content id), one per
+        # processed content
+        self.subsumers: list[tuple[Clause, int, int, int]] = []
         self.subsuming: set[int] = set()
 
     def add(self, clause: Clause, content: int) -> None:
@@ -410,7 +505,8 @@ class _Processed:
             self.by_key.setdefault(key, []).append(slot)
         if content not in self.subsuming:
             self.subsuming.add(content)
-            self.subsumers.append((clause, pattern, len(clause.literals)))
+            self.subsumers.append((clause, pattern, len(clause.literals),
+                                   content))
 
     def partners(self, given: Clause, content: int | None = None) -> list:
         """The slots holding a literal complementary in sign and predicate
@@ -436,9 +532,10 @@ class _Processed:
         missing = ~(instance_mask(cand, self.memo.key_bits) if content is None
                     else self.memo.instance_mask(cand, content))
         width = len(cand.literals)
-        for old, pattern, size in self.subsumers[since:]:
+        matcher = self.memo.matcher
+        for old, pattern, size, source in self.subsumers[since:]:
             if size <= width and not pattern & missing \
-                    and subsumes(old, cand):
+                    and subsumes(old, cand, matcher(old, source)):
                 return True
         return False
 
@@ -462,14 +559,17 @@ class ContentMemo:
     The memo also keeps what the loop computes of a content, made once per
     content for all searches.  A processed content has its primed copy,
     its ``(sign, predicate)`` keys, the complementary keys its partners
-    hold and its pattern mask.  ``key_bits`` numbers the literal keys of
-    the masks; a key keeps its bit, so a pattern mask is fixed.  A
-    candidate content has its literal count, depth and whether it is a
-    tautology, which each search's :class:`Limits` judge, and its instance
-    mask, tagged with the number of keys it saw: it is made again once the
-    memo has more keys, so no subsumer is skipped for a key the mask
-    lacks.  Per-search state (fates, processed clauses, queues, clause ids)
-    stays in :func:`prove`.
+    hold and its pattern mask, and its :func:`compile_matcher`, made
+    lazily: only on the first exact subsumption check that reaches the
+    content, in whichever search that is.  ``key_bits`` numbers the
+    literal keys of the masks; a key keeps its bit, so a pattern mask is
+    fixed.  A candidate content has its literal count, depth and whether
+    it is a tautology, which each search's :class:`Limits` judge, its
+    generalised literal keys and its instance mask, tagged with the number
+    of keys it saw: once the memo has more keys, the mask is made again
+    from the kept generalised keys, so no subsumer is skipped for a key
+    the mask lacks.  Per-search state (fates, processed clauses, queues,
+    clause ids) stays in :func:`prove`.
     """
 
     def __init__(self, sig: Signature):
@@ -494,8 +594,14 @@ class ContentMemo:
         self.given: dict[int, tuple] = {}
         # candidate content id -> (literal count, depth, tautology?)
         self.facts: dict[int, tuple[int, int, bool]] = {}
-        # candidate content id -> (len(key_bits) when made, instance mask)
-        self.masks: dict[int, tuple[int, int]] = {}
+        # processed content id -> its compile_matcher, made on the first
+        # exact subsumption check that reaches it
+        self.matchers: dict[int, object] = {}
+        # candidate content id -> (len(key_bits) when made, instance mask,
+        # generalised literal keys)
+        self.masks: dict[int, tuple[int, int, tuple]] = {}
+        # literal key -> its generalisations, shared by the masks' keys
+        self.generalised: dict[tuple, tuple] = {}
 
     def content(self, literals: tuple[Literal, ...]) -> int:
         return self.contents.setdefault(literals, len(self.contents))
@@ -523,13 +629,22 @@ class ContentMemo:
                 is_tautology(clause))
         return facts
 
+    def matcher(self, clause: Clause, content: int):
+        """The processed content's :func:`compile_matcher`."""
+        match = self.matchers.get(content)
+        if match is None:
+            match = self.matchers[content] = compile_matcher(clause)
+        return match
+
     def instance_mask(self, clause: Clause, content: int) -> int:
         """The candidate content's instance mask over every key known now."""
         known = len(self.key_bits)
         tagged = self.masks.get(content)
         if tagged is None or tagged[0] != known:
+            keys = _generalised_keys(clause, self.generalised) \
+                if tagged is None else tagged[2]
             tagged = self.masks[content] = (
-                known, instance_mask(clause, self.key_bits))
+                known, _known_bits(keys, self.key_bits), keys)
         return tagged[1]
 
     def weigher(self, cef: CEF, stats: dict):

@@ -14,7 +14,8 @@ textbook recursive Robinson algorithm over the term classes alone, and
 clause subsumption tries every injective map of literals.  The proof-step
 checker re-derives each step of a proof with that unifier and its own
 resolution, factoring and equality axioms, and compares clauses as
-literal sets up to a renaming of variables.
+literal sets up to a renaming of variables; it reads a record's clause
+texts with the package's parser.
 """
 
 import itertools
@@ -26,9 +27,10 @@ import numpy as np
 
 from satguide.clauses import (
     App, KIND_FUNCTION, Literal, NEG_MARKER, POS_MARKER, SKOLEM_MARKER,
-    VAR_MARKER, Var,
+    VAR_MARKER, Signature, Var,
 )
 from satguide.svm import _ACTIVE_FRACTION, NonFinite, SolverInfo
+from satguide.tptp import parse_clause_text, parse_problem
 
 _PG_FLOOR = 1e-12
 
@@ -672,3 +674,14 @@ def proof_step_faults(dag, clauses, empty_clause, problem, sig):
         else:
             faults.append((cid, f"{len(parents)} parents"))
     return sorted(faults)
+
+
+def record_proof_faults(record, problem_text):
+    """:func:`proof_step_faults` of a proof-search record's proof, the
+    record's clauses parsed beside the problem's."""
+    sig = Signature()
+    problem = [c.literals for c in parse_problem(problem_text, sig)]
+    clauses = {cid: parse_clause_text(text, sig)
+               for cid, text in record.clause_texts.items()}
+    return proof_step_faults(record.dag, clauses, record.empty_clause,
+                             problem, sig)

@@ -14,7 +14,7 @@ import numpy as np
 
 from oracles import (
     brute_force_min_cover, ground_entails, ground_instances,
-    svm_reference_minimizer,
+    record_proof_faults, svm_reference_minimizer,
 )
 from satguide.clauses import (
     App, KIND_FUNCTION, KIND_PREDICATE, NEG_MARKER, POS_MARKER,
@@ -240,6 +240,7 @@ def test_criterion_07_prover_soundness_against_ground_oracle():
         clauses = parse_problem(text, sig)
         record = prove(clauses, baseline_strategy(), limits, sig)
         assert record.outcome == OUTCOME_PROOF
+        assert record_proof_faults(record, text) == []
         constants = [s.id for s in sig.freeze().symbols
                      if s.kind == KIND_FUNCTION and s.arity == 0]
         for cid, parents in record.dag.items():
@@ -279,13 +280,14 @@ def test_criterion_08_guided_rerun_improvement():
         baseline_processed = \
             base_records[("0", problem.pid)].stats["processed"]
         run_sig = Signature.from_frozen(model.signature)
-        clauses = parse_problem(Path(problem.path).read_text(), run_sig,
-                                problem.path)
+        text = Path(problem.path).read_text()
+        clauses = parse_problem(text, run_sig, problem.path)
         budget = Limits(max_processed=2 * baseline_processed,
                         max_generated=limits.max_generated)
         record = prove(clauses, guided, budget, run_sig, problem.pid)
         assert record.outcome == OUTCOME_PROOF, \
             f"{problem.pid} became unsolved under a 2x processed budget"
+        assert record_proof_faults(record, text) == [], problem.pid
         base_counts.append(baseline_processed)
         guided_counts.append(record.stats["processed"])
     base_median = statistics.median(base_counts)

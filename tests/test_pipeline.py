@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import OwnLabels, brute_force_min_cover
+from oracles import OwnLabels, brute_force_min_cover, record_proof_faults
 from satguide import pipeline, saturation
 from satguide.clauses import Signature, SymbolMap
 from satguide.features import clause_features, vectorize
@@ -528,6 +528,10 @@ def test_loop_grows_the_solved_set(tmp_path):
     base_solved = {pid for (_, pid), r in base_records.items()
                    if r.outcome == OUTCOME_PROOF}
     assert base_solved == {"easy0", "easy1", "easy2", "easy3"}
+    texts = {p.pid: Path(p.path).read_text() for p in problems}
+    for (_, pid), record in base_records.items():
+        if pid in base_solved:
+            assert record_proof_faults(record, texts[pid]) == [], pid
 
     grid = GridSpec(gammas=[0.2], frequencies=[5])
     report = loop(problems, base, rounds=2, grid=grid, limits=limits)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
-    clause_subsumes, ground_entails, matches, proof_step_faults,
+    clause_subsumes, ground_entails, matches, record_proof_faults,
     robinson_unify, substitute,
 )
 from satguide import saturation
@@ -20,7 +20,8 @@ from satguide.guidance import (
     Strategy, baseline_strategy, learned_cef, parse_strategy,
 )
 from satguide.pipeline import (
-    load_manifest, pool_examples, run_problem, train_from_examples,
+    CorpusProblem, load_manifest, pool_examples, run_corpus, run_problem,
+    train_from_examples,
 )
 from satguide.saturation import (
     Limits, OUTCOME_PROOF, OUTCOME_RESOURCE_OUT, OUTCOME_SATURATED,
@@ -310,6 +311,54 @@ _LITERAL_TEXT = st.builds(
               st.builds("s({},{},{})".format, _DEEP_TERM, _DEEP_TERM,
                         _DEEP_TERM)))
 _LITERAL_TEXTS = st.lists(_LITERAL_TEXT, min_size=1, max_size=4)
+# patterns that repeat a variable inside a literal, and across literals
+# when drawn together
+_PATTERN_TEXTS = st.lists(
+    st.one_of(_LITERAL_TEXT, st.sampled_from(
+        ["q(X,X)", "q(g(a,X),X)", "~q(X,f(X))", "p(X)", "~s(Y,X,g(X,Y))"])),
+    min_size=1, max_size=4)
+
+
+def _target(c, d_texts, instance, subst_texts, seed, sig):
+    """The clause of ``d_texts``; with ``instance``, an instance of every
+    literal of ``c`` is shuffled in among them."""
+    d_literals = list(parse_one(" | ".join(d_texts), sig).literals)
+    if instance:
+        # a simultaneous substitution, as apply_subst would chase X -> f(X)
+        subst = dict(zip("XYZ", parse_terms(",".join(subst_texts), sig)))
+        d_literals += [Literal(lit.positive, lit.predicate,
+                               tuple(substitute(a, subst) for a in lit.args))
+                       for lit in c.literals]
+        random.Random(seed).shuffle(d_literals)
+    return Clause(1, tuple(d_literals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PATTERN_TEXTS, _LITERAL_TEXTS, st.booleans(),
+       st.lists(_DEEP_TERM, min_size=3, max_size=3), st.integers(0, 99))
+@example(["X = X"], ["a = b"], False, ["a", "a", "a"], 0)
+@example(["p(X)", "p(Y)"], ["p(a)"], False, ["a", "a", "a"], 0)
+@example(["p(X)", "p(Y)"], ["p(a)", "r"], False, ["a", "a", "a"], 0)
+# found only once both p literals give their targets back and swap them
+@example(["p(X)", "p(Y)", "q(Y,Y)"], ["p(b)", "p(a)", "q(b,b)"], False,
+         ["a", "a", "a"], 0)
+# p(X) takes p(a) first, where q(X) finds no target; only the retry on
+# p(b) fills X's slot with the binding that q(b) matches
+@example(["p(X)", "q(X,a)"], ["p(a)", "p(b)", "q(b,a)"], False,
+         ["a", "a", "a"], 0)
+@example(["q(g(a,X),X)", "~q(X,f(X))"], ["~q(b,f(b))", "q(g(a,b),b)"],
+         False, ["a", "a", "a"], 0)
+def test_subsumes_agrees_with_the_brute_force_oracle(
+        c_texts, d_texts, instance, subst_texts, seed):
+    sig = Signature()
+    c = parse_one(" | ".join(c_texts), sig)
+    d = _target(c, d_texts, instance, subst_texts, seed, sig)
+    want = clause_subsumes(c.literals, d.literals)
+    assert subsumes(c, d) == want
+    # one matcher serves many targets: a call leaves nothing behind
+    match = saturation.compile_matcher(c)
+    assert match(c.literals)
+    assert subsumes(c, d, match) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,16 +370,7 @@ def test_subsumption_implies_the_literal_key_filter_passes(
         c_texts, d_texts, instance, subst_texts, seed):
     sig = Signature()
     c = parse_one(" | ".join(c_texts), sig)
-    d_literals = list(parse_one(" | ".join(d_texts), sig).literals)
-    if instance:
-        # d holds an instance of every literal of c among other literals;
-        # a simultaneous substitution, as apply_subst would chase X -> f(X)
-        subst = dict(zip("XYZ", parse_terms(",".join(subst_texts), sig)))
-        d_literals += [Literal(lit.positive, lit.predicate,
-                               tuple(substitute(a, subst) for a in lit.args))
-                       for lit in c.literals]
-        random.Random(seed).shuffle(d_literals)
-    d = Clause(1, tuple(d_literals))
+    d = _target(c, d_texts, instance, subst_texts, seed, sig)
     assert not instance or subsumes(c, d)
     key_bits: dict = {}
     pattern = pattern_mask(c, key_bits)
@@ -656,7 +696,7 @@ def test_prover_outcome_matches_ground_satisfiability_oracle():
         expected_unsat = ground_unsatisfiable(clauses, sig)
         assert (record.outcome == OUTCOME_PROOF) == expected_unsat, text
         if expected_unsat:
-            assert proof_faults(record, text) == [], text
+            assert record_proof_faults(record, text) == [], text
         outcomes[record.outcome] += 1
     # the generator must exercise both outcomes to test anything
     assert outcomes["proof_found"] >= 5
@@ -931,6 +971,48 @@ def test_searches_sharing_a_memo_in_either_order_equal_private_searches(
                                         memo=memo)) == alone[k]
 
 
+def test_matchers_are_made_lazily_once_per_content_for_all_searches(
+        tmp_path, monkeypatch):
+    text = HARD_PROBLEMS["group-double-inverse"]
+    path = tmp_path / "group.p"
+    path.write_text(text)
+    strategies = {"base": baseline_strategy(),
+                  "symbols": parse_strategy("3*SymbolCount,1*Fifo")}
+    limits = Limits(max_processed=60)
+    compiled = []
+    compile_matcher = saturation.compile_matcher
+
+    def counting(clause):
+        compiled.append(clause.literals)
+        return compile_matcher(clause)
+
+    monkeypatch.setattr(saturation, "compile_matcher", counting)
+    records = run_corpus([CorpusProblem("group", str(path))], strategies,
+                         limits)
+    given = {record.clause_texts[cid] for record in records.values()
+             for cid in record.given_sequence}
+    assert 0 < len(compiled) == len(set(compiled)) <= len(given)
+
+    # a search whose candidates never pass a subsumer's key mask
+    unmasked = ("cnf(a, axiom, (p(a))).\n"
+                "cnf(r, axiom, (~p(X) | q(X))).\n"
+                "cnf(g, negated_conjecture, (~q(a))).\n")
+    compiled.clear()
+    sig = Signature()
+    record = prove(parse_problem(unmasked, sig), baseline_strategy(),
+                   limits, sig)
+    assert record.outcome == OUTCOME_PROOF and record.stats["generated"] > 0
+    assert compiled == []
+
+    monkeypatch.undo()
+    for (key, _), record in records.items():
+        sig = Signature()
+        alone = prove(parse_problem(text, sig), strategies[key], limits, sig,
+                      "group")
+        assert json.dumps(record_to_json(record)) \
+            == json.dumps(record_to_json(alone))
+
+
 def forward_subsumed(record):
     """(kept clause, subsumer) pairs that break forward subsumption.
 
@@ -975,17 +1057,6 @@ def test_forward_subsumption_check_rejects_a_subsumed_kept_clause():
     assert forward_subsumed(record) == []
 
 
-def proof_faults(record, problem_text):
-    """The proof-step checker's faults in a record's proof, the record's
-    clauses parsed beside the problem's."""
-    sig = Signature()
-    problem = [c.literals for c in parse_problem(problem_text, sig)]
-    clauses = {cid: parse_clause_text(text, sig)
-               for cid, text in record.clause_texts.items()}
-    return proof_step_faults(record.dag, clauses, record.empty_clause,
-                             problem, sig)
-
-
 def hard_tier_chains():
     """The chain problems of the benchmark's seed-1 hard tier."""
     spec = importlib.util.spec_from_file_location(
@@ -1005,7 +1076,7 @@ def test_every_step_of_the_fixture_proofs_checks(
     proofs = [r for r in records if r.outcome == OUTCOME_PROOF]
     assert len(proofs) == 48
     for record in proofs:
-        assert proof_faults(record, texts[record.problem]) == [], \
+        assert record_proof_faults(record, texts[record.problem]) == [], \
             record.problem
 
 
@@ -1017,7 +1088,7 @@ def test_every_step_of_the_hard_tier_chain_proofs_checks():
         record = prove(parse_problem(text, sig), baseline_strategy(),
                        Limits(max_processed=120), sig)
         assert record.outcome == OUTCOME_PROOF
-        assert proof_faults(record, text) == []
+        assert record_proof_faults(record, text) == []
 
 
 def proof_ancestors(record):
@@ -1058,7 +1129,8 @@ def test_the_proof_step_checker_rejects_a_swapped_parent_or_dropped_literal(
                         cid: " | ".join(literals[1:]) or "$false"}}))
             for mutant in mutants:
                 mutations += 1
-                if not any(f[0] == cid for f in proof_faults(mutant, text)):
+                faults = record_proof_faults(mutant, text)
+                if not any(f[0] == cid for f in faults):
                     accepted.append((record.problem, cid))
     assert mutations >= 100
     assert accepted == []

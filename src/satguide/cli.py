@@ -133,17 +133,26 @@ def cmd_prove(args) -> int:
 def cmd_extract(args) -> int:
     _require_positive(args, "boost")
     sig = _skolem_signature(args)
-    pools = []
-    for path in args.records:
-        try:
-            record = saturation.load_record(path)
-        except ValueError as exc:  # malformed JSON or not a record
-            raise UsageError(f"cannot load record {path}: {exc}") from exc
-        if record.outcome != saturation.OUTCOME_PROOF:
-            raise UsageError(
-                f"record {path} has outcome {record.outcome}, not a proof")
-        pools.append(record)
-    examples = pipeline.pool_examples(pools, sig)
+    path = None
+
+    def proofs():
+        # loaded one by one as they are pooled, so ``path`` names the
+        # record whose clause text fails to parse
+        nonlocal path
+        for path in args.records:
+            try:
+                record = saturation.load_record(path)
+            except ValueError as exc:  # malformed JSON or not a record
+                raise UsageError(f"cannot load record {path}: {exc}") from exc
+            if record.outcome != saturation.OUTCOME_PROOF:
+                raise UsageError(
+                    f"record {path} has outcome {record.outcome}, not a proof")
+            yield record
+
+    try:
+        examples = pipeline.pool_examples(proofs(), sig)
+    except ValueError as exc:
+        raise UsageError(f"cannot load record {path}: {exc}") from exc
     rows = pipeline.boost_rows(pipeline.training_set(examples, sig), args.boost)
     with open(args.output, "w", encoding="utf-8") as fp:
         write_examples(fp, rows)

@@ -119,7 +119,9 @@ def extract_examples(record: ProofSearchRecord, sig: Signature,
     """Split the record's given clauses into proof members and the rest.
 
     ``parsed`` maps clause texts to their literals; a text found there is
-    not parsed again, and each text parsed here is added to it."""
+    not parsed again, and each text parsed here is added to it.  A text
+    that does not parse, or that uses a symbol at another arity than
+    ``sig`` holds, is a ValueError naming the clause id."""
     if record.outcome != OUTCOME_PROOF:
         raise NoProof(f"record for {record.problem!r} has outcome {record.outcome}")
     parsed = {} if parsed is None else parsed
@@ -130,7 +132,11 @@ def extract_examples(record: ProofSearchRecord, sig: Signature,
         text = record.clause_texts[cid]
         literals = parsed.get(text)
         if literals is None:
-            literals = parsed[text] = parse_clause_text(text, sig)
+            try:
+                literals = parsed[text] = parse_clause_text(
+                    text, sig, f"clause {cid}")
+            except (ParseError, ArityClash) as exc:
+                raise ValueError(str(exc)) from exc
         clause = Clause(cid, literals, record.dag[cid])
         if cid in ancestors:
             positives.append(clause)

@@ -29,20 +29,20 @@ resolve with the given clause, and visiting them in slot order keeps the
 candidate order, so clause ids and records are the same as without any of
 this.
 
-The content ids, the derived clauses, the printed texts and each CEF's
-weights (for a learned CEF, the model's predictions) per content live in
-a :class:`ContentMemo`, and so does the loop's bookkeeping per content:
-a processed content's primed copy, literal keys, pattern mask and
-matcher, the matcher made lazily on the first exact check that reaches
-the content, and a candidate content's literal count, depth, tautology
-flag, generalised literal keys and instance mask.  All of it depends only
-on a content and the problem's signature, so the searches of one problem
-can share a memo: a corpus run gives each problem one memo for all its
-strategies.  A learned CEF reads the
-problem's symbols through a :class:`SymbolMap` into its model's snapshot,
-matched by name.  A candidate's fate stays per search, since it depends
-on that search's processed set and limits.  A search without a memo
-makes its own, and the records are the same either way.
+The content ids, the derived clauses, the printed texts, each CEF's
+weights (for a learned CEF, the model's predictions) and the loop's
+bookkeeping per content live in a :class:`ContentMemo`: a processed
+content's primed copy, literal keys, pattern mask and matcher (made
+lazily, on the first exact check that reaches it), and a candidate
+content's literal count, depth, tautology flag and instance mask.  Each
+mask is made once, when its content is first seen.  All of it depends
+only on a content and the problem's signature, so the searches of one
+problem can share a memo: a corpus run gives each problem one memo for
+all its strategies.  A learned CEF reads the problem's symbols through a
+:class:`SymbolMap` into its model's snapshot, matched by name.  A
+candidate's fate stays per search, since it depends on that search's
+processed set and limits.  A search without a memo makes its own, and the
+records are the same either way.
 
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
@@ -360,20 +360,17 @@ def subsumes(c: Clause, d: Clause, match=None) -> bool:
 
 
 def _literal_key(lit: Literal) -> tuple:
-    """(sign, predicate, top symbols of the first two arguments).
-
-    A variable top is None.
-    """
+    """(sign, predicate, top symbols of the first two arguments), a
+    variable top as None."""
     return (lit.positive, lit.predicate,
             tuple([a.symbol if isinstance(a, App) else None
                    for a in lit.args[:2]]))
 
 
-def pattern_mask(clause: Clause, key_bits: dict) -> int:
-    """Bitmask of the clause's literal keys; unseen keys get a new bit."""
+def _mask(keys, key_bits: dict) -> int:
+    """Bitmask of ``keys``; unseen keys get a new bit."""
     mask = 0
-    for lit in clause.literals:
-        key = _literal_key(lit)
+    for key in keys:
         bit = key_bits.get(key)
         if bit is None:
             bit = key_bits[key] = 1 << len(key_bits)
@@ -381,41 +378,23 @@ def pattern_mask(clause: Clause, key_bits: dict) -> int:
     return mask
 
 
-def _generalised_keys(clause: Clause, generalised: dict) -> tuple:
-    """Every generalisation of each of the clause's literal keys.
-
-    A generalisation keeps each top symbol or replaces it by None.
-    ``generalised`` keeps each literal key's generalisations, so the
-    clauses that share a literal key share those key objects.
-    """
-    keys: tuple = ()
-    for lit in clause.literals:
-        key = _literal_key(lit)
-        gens = generalised.get(key)
-        if gens is None:
-            sign, predicate, tops = key
-            gens = generalised[key] = tuple(
-                (sign, predicate, gen)
-                for gen in product(*((t, None) for t in tops)))
-        keys += gens
-    return keys
-
-
-def _known_bits(keys: tuple, key_bits: dict) -> int:
-    mask = 0
-    for key in keys:
-        mask |= key_bits.get(key, 0)
-    return mask
+def pattern_mask(clause: Clause, key_bits: dict) -> int:
+    """Bitmask of the clause's literal keys."""
+    return _mask(map(_literal_key, clause.literals), key_bits)
 
 
 def instance_mask(clause: Clause, key_bits: dict) -> int:
-    """Bits of every known key that generalises one of the clause's keys.
+    """Bitmask of every generalisation of the clause's literal keys, which
+    keeps each top symbol or replaces it by None.
 
     Instantiation keeps the sign, the predicate and every non-variable
-    top, so if ``c`` subsumes ``d`` then
-    ``pattern_mask(c, bits) & ~instance_mask(d, bits) == 0``.
+    top, so if ``c`` subsumes ``d`` then every key of ``c`` generalises a
+    key of ``d``, and ``pattern_mask(c, bits) & ~instance_mask(d, bits)``
+    is 0 whichever mask was made first.
     """
-    return _known_bits(_generalised_keys(clause, {}), key_bits)
+    keys = map(_literal_key, clause.literals)
+    return _mask(((sign, predicate, gen) for sign, predicate, tops in keys
+                  for gen in product(*((t, None) for t in tops))), key_bits)
 
 
 def is_tautology(clause: Clause) -> bool:
@@ -508,29 +487,21 @@ class _Processed:
             self.subsumers.append((clause, pattern, len(clause.literals),
                                    content))
 
-    def partners(self, given: Clause, content: int | None = None) -> list:
+    def partners(self, given: Clause, content: int) -> list:
         """The slots holding a literal complementary in sign and predicate
         to one of the given clause's, in slot order.  ``content`` is the
-        given clause's content id, whose keys the memo holds; without it
-        the keys are read off the clause."""
-        keys = tuple({(not lit.positive, lit.predicate)
-                      for lit in given.literals}) if content is None \
-            else self.memo.given_facts(given, content)[2]
+        given clause's content id, whose keys the memo holds."""
+        keys = self.memo.given_facts(given, content)[2]
         found = self.by_key.get(keys[0], ()) if len(keys) == 1 else \
             sorted(set().union(*(self.by_key.get(key, ()) for key in keys)))
         return [self.slots[slot] for slot in found]
 
-    def subsumed(self, cand: Clause, since: int,
-                 content: int | None = None) -> bool:
+    def subsumed(self, cand: Clause, since: int, mask: int) -> bool:
         """Whether a subsumer added at or after index ``since`` subsumes
-        ``cand``.  ``content`` is the candidate's content id, whose instance
-        mask the memo keeps; without it the mask is made afresh.  Subsumers
-        with more literals than ``cand`` cannot subsume it and are not
-        tried."""
-        if since >= len(self.subsumers):
-            return False
-        missing = ~(instance_mask(cand, self.memo.key_bits) if content is None
-                    else self.memo.instance_mask(cand, content))
+        ``cand``, whose instance mask is ``mask``.  Subsumers with more
+        literals than ``cand`` or a key outside the mask cannot subsume it
+        and are not tried."""
+        missing = ~mask
         width = len(cand.literals)
         matcher = self.memo.matcher
         for old, pattern, size, source in self.subsumers[since:]:
@@ -556,20 +527,19 @@ class ContentMemo:
     dropped, which each search that reuses it adds to its own
     ``dropped_triples``.
 
-    The memo also keeps what the loop computes of a content, made once per
-    content for all searches.  A processed content has its primed copy,
-    its ``(sign, predicate)`` keys, the complementary keys its partners
-    hold and its pattern mask, and its :func:`compile_matcher`, made
-    lazily: only on the first exact subsumption check that reaches the
-    content, in whichever search that is.  ``key_bits`` numbers the
-    literal keys of the masks; a key keeps its bit, so a pattern mask is
-    fixed.  A candidate content has its literal count, depth and whether
-    it is a tautology, which each search's :class:`Limits` judge, its
-    generalised literal keys and its instance mask, tagged with the number
-    of keys it saw: once the memo has more keys, the mask is made again
-    from the kept generalised keys, so no subsumer is skipped for a key
-    the mask lacks.  Per-search state (fates, processed clauses, queues,
-    clause ids) stays in :func:`prove`.
+    The memo also keeps what the loop computes of a content, once for all
+    searches.  A processed content has its primed copy, its ``(sign,
+    predicate)`` keys, the complementary keys its partners hold, its pattern
+    mask and its :func:`compile_matcher`, made lazily on the first exact
+    subsumption check that reaches it, in whichever search.  A candidate
+    content has its literal count, depth and tautology flag, which each
+    search's :class:`Limits` judge, and its instance mask, the union of the
+    masks each of its literal keys gets once.  ``key_bits`` numbers every
+    key a mask has used, a subsumer's literal key or a generalisation of a
+    candidate's, and a key keeps its bit, so no mask is made again: a key
+    first seen in a later subsumer generalises no earlier candidate's key.
+    Per-search state (fates, processed clauses, queues, clause ids) stays in
+    :func:`prove`.
     """
 
     def __init__(self, sig: Signature):
@@ -587,21 +557,20 @@ class ContentMemo:
         # content id -> (positive, triples dropped)); the models are held,
         # so no id is reused while the memo lives
         self.models: dict[int, tuple[Model, SymbolMap, dict]] = {}
-        # literal key -> bit of the pattern and instance masks
+        # literal key, or a generalisation of a candidate's literal key ->
+        # its bit in the pattern and instance masks
         self.key_bits: dict = {}
         # processed content id -> (primed copy, (sign, predicate) keys,
         # complementary keys, pattern mask)
         self.given: dict[int, tuple] = {}
-        # candidate content id -> (literal count, depth, tautology?)
-        self.facts: dict[int, tuple[int, int, bool]] = {}
+        # candidate content id -> (literal count, depth, tautology?,
+        # instance mask)
+        self.facts: dict[int, tuple[int, int, bool, int]] = {}
+        # a candidate's literal key -> the instance mask of its literal
+        self.key_masks: dict[tuple, int] = {}
         # processed content id -> its compile_matcher, made on the first
         # exact subsumption check that reaches it
         self.matchers: dict[int, object] = {}
-        # candidate content id -> (len(key_bits) when made, instance mask,
-        # generalised literal keys)
-        self.masks: dict[int, tuple[int, int, tuple]] = {}
-        # literal key -> its generalisations, shared by the masks' keys
-        self.generalised: dict[tuple, tuple] = {}
 
     def content(self, literals: tuple[Literal, ...]) -> int:
         return self.contents.setdefault(literals, len(self.contents))
@@ -620,13 +589,22 @@ class ContentMemo:
         return facts
 
     def candidate_facts(self, clause: Clause,
-                        content: int) -> tuple[int, int, bool]:
-        """(literal count, depth, tautology?) of a candidate content."""
+                        content: int) -> tuple[int, int, bool, int]:
+        """(literal count, depth, tautology?, instance mask) of a candidate
+        content."""
         facts = self.facts.get(content)
         if facts is None:
+            mask = 0
+            for lit in clause.literals:
+                key = _literal_key(lit)
+                bits = self.key_masks.get(key)
+                if bits is None:
+                    bits = self.key_masks[key] = instance_mask(
+                        Clause(-1, (lit,)), self.key_bits)
+                mask |= bits
             facts = self.facts[content] = (
                 len(clause.literals), clause_depth(clause),
-                is_tautology(clause))
+                is_tautology(clause), mask)
         return facts
 
     def matcher(self, clause: Clause, content: int):
@@ -635,17 +613,6 @@ class ContentMemo:
         if match is None:
             match = self.matchers[content] = compile_matcher(clause)
         return match
-
-    def instance_mask(self, clause: Clause, content: int) -> int:
-        """The candidate content's instance mask over every key known now."""
-        known = len(self.key_bits)
-        tagged = self.masks.get(content)
-        if tagged is None or tagged[0] != known:
-            keys = _generalised_keys(clause, self.generalised) \
-                if tagged is None else tagged[2]
-            tagged = self.masks[content] = (
-                known, _known_bits(keys, self.key_bits), keys)
-        return tagged[1]
 
     def weigher(self, cef: CEF, stats: dict):
         """``weigh(clause, content)``, the CEF's weight of the clause, that
@@ -833,12 +800,13 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             fate = fates.get(cid)
             if fate is None:
                 fate = 0
-                size, depth, tautology = candidate_facts(cand, cid)
+                size, depth, tautology, _ = candidate_facts(cand, cid)
                 if size > limits.max_literals or depth > limits.max_depth:
                     fate = "discarded"
                 elif tautology:
                     fate = "tautologies"
-            if isinstance(fate, int) and processed.subsumed(cand, fate, cid):
+            if isinstance(fate, int) and processed.subsumed(
+                    cand, fate, candidate_facts(cand, cid)[3]):
                 fate = "subsumed"
             if isinstance(fate, str):
                 fates[cid] = fate
@@ -902,6 +870,13 @@ def _all_typed(mapping: dict, kind: type, what: str) -> dict:
     return mapping
 
 
+def _known(cid, ids) -> bool:
+    """Whether ``cid`` is an int in ``ids``; JSON ``true`` is no clause 1."""
+    if isinstance(cid, bool):
+        raise ValueError(f"clause id {cid!r} must be int, not bool")
+    return isinstance(cid, int) and cid in ids
+
+
 def _clause_id(key: str, field: str) -> int:
     try:
         return int(key)
@@ -939,8 +914,7 @@ def record_from_json(data) -> ProofSearchRecord:
     if record.empty_clause is not None:
         named.append(record.empty_clause)
     for cid in named:
-        if not isinstance(cid, int) or cid not in record.dag \
-                or cid not in record.clause_texts:
+        if not _known(cid, record.dag) or cid not in record.clause_texts:
             raise ValueError(f"clause {cid!r} has no dag entry or no text")
     if record.outcome == OUTCOME_PROOF and (
             record.empty_clause is None
@@ -949,7 +923,7 @@ def record_from_json(data) -> ProofSearchRecord:
                          f"clause, not {record.empty_clause!r}")
     for parents in record.dag.values():
         for parent in parents:
-            if not isinstance(parent, int) or parent not in record.dag:
+            if not _known(parent, record.dag):
                 raise ValueError(f"dag parent {parent!r} has no dag entry")
     return record
 

@@ -294,11 +294,24 @@ def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
      "field 'empty_clause' of a proof must name a $false clause, not None"),
     (lambda r: dict(r, empty_clause=r["given_sequence"][0]),
      "field 'empty_clause' of a proof must name a $false clause, not 0"),
+    (lambda r: dict(r, clauses={**r["clauses"], "2": "p("}),
+     "clause 2:1: expected a term, found ''"),
+    # clause 0, junk0(e), is given first
+    (lambda r: dict(r, clauses={**r["clauses"], "2": "junk0(e, e)"}),
+     "clause 2:1: symbol 'junk0' already registered as predicate/1"),
+    (lambda r: dict(r, given_sequence=[True, *r["given_sequence"][1:]]),
+     "clause id True must be int, not bool"),
+    (lambda r: dict(r, empty_clause=True),
+     "clause id True must be int, not bool"),
+    (lambda r: dict(r, dag={**r["dag"], "0": [True]}),
+     "clause id True must be int, not bool"),
 ], ids=["no-problem-key", "empty-clause-not-in-dag",
         "given-clause-without-text", "parent-not-in-dag", "record-not-an-object",
         "dag-a-list", "given-sequence-an-int", "given-id-a-list",
         "dag-parents-an-int", "dag-parent-a-list", "clause-text-a-number",
-        "dag-key-not-an-id", "empty-clause-null", "empty-clause-not-false"])
+        "dag-key-not-an-id", "empty-clause-null", "empty-clause-not-false",
+        "clause-text-not-a-clause", "clause-text-arity-clash",
+        "given-id-true", "empty-clause-true", "dag-parent-true"])
 def test_extract_on_a_malformed_record_is_a_usage_error(tmp_path, capsys,
                                                         breaks, reason):
     problem = tmp_path / "chain.p"

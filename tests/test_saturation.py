@@ -376,6 +376,11 @@ def test_subsumption_implies_the_literal_key_filter_passes(
     pattern = pattern_mask(c, key_bits)
     if subsumes(c, d):
         assert pattern & ~instance_mask(d, key_bits) == 0
+    # the candidate's mask made first, before the subsumer's keys have bits
+    key_bits = {}
+    instance = instance_mask(d, key_bits)
+    if subsumes(c, d):
+        assert pattern_mask(c, key_bits) & ~instance == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -385,15 +390,17 @@ def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
     # and predicate, in selection order; subsumed: whether any processed
     # clause, repeats included, subsumes the candidate
     sig = Signature()
-    processed = saturation._Processed(saturation.ContentMemo(sig))
-    contents: dict = {}
+    memo = saturation.ContentMemo(sig)
+    processed = saturation._Processed(memo)
     cand = parse_one(cand_text, sig)
+    mask = memo.candidate_facts(cand, memo.content(cand.literals))[3]
     scanned = []
     for k, text in enumerate(texts):
         given = Clause(k, parse_one(text, sig).literals)
-        processed.add(given, contents.setdefault(given.literals, k))
+        content = memo.content(given.literals)
+        processed.add(given, content)
         scanned.append(given)
-        partners = [c.id for c, _, _ in processed.partners(given)]
+        partners = [c.id for c, _, _ in processed.partners(given, content)]
         assert partners == [
             c.id for c in scanned
             if any(g.positive != lit.positive and g.predicate == lit.predicate
@@ -401,7 +408,7 @@ def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
         assert set(partners) >= {
             c.id for c, primed, _ in processed.slots
             if resolvents(given, c, primed)}
-        assert processed.subsumed(cand, 0) == \
+        assert processed.subsumed(cand, 0, mask) == \
             any(subsumes(c, cand) for c in scanned)
 
 
@@ -419,14 +426,14 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
     sig = Signature()
     memo = saturation.ContentMemo(sig)
     cand = parse_one(cand_text, sig)
-    cand_content = memo.content(cand.literals)
+    mask = memo.candidate_facts(cand, memo.content(cand.literals))[3]
     other = saturation._Processed(memo)
     for k, text in enumerate(others):
         clause = Clause(k, parse_one(text, sig).literals)
         content = memo.content(clause.literals)
         other.add(clause, content)
         other.partners(clause, content)
-        other.subsumed(cand, 0, cand_content)
+        other.subsumed(cand, 0, mask)
     processed = saturation._Processed(memo)
     scanned = []
     for k, text in enumerate(texts):
@@ -439,7 +446,7 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
             c.id for c in scanned
             if any(g.positive != lit.positive and g.predicate == lit.predicate
                    for g in given.literals for lit in c.literals)]
-        assert processed.subsumed(cand, 0, cand_content) == \
+        assert processed.subsumed(cand, 0, mask) == \
             any(subsumes(c, cand) for c in scanned)
 
 

@@ -17,32 +17,28 @@ derivation.
 
 A search does each piece of repeated work once per *content*, a clause's
 literal tuple.  Resolvents are made once per (given content, partner
-content) pair and factors once per given content; a repeat copies the
-stored literals under its own parent ids, since derived literals depend
+content) pair and factors once per given content; a repeat reuses the
+derived contents under its own parent ids, since derived literals depend
 only on the parents' literals.  A candidate content that was discarded,
 tautological or subsumed stays so, because the processed set only grows;
 a kept one is checked again only against the subsumers processed since,
-and only the first processed clause of each content is a subsumer.  Each
-content is printed once.  Partners come from a ``(sign, predicate)``
-index of processed slots: only clauses with a complementary literal can
-resolve with the given clause, and visiting them in slot order keeps the
-candidate order, so clause ids and records are the same as without any of
-this.
+and only the first processed clause of each content is a subsumer.
+Partners come from a ``(sign, predicate)`` index of processed slots: only
+clauses with a complementary literal can resolve with the given clause,
+and visiting them in slot order keeps the candidate order, so clause ids
+and records are the same as without any of this.
 
-The content ids, the derived clauses, the printed texts, each CEF's
-weights (for a learned CEF, the model's predictions) and the loop's
-bookkeeping per content live in a :class:`ContentMemo`: a processed
-content's primed copy, literal keys, pattern mask and matcher (made
-lazily, on the first exact check that reaches it), and a candidate
-content's literal count, depth, tautology flag and instance mask.  Each
-mask is made once, when its content is first seen.  All of it depends
-only on a content and the problem's signature, so the searches of one
-problem can share a memo: a corpus run gives each problem one memo for
-all its strategies.  A learned CEF reads the problem's symbols through a
-:class:`SymbolMap` into its model's snapshot, matched by name.  A
-candidate's fate stays per search, since it depends on that search's
-processed set and limits.  A search without a memo makes its own, and the
-records are the same either way.
+Each content is one :class:`_Content`, which holds what every search of
+the problem knows of it: literal count, depth, tautology flag and
+instance mask; once processed, its primed copy, keys and pattern mask;
+its matcher and printed text once first needed.  The contents, the
+derived contents and each CEF's weights (for a learned CEF, the model's
+predictions) live in a :class:`ContentMemo`.  All of it depends only on
+a content and the problem's signature, so a corpus run gives each
+problem one memo for all its strategies.  A candidate's fate stays per
+search, since it depends on that search's processed set and limits.  A
+search without a memo makes its own, and the records are the same
+either way.
 
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
@@ -452,167 +448,150 @@ def equality_axioms(clauses, sig: Signature) -> list[tuple[Literal, ...]]:
     return axioms
 
 
+class _Content:
+    """One distinct literal tuple of a problem and what every search of the
+    problem knows of it.
+
+    The literal count, depth, tautology flag and instance mask are made
+    when the content is first seen.  The primed copy, the ``(sign,
+    predicate)`` keys, the complementary keys its partners hold and the
+    pattern mask are filled when it is first processed, by :meth:`prime`;
+    the matcher on the first exact subsumption check that reaches it; the
+    text when a record first prints it.  A content reads as a clause
+    wherever only ``.literals`` matter.  It hashes by identity, so no order
+    may come from iterating a set of contents.
+    """
+
+    __slots__ = ("literals", "size", "depth", "tautology", "mask", "primed",
+                 "keys", "partner_keys", "pattern", "match", "text")
+
+    def __init__(self, literals: tuple[Literal, ...], mask: int):
+        self.literals = literals
+        self.size = len(literals)
+        self.depth = clause_depth(self)
+        self.tautology = is_tautology(self)
+        self.mask = mask
+        self.primed = self.keys = self.partner_keys = self.pattern = None
+        self.match = self.text = None
+
+    def prime(self, key_bits: dict) -> None:
+        self.primed = rename_apart(self.literals)
+        self.keys = tuple({(lit.positive, lit.predicate)
+                           for lit in self.literals})
+        self.partner_keys = tuple({(not sign, predicate)
+                                   for sign, predicate in self.keys})
+        self.pattern = pattern_mask(self, key_bits)
+
+
 class _Processed:
     """The processed clauses of one search and the loop's lookups into them.
 
-    Each processed clause takes the next *slot*.  ``by_key`` maps a
-    ``(sign, predicate)`` pair to the slots whose clauses hold such a
-    literal, so :meth:`partners` visits only clauses that can resolve with
-    the given clause, in slot order.  Only the first processed clause of
-    each content is a subsumer: equal clauses subsume the same candidates.
-    What depends only on a content (primed copies, keys, masks, matchers)
-    comes from the :class:`ContentMemo`, shared with the problem's other
-    searches; the slots, the index and the subsumers are this search's
-    own.
+    Each processed clause takes the next *slot*, a ``(clause, content)``
+    pair.  ``by_key`` maps a ``(sign, predicate)`` pair to the slots whose
+    clauses hold such a literal, so :meth:`partners` visits only clauses
+    that can resolve with the given clause, in slot order.  Only the first
+    processed clause of each content is a subsumer: equal clauses subsume
+    the same candidates.  What depends only on a content lives on its
+    :class:`_Content`, shared with the problem's other searches; the slots,
+    the index and the subsumers are this search's own.
     """
 
     def __init__(self, memo: ContentMemo):
         self.memo = memo
-        # (clause, primed copy, content id) by slot
-        self.slots: list[tuple[Clause, tuple[Literal, ...], int]] = []
+        self.slots: list[tuple[Clause, _Content]] = []
         self.by_key: dict[tuple[bool, int], list[int]] = {}
-        # (clause, pattern mask, literal count, content id), one per
-        # processed content
-        self.subsumers: list[tuple[Clause, int, int, int]] = []
-        self.subsuming: set[int] = set()
+        # one per processed content, in processing order
+        self.subsumers: list[_Content] = []
+        self.subsuming: set[_Content] = set()
 
-    def add(self, clause: Clause, content: int) -> None:
-        primed, keys, _, pattern = self.memo.given_facts(clause, content)
+    def add(self, clause: Clause, content: _Content) -> None:
+        if content.primed is None:
+            content.prime(self.memo.key_bits)
         slot = len(self.slots)
-        self.slots.append((clause, primed, content))
-        for key in keys:
+        self.slots.append((clause, content))
+        for key in content.keys:
             self.by_key.setdefault(key, []).append(slot)
         if content not in self.subsuming:
             self.subsuming.add(content)
-            self.subsumers.append((clause, pattern, len(clause.literals),
-                                   content))
+            self.subsumers.append(content)
 
-    def partners(self, given: Clause, content: int) -> list:
+    def partners(self, content: _Content) -> list:
         """The slots holding a literal complementary in sign and predicate
-        to one of the given clause's, in slot order.  ``content`` is the
-        given clause's content id, whose keys the memo holds."""
-        keys = self.memo.given_facts(given, content)[2]
+        to one of the given content's, in slot order."""
+        keys = content.partner_keys
         found = self.by_key.get(keys[0], ()) if len(keys) == 1 else \
             sorted(set().union(*(self.by_key.get(key, ()) for key in keys)))
         return [self.slots[slot] for slot in found]
 
-    def subsumed(self, cand: Clause, since: int, mask: int) -> bool:
+    def subsumed(self, cand: _Content, since: int) -> bool:
         """Whether a subsumer added at or after index ``since`` subsumes
-        ``cand``, whose instance mask is ``mask``.  Subsumers with more
-        literals than ``cand`` or a key outside the mask cannot subsume it
-        and are not tried."""
-        missing = ~mask
-        width = len(cand.literals)
-        matcher = self.memo.matcher
-        for old, pattern, size, source in self.subsumers[since:]:
-            if size <= width and not pattern & missing \
-                    and subsumes(old, cand, matcher(old, source)):
-                return True
+        ``cand``.  Subsumers with more literals than ``cand`` or a key
+        outside its instance mask cannot subsume it and are not tried."""
+        missing = ~cand.mask
+        width = cand.size
+        for old in self.subsumers[since:]:
+            if old.size <= width and not old.pattern & missing:
+                if old.match is None:
+                    old.match = compile_matcher(old)
+                if subsumes(old, cand, old.match):
+                    return True
         return False
 
 
 class ContentMemo:
     """Per-content work shared by the searches of one problem.
 
-    A clause's derived clauses, printed text, CEF weights and search
-    bookkeeping depend only on its literals and the problem's signature,
-    so every search of the problem can share them: the content ids, the
-    resolvents and factors made per content pair, the text per content, a
-    plain CEF's weight per content and a model's prediction per content.
-    ``Fifo`` weighs a clause by its id, so its weights are not kept.  The
-    memo is the one place that asks a model for a prediction: each model
-    gets one :class:`SymbolMap` of the signature into its snapshot, which
-    its predictions read feature labels through, and ``evaluate`` is handed
-    the prediction.  A prediction keeps the number of feature triples it
-    dropped, which each search that reuses it adds to its own
-    ``dropped_triples``.
+    What a search derives and weighs depends only on a clause's literals
+    and the problem's signature, so every search of the problem can share
+    it: :meth:`content` gives each distinct literal tuple one
+    :class:`_Content`, and the memo keeps the contents that resolution and
+    factoring derive per content pair, a plain CEF's weight per content
+    and a model's prediction per content.  ``Fifo`` weighs a clause by its
+    id, so its weights are not kept.  The memo is the one place that asks a
+    model for a prediction: each model gets one :class:`SymbolMap` of the
+    signature into its snapshot, which its predictions read feature labels
+    through, and ``evaluate`` is handed the prediction.  A prediction keeps
+    the number of feature triples it dropped, which each search that reuses
+    it adds to its own ``dropped_triples``.
 
-    The memo also keeps what the loop computes of a content, once for all
-    searches.  A processed content has its primed copy, its ``(sign,
-    predicate)`` keys, the complementary keys its partners hold, its pattern
-    mask and its :func:`compile_matcher`, made lazily on the first exact
-    subsumption check that reaches it, in whichever search.  A candidate
-    content has its literal count, depth and tautology flag, which each
-    search's :class:`Limits` judge, and its instance mask, the union of the
-    masks each of its literal keys gets once.  ``key_bits`` numbers every
-    key a mask has used, a subsumer's literal key or a generalisation of a
-    candidate's, and a key keeps its bit, so no mask is made again: a key
-    first seen in a later subsumer generalises no earlier candidate's key.
-    Per-search state (fates, processed clauses, queues, clause ids) stays in
-    :func:`prove`.
+    ``key_bits`` numbers every key a mask has used, a subsumer's literal
+    key or a generalisation of a content's, and a key keeps its bit, so no
+    mask is made again: a key first seen in a later subsumer generalises
+    no earlier content's key.  Per-search state (fates, processed clauses,
+    queues, clause ids) stays in :func:`prove`.
     """
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        # literal tuple -> content id
-        self.contents: dict[tuple[Literal, ...], int] = {}
+        self.contents: dict[tuple[Literal, ...], _Content] = {}
         # (given content, partner content) or (given content,) -> the
-        # (content id, clause) pairs resolution or factoring derives
-        self.derived: dict[tuple, list[tuple[int, Clause]]] = {}
-        # content id -> printed clause
-        self.texts: dict[int, str] = {}
-        # plain CEF kind, or (id of the model, gamma) -> content id -> weight
-        self.weights: dict[object, dict[int, float]] = {}
+        # contents resolution or factoring derives
+        self.derived: dict[tuple, list[_Content]] = {}
+        # plain CEF kind, or (id of the model, gamma) -> content -> weight
+        self.weights: dict[object, dict[_Content, float]] = {}
         # id of the model -> (the model, the signature's map into it,
-        # content id -> (positive, triples dropped)); the models are held,
-        # so no id is reused while the memo lives
+        # content -> (positive, triples dropped)); the models are held, so
+        # no id is reused while the memo lives
         self.models: dict[int, tuple[Model, SymbolMap, dict]] = {}
-        # literal key, or a generalisation of a candidate's literal key ->
-        # its bit in the pattern and instance masks
+        # literal key, or a generalisation of one -> its bit in the
+        # pattern and instance masks
         self.key_bits: dict = {}
-        # processed content id -> (primed copy, (sign, predicate) keys,
-        # complementary keys, pattern mask)
-        self.given: dict[int, tuple] = {}
-        # candidate content id -> (literal count, depth, tautology?,
-        # instance mask)
-        self.facts: dict[int, tuple[int, int, bool, int]] = {}
-        # a candidate's literal key -> the instance mask of its literal
+        # literal key -> the instance mask of a literal with that key
         self.key_masks: dict[tuple, int] = {}
-        # processed content id -> its compile_matcher, made on the first
-        # exact subsumption check that reaches it
-        self.matchers: dict[int, object] = {}
 
-    def content(self, literals: tuple[Literal, ...]) -> int:
-        return self.contents.setdefault(literals, len(self.contents))
-
-    def given_facts(self, clause: Clause, content: int) -> tuple:
-        """(primed copy, keys, complementary keys, pattern mask) of a
-        processed content."""
-        facts = self.given.get(content)
-        if facts is None:
-            keys = tuple({(lit.positive, lit.predicate)
-                          for lit in clause.literals})
-            facts = self.given[content] = (
-                rename_apart(clause.literals), keys,
-                tuple({(not sign, predicate) for sign, predicate in keys}),
-                pattern_mask(clause, self.key_bits))
-        return facts
-
-    def candidate_facts(self, clause: Clause,
-                        content: int) -> tuple[int, int, bool, int]:
-        """(literal count, depth, tautology?, instance mask) of a candidate
-        content."""
-        facts = self.facts.get(content)
-        if facts is None:
+    def content(self, literals: tuple[Literal, ...]) -> _Content:
+        content = self.contents.get(literals)
+        if content is None:
             mask = 0
-            for lit in clause.literals:
+            for lit in literals:
                 key = _literal_key(lit)
                 bits = self.key_masks.get(key)
                 if bits is None:
                     bits = self.key_masks[key] = instance_mask(
                         Clause(-1, (lit,)), self.key_bits)
                 mask |= bits
-            facts = self.facts[content] = (
-                len(clause.literals), clause_depth(clause),
-                is_tautology(clause), mask)
-        return facts
-
-    def matcher(self, clause: Clause, content: int):
-        """The processed content's :func:`compile_matcher`."""
-        match = self.matchers.get(content)
-        if match is None:
-            match = self.matchers[content] = compile_matcher(clause)
-        return match
+            content = self.contents[literals] = _Content(literals, mask)
+        return content
 
     def weigher(self, cef: CEF, stats: dict):
         """``weigh(clause, content)``, the CEF's weight of the clause, that
@@ -623,10 +602,10 @@ class ContentMemo:
         if model is None:
             weights = self.weights.setdefault(cef.kind, {})
 
-            def weigh(clause: Clause, content: int) -> float:
+            def weigh(clause: Clause, content: _Content) -> float:
                 weight = weights.get(content)
                 if weight is None:
-                    weight = weights[content] = evaluate(clause, cef)
+                    weight = weights[content] = evaluate(content, cef)
                 return weight
             return weigh
         if id(model) not in self.models:
@@ -635,18 +614,18 @@ class ContentMemo:
         _, symbols, predictions = self.models[id(model)]
         weights = self.weights.setdefault((id(model), cef.gamma), {})
 
-        def weigh_learned(clause: Clause, content: int) -> float:
+        def weigh_learned(clause: Clause, content: _Content) -> float:
             prediction = predictions.get(content)
             if prediction is None:
                 before = stats["dropped_triples"]
-                positive = predict(clause, model, symbols, stats) == POS
+                positive = predict(content, model, symbols, stats) == POS
                 prediction = predictions[content] = (
                     positive, stats["dropped_triples"] - before)
             else:
                 stats["dropped_triples"] += prediction[1]
             weight = weights.get(content)
             if weight is None:
-                weight = weights[content] = evaluate(clause, cef,
+                weight = weights[content] = evaluate(content, cef,
                                                      prediction[0])
             return weight
         return weigh_learned
@@ -663,7 +642,7 @@ class _CefQueue:
     """
 
     def __init__(self, weigh):
-        # (clause, content id) -> weight under this queue's CEF
+        # (clause, content) -> weight under this queue's CEF
         self.weigh = weigh
         self.heap: list[tuple[float, int]] = []
         self.seen = 0
@@ -706,20 +685,17 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
              "discarded": 0, "tautologies": 0, "equality_axioms": 0,
              "dropped_triples": 0}
     processed = _Processed(memo)
-    candidate_facts = memo.candidate_facts
     # no clause is both processed and unprocessed
     unprocessed: dict[int, Clause] = {}
     # every kept clause; a clause's id is its index
     clauses: list[Clause] = []
-    # a clause's content is its literal tuple; ``content_of`` holds its
-    # memo id by clause id
-    content = memo.content
-    content_of: list[int] = []
+    # a clause's content, by clause id
+    content_of: list[_Content] = []
     derived = memo.derived
     # a candidate content's fate: the counter it bumps when dropped, which
     # is final since the processed set only grows, or, once kept, the
     # number of subsumers it has been checked against
-    fates: dict[int, str | int] = {}
+    fates: dict[_Content, str | int] = {}
     empty_clause: int | None = None
 
     # entries with equal CEFs share one queue: they would pick alike.  A
@@ -732,10 +708,10 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             queues[key] = _CefQueue(memo.weigher(cef, stats))
         entry_queues.append(queues[key])
 
-    def register(literals, parents, content_id: int) -> Clause:
-        clause = Clause(len(clauses), literals, parents)
+    def register(content: _Content, parents) -> Clause:
+        clause = Clause(len(clauses), content.literals, parents)
         clauses.append(clause)
-        content_of.append(content_id)
+        content_of.append(content)
         return clause
 
     def admit(clause: Clause) -> None:
@@ -745,9 +721,9 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     def derive(key: tuple, parents: tuple[int, ...], make, *args) -> list:
         made = derived.get(key)
         if made is None:
-            made = derived[key] = [(content(c.literals), c)
+            made = derived[key] = [memo.content(c.literals)
                                    for c in make(*args)]
-        return [(cid, c, parents) for cid, c in made]
+        return [(cand, parents) for cand in made]
 
     input_literal_sets = [clause.literals for clause in problem]
     if inject_equality:
@@ -755,8 +731,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         stats["equality_axioms"] = len(eq_axioms)
         input_literal_sets.extend(eq_axioms)
     for literals in input_literal_sets:
-        literals = tuple(literals)
-        clause = register(literals, (), content(literals))
+        clause = register(memo.content(tuple(literals)), ())
         if not clause.literals and empty_clause is None:
             empty_clause = clause.id
         admit(clause)
@@ -786,34 +761,32 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         stats["processed"] += 1
 
         candidates = []
-        for partner, primed, partner_content in processed.partners(
-                given, given_content):
+        for partner, partner_content in processed.partners(given_content):
             candidates += derive((given_content, partner_content),
-                                 (given.id, partner.id),
-                                 resolvents, given, partner, primed)
+                                 (given.id, partner.id), resolvents,
+                                 given, partner, partner_content.primed)
         candidates += derive((given_content,), (given.id,), factors, given)
-        for cid, cand, parents in candidates:
+        for cand, parents in candidates:
             if spent():
                 outcome = OUTCOME_RESOURCE_OUT
                 break
             stats["generated"] += 1
-            fate = fates.get(cid)
+            fate = fates.get(cand)
             if fate is None:
                 fate = 0
-                size, depth, tautology, _ = candidate_facts(cand, cid)
-                if size > limits.max_literals or depth > limits.max_depth:
+                if cand.size > limits.max_literals \
+                        or cand.depth > limits.max_depth:
                     fate = "discarded"
-                elif tautology:
+                elif cand.tautology:
                     fate = "tautologies"
-            if isinstance(fate, int) and processed.subsumed(
-                    cand, fate, candidate_facts(cand, cid)[3]):
+            if isinstance(fate, int) and processed.subsumed(cand, fate):
                 fate = "subsumed"
             if isinstance(fate, str):
-                fates[cid] = fate
+                fates[cand] = fate
                 stats[fate] += 1
                 continue
-            fates[cid] = len(processed.subsumers)
-            clause = register(cand.literals, parents, cid)
+            fates[cand] = len(processed.subsumers)
+            clause = register(cand, parents)
             if not clause.literals:
                 empty_clause = clause.id
                 outcome = OUTCOME_PROOF
@@ -821,21 +794,19 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             admit(clause)
 
     # one text per content
-    texts = memo.texts
-    for clause in clauses:
-        cid = content_of[clause.id]
-        if cid not in texts:
-            texts[cid] = format_clause(clause, sig)
+    for content in content_of:
+        if content.text is None:
+            content.text = format_clause(content, sig)
     return ProofSearchRecord(
         problem=problem_id,
         strategy=format_strategy(strategy),
         outcome=outcome,
-        given_sequence=[given.id for given, _, _ in processed.slots],
+        given_sequence=[given.id for given, _ in processed.slots],
         dag={clause.id: clause.parents for clause in clauses},
         empty_clause=empty_clause,
         stats=stats,
-        clause_texts={clause.id: texts[content_of[clause.id]]
-                      for clause in clauses},
+        clause_texts={cid: content.text
+                      for cid, content in enumerate(content_of)},
     )
 
 
@@ -854,8 +825,9 @@ def record_to_json(record: ProofSearchRecord) -> dict:
 
 
 def _typed(value, kind: type, what: str):
-    """``value`` if it is a ``kind``, else a ValueError naming ``what``."""
-    if not isinstance(value, kind):
+    """``value`` if it is a ``kind``, else a ValueError naming ``what``;
+    JSON ``true`` is no int."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
         raise ValueError(f"{what} must be {kind.__name__}, "
                          f"not {type(value).__name__}")
     return value
@@ -865,7 +837,7 @@ def _all_typed(mapping: dict, kind: type, what: str) -> dict:
     """``mapping`` if every value is a ``kind``, else a ValueError naming
     the first key whose value is not."""
     for key, value in mapping.items():
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or isinstance(value, bool):
             _typed(value, kind, f"{what} {key}")
     return mapping
 

@@ -15,7 +15,9 @@ clause subsumption tries every injective map of literals.  The proof-step
 checker re-derives each step of a proof with that unifier and its own
 resolution, factoring and equality axioms, and compares clauses as
 literal sets up to a renaming of variables; it reads a record's clause
-texts with the package's parser.
+texts with the package's parser.  The selection replay weighs a
+record's clauses by its own clause length, weighted symbol count and
+feature walks, and takes only the round-robin schedule from the package.
 """
 
 import itertools
@@ -29,6 +31,7 @@ from satguide.clauses import (
     App, KIND_FUNCTION, Literal, NEG_MARKER, POS_MARKER, SKOLEM_MARKER,
     VAR_MARKER, Signature, Var,
 )
+from satguide.guidance import next_entry_index
 from satguide.svm import _ACTIVE_FRACTION, NonFinite, SolverInfo
 from satguide.tptp import parse_clause_text, parse_problem
 
@@ -284,6 +287,118 @@ def feature_tree(lit, sig):
     pred = FeatureNode(_label(lit.predicate, sig),
                        tuple(_term_node(a, sig) for a in lit.args))
     return FeatureNode(root, (pred,))
+
+
+def tree_walks(node):
+    """All 3-node directed chains of a tree, parent first."""
+    walks = []
+
+    def visit(n):
+        for child in n.children:
+            for grand in child.children:
+                walks.append((n.label, child.label, grand.label))
+            visit(child)
+
+    visit(node)
+    return walks
+
+
+def _symbols(literals, var_weight):
+    """Symbol occurrences of a clause, each variable counting
+    ``var_weight``; a literal's predicate counts, its polarity does not."""
+    def term(t):
+        if isinstance(t, Var):
+            return var_weight
+        return 1 + sum(term(a) for a in t.args)
+    return sum(1 + sum(term(a) for a in lit.args) for lit in literals)
+
+
+def _predicts_positive(literals, model, sig):
+    """Whether the model's weights score the clause's feature walks above
+    zero.  ``sig`` extends the model's snapshot, so a symbol the snapshot
+    lacks has an id past its end and its walks are dropped; a literal
+    without arguments has one walk, padded with ``None``."""
+    size = model.signature.size
+    counts = {}
+    for lit in literals:
+        tree = feature_tree(lit, sig)
+        walks = tree_walks(tree) or [(tree.label, tree.children[0].label,
+                                      None)]
+        for walk in walks:
+            if any(x is not None and x >= size for x in walk):
+                continue
+            a, b, c = (size if x is None else x for x in walk)
+            index = (a * (size + 1) + b) * (size + 1) + c + 1
+            counts[index] = counts.get(index, 0) + 1
+    score = 0.0
+    for index in sorted(counts):
+        score += model.w.get(index, 0.0) * counts[index]
+    return score > 0.0
+
+
+def selection_faults(record, strategy, models):
+    """The selection steps of a record that ``strategy`` would not make,
+    as (step, reason) pairs.
+
+    A clause is born at the step where its latest parent was given, an
+    input clause before step 0.  At step k the given clause must be the
+    (weight, id) minimum among the clauses born before k and not yet given,
+    under the CEF that the strategy's round-robin schedules for step k.
+    The weights are the clause length, the weighted symbol count (a
+    variable counts one half), the FIFO id, and for a learned CEF gamma
+    times the length plus 1 if its model scores the clause positive, else
+    10.  The model a learned CEF names by path is read from ``models``.
+    After a fault the replay goes on from the record's own pick.
+    """
+    given = record.given_sequence
+    step_of = {cid: k for k, cid in enumerate(given)}
+    never = len(given)
+    born = {cid: max((step_of.get(p, never) for p in parents), default=-1)
+            for cid, parents in record.dag.items()}
+    parsed = {}
+
+    def literals(cid, sig):
+        if (cid, sig) not in parsed:
+            parsed[cid, sig] = parse_clause_text(record.clause_texts[cid], sig)
+        return parsed[cid, sig]
+
+    plain = Signature()
+    sigs = {path: Signature.from_frozen(model.signature)
+            for path, model in models.items()}
+    weights = {}
+
+    def weight(cef, cid):
+        key = (cef.kind, cef.gamma, cef.model_path, cid)
+        if key not in weights:
+            if cef.kind == "Fifo":
+                weights[key] = float(cid)
+            elif cef.kind == "ClauseLen":
+                weights[key] = float(_symbols(literals(cid, plain), 1))
+            elif cef.kind == "SymbolCount":
+                weights[key] = _symbols(literals(cid, plain), 0.5)
+            else:
+                sig = sigs[cef.model_path]
+                lits = literals(cid, sig)
+                positive = _predicts_positive(lits, models[cef.model_path],
+                                              sig)
+                weights[key] = cef.gamma * _symbols(lits, 1) \
+                    + (1.0 if positive else 10.0)
+        return weights[key]
+
+    by_birth = sorted(record.dag, key=lambda cid: (born[cid], cid))
+    nborn = 0
+    waiting = set()
+    faults = []
+    for k, cid in enumerate(given):
+        while nborn < len(by_birth) and born[by_birth[nborn]] < k:
+            waiting.add(by_birth[nborn])
+            nborn += 1
+        cef = strategy.entries[next_entry_index(strategy, k)][1]
+        want = min(waiting, key=lambda c: (weight(cef, c), c), default=None)
+        if cid != want:
+            faults.append((k, f"gave clause {cid}, not {want}"))
+        waiting.discard(cid)
+    return faults
 
 
 def _ground_terms(sig, constants, functions, depth):

@@ -305,13 +305,15 @@ def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
      "clause id True must be int, not bool"),
     (lambda r: dict(r, dag={**r["dag"], "0": [True]}),
      "clause id True must be int, not bool"),
+    (lambda r: dict(r, stats={**r["stats"], "processed": True}),
+     "stat processed must be int, not bool"),
 ], ids=["no-problem-key", "empty-clause-not-in-dag",
         "given-clause-without-text", "parent-not-in-dag", "record-not-an-object",
         "dag-a-list", "given-sequence-an-int", "given-id-a-list",
         "dag-parents-an-int", "dag-parent-a-list", "clause-text-a-number",
         "dag-key-not-an-id", "empty-clause-null", "empty-clause-not-false",
         "clause-text-not-a-clause", "clause-text-arity-clash",
-        "given-id-true", "empty-clause-true", "dag-parent-true"])
+        "given-id-true", "empty-clause-true", "dag-parent-true", "stat-true"])
 def test_extract_on_a_malformed_record_is_a_usage_error(tmp_path, capsys,
                                                         breaks, reason):
     problem = tmp_path / "chain.p"

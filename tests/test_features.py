@@ -10,7 +10,7 @@ from satguide.clauses import (
     KIND_FUNCTION, KIND_PREDICATE, NEG_MARKER, POS_MARKER, SKOLEM_MARKER,
     Signature, SymbolMap, VAR_MARKER,
 )
-from oracles import FeatureNode, feature_tree
+from oracles import FeatureNode, feature_tree, tree_walks
 from satguide.features import (
     EPSILON, UnknownSymbol, clause_features, feature_index,
     format_multiset, literal_features, read_examples, vectorize,
@@ -34,20 +34,6 @@ def own(sig):
     A map covers the symbols registered when it is built, so each call
     site builds it after its parse."""
     return SymbolMap(sig, sig.freeze())
-
-
-def tree_walks(node):
-    """Independent oracle: enumerate all 3-node directed chains of a tree."""
-    walks = []
-
-    def visit(n):
-        for child in n.children:
-            for grand in child.children:
-                walks.append((n.label, child.label, grand.label))
-            visit(child)
-
-    visit(node)
-    return walks
 
 
 def test_feature_tree_shapes():

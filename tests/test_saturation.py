@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     clause_subsumes, ground_entails, matches, record_proof_faults,
-    robinson_unify, substitute,
+    robinson_unify, selection_faults, substitute,
 )
 from satguide import saturation
 from satguide.clauses import App, Clause, Literal, Signature, Var
@@ -392,23 +392,22 @@ def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
     sig = Signature()
     memo = saturation.ContentMemo(sig)
     processed = saturation._Processed(memo)
-    cand = parse_one(cand_text, sig)
-    mask = memo.candidate_facts(cand, memo.content(cand.literals))[3]
+    cand = memo.content(parse_one(cand_text, sig).literals)
     scanned = []
     for k, text in enumerate(texts):
         given = Clause(k, parse_one(text, sig).literals)
         content = memo.content(given.literals)
         processed.add(given, content)
         scanned.append(given)
-        partners = [c.id for c, _, _ in processed.partners(given, content)]
+        partners = [c.id for c, _ in processed.partners(content)]
         assert partners == [
             c.id for c in scanned
             if any(g.positive != lit.positive and g.predicate == lit.predicate
                    for g in given.literals for lit in c.literals)]
         assert set(partners) >= {
-            c.id for c, primed, _ in processed.slots
-            if resolvents(given, c, primed)}
-        assert processed.subsumed(cand, 0, mask) == \
+            c.id for c, part in processed.slots
+            if resolvents(given, c, part.primed)}
+        assert processed.subsumed(cand, 0) == \
             any(subsumes(c, cand) for c in scanned)
 
 
@@ -421,19 +420,18 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
         others, texts, cand_text):
     # another search first fills the memo with primed copies, key bits and
     # an instance mask of the candidate, none of which this search made;
-    # partners and subsumed read them by content id and must still agree
+    # partners and subsumed read them from the contents and must still agree
     # with a scan of this search's clauses
     sig = Signature()
     memo = saturation.ContentMemo(sig)
-    cand = parse_one(cand_text, sig)
-    mask = memo.candidate_facts(cand, memo.content(cand.literals))[3]
+    cand = memo.content(parse_one(cand_text, sig).literals)
     other = saturation._Processed(memo)
     for k, text in enumerate(others):
         clause = Clause(k, parse_one(text, sig).literals)
         content = memo.content(clause.literals)
         other.add(clause, content)
-        other.partners(clause, content)
-        other.subsumed(cand, 0, mask)
+        other.partners(content)
+        other.subsumed(cand, 0)
     processed = saturation._Processed(memo)
     scanned = []
     for k, text in enumerate(texts):
@@ -441,12 +439,12 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
         content = memo.content(given.literals)
         processed.add(given, content)
         scanned.append(given)
-        partners = [c.id for c, _, _ in processed.partners(given, content)]
+        partners = [c.id for c, _ in processed.partners(content)]
         assert partners == [
             c.id for c in scanned
             if any(g.positive != lit.positive and g.predicate == lit.predicate
                    for g in given.literals for lit in c.literals)]
-        assert processed.subsumed(cand, 0, mask) == \
+        assert processed.subsumed(cand, 0) == \
             any(subsumes(c, cand) for c in scanned)
 
 
@@ -892,12 +890,15 @@ def fixture_model(fixture_baseline_records):
         pool_examples(fixture_baseline_records, sig), sig)
 
 
+# two entries share one learned CEF, so they share one ordering
+REPEATED_CEFS = \
+    "2*Learned(m,gamma=0.2),5*ClauseLen,1*Fifo,3*Learned(m,gamma=0.2)"
+
+
 @pytest.fixture(scope="module")
 def repeated_cef_records(fixture_problems, fixture_model):
-    # two entries share one learned CEF, so they share one ordering
-    strategy = parse_strategy(
-        "2*Learned(m,gamma=0.2),5*ClauseLen,1*Fifo,3*Learned(m,gamma=0.2)",
-        model_loader=lambda path: fixture_model)
+    strategy = parse_strategy(REPEATED_CEFS,
+                              model_loader=lambda path: fixture_model)
     return [run_problem(p, strategy, Limits()) for p in fixture_problems]
 
 
@@ -987,18 +988,27 @@ def test_matchers_are_made_lazily_once_per_content_for_all_searches(
                   "symbols": parse_strategy("3*SymbolCount,1*Fifo")}
     limits = Limits(max_processed=60)
     compiled = []
+    primed = []
     compile_matcher = saturation.compile_matcher
+    rename_apart = saturation.rename_apart
 
     def counting(clause):
         compiled.append(clause.literals)
         return compile_matcher(clause)
 
+    def counting_primes(literals):
+        primed.append(literals)
+        return rename_apart(literals)
+
     monkeypatch.setattr(saturation, "compile_matcher", counting)
+    monkeypatch.setattr(saturation, "rename_apart", counting_primes)
     records = run_corpus([CorpusProblem("group", str(path))], strategies,
                          limits)
     given = {record.clause_texts[cid] for record in records.values()
              for cid in record.given_sequence}
     assert 0 < len(compiled) == len(set(compiled)) <= len(given)
+    # one primed copy per processed content, for both strategies
+    assert 0 < len(primed) == len(set(primed)) <= len(given)
 
     # a search whose candidates never pass a subsumer's key mask
     unmasked = ("cnf(a, axiom, (p(a))).\n"
@@ -1064,14 +1074,19 @@ def test_forward_subsumption_check_rejects_a_subsumed_kept_clause():
     assert forward_subsumed(record) == []
 
 
-def hard_tier_chains():
-    """The chain problems of the benchmark's seed-1 hard tier."""
+def hard_tier():
+    """The problems of the benchmark's seed-1 hard tier."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_hardtier",
         Path(__file__).parent.parent / "perfbench" / "hardtier.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [p.text for p in module.generate(1) if p.family == "chain"]
+    return module.generate(1)
+
+
+def hard_tier_chains():
+    """The chain problems of the benchmark's seed-1 hard tier."""
+    return [p.text for p in hard_tier() if p.family == "chain"]
 
 
 def test_every_step_of_the_fixture_proofs_checks(
@@ -1096,6 +1111,89 @@ def test_every_step_of_the_hard_tier_chain_proofs_checks():
                        Limits(max_processed=120), sig)
         assert record.outcome == OUTCOME_PROOF
         assert record_proof_faults(record, text) == []
+
+
+def test_every_selection_of_the_fixture_records_replays(
+        fixture_baseline_records, repeated_cef_records, fixture_model):
+    base = baseline_strategy()
+    for record in fixture_baseline_records:
+        assert selection_faults(record, base, {}) == [], record.problem
+    repeated = parse_strategy(REPEATED_CEFS,
+                              model_loader=lambda path: fixture_model)
+    for record in repeated_cef_records:
+        assert selection_faults(record, repeated, {"m": fixture_model}) \
+            == [], record.problem
+
+
+def test_every_selection_of_a_two_model_grid_sharing_a_memo_replays(
+        fixture_problems, fixture_model, repeated_cef_records):
+    # each problem's searches share one memo, which keeps both models'
+    # predictions and every CEF's weights by content
+    sig = Signature()
+    other = train_from_examples(pool_examples(repeated_cef_records, sig), sig)
+    assert other.w != fixture_model.w
+    models = {"m": fixture_model, "n": other}
+    strategies = {key: parse_strategy(text, model_loader=models.__getitem__)
+                  for key, text in [
+                      ("base", "baseline"),
+                      ("m", "5*Learned(m,gamma=0.2)+baseline"),
+                      ("n", "5*Learned(n,gamma=0.2)+baseline"),
+                      ("mn", "1*Learned(m,gamma=0.5),1*Learned(n,gamma=0.5),"
+                             "1*SymbolCount")]}
+    records = run_corpus(fixture_problems, strategies, Limits())
+    assert len(records) == len(strategies) * len(fixture_problems)
+    for (key, pid), record in records.items():
+        assert selection_faults(record, strategies[key], models) == [], \
+            (key, pid)
+
+
+def test_every_selection_of_the_hard_tier_replays():
+    base = baseline_strategy()
+    for problem in hard_tier():
+        sig = Signature()
+        record = prove(parse_problem(problem.text, sig), base,
+                       Limits(max_processed=60), sig)
+        assert record.stats["processed"] > 0
+        assert selection_faults(record, base, {}) == [], problem.family
+
+
+def test_the_selection_replay_rejects_a_swapped_pick_or_a_flipped_prediction(
+        fixture_problems, fixture_baseline_records, fixture_model):
+    base = baseline_strategy()
+    swaps = 0
+    for record in fixture_baseline_records:
+        given = record.given_sequence
+        assert len(given) >= 2
+        for k in sorted({0, len(given) // 2 - 1, len(given) - 2}):
+            swapped = ProofSearchRecord(**{**vars(record), "given_sequence": [
+                *given[:k], given[k + 1], given[k], *given[k + 2:]]})
+            swaps += 1
+            assert selection_faults(swapped, base, {})[0][0] == k
+    assert swaps >= 48
+
+    # a prediction flipped in a scratch memo, the weights made again from it
+    models = {"m": fixture_model}
+    strategy = parse_strategy("2*Learned(m,gamma=0.2)+baseline",
+                              model_loader=models.__getitem__)
+    changed = 0
+    for problem in fixture_problems:
+        sig = Signature()
+        clauses = parse_problem(Path(problem.path).read_text(), sig)
+        honest = prove(clauses, strategy, Limits(), sig)
+        assert selection_faults(honest, strategy, models) == []
+        for flip in range(3):
+            memo = saturation.ContentMemo(sig)
+            prove(clauses, strategy, Limits(), sig, memo=memo)
+            (_, _, predictions), = memo.models.values()
+            content = list(predictions)[flip]
+            positive, dropped = predictions[content]
+            predictions[content] = (not positive, dropped)
+            memo.weights.clear()
+            record = prove(clauses, strategy, Limits(), sig, memo=memo)
+            if record.given_sequence != honest.given_sequence:
+                changed += 1
+                assert selection_faults(record, strategy, models) != []
+    assert changed >= 10
 
 
 def proof_ancestors(record):

@@ -60,9 +60,6 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _limits(args) -> saturation.Limits:
-    # records store clauses as text, and deeper ones would not parse back
-    if args.max_depth > tptp.MAX_TERM_DEPTH:
-        raise UsageError(f"--max-depth must be at most {tptp.MAX_TERM_DEPTH}")
     try:
         return saturation.Limits(
             max_processed=args.max_processed, max_generated=args.max_generated,
@@ -261,24 +258,29 @@ def cmd_loop(args) -> int:
 
 
 def _add_limit_flags(parser) -> None:
-    parser.add_argument("--max-processed", type=int, default=1000,
+    limits = saturation.Limits()
+    parser.add_argument("--max-processed", type=int,
+                        default=limits.max_processed,
                         help="stop after this many given-clause selections")
-    parser.add_argument("--max-generated", type=int, default=100000,
+    parser.add_argument("--max-generated", type=int,
+                        default=limits.max_generated,
                         help="stop after this many generated clauses")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=float, default=limits.timeout,
                         help="wall-clock limit per problem in seconds")
-    parser.add_argument("--max-literals", type=int, default=8,
+    parser.add_argument("--max-literals", type=int,
+                        default=limits.max_literals,
                         help="discard generated clauses with more literals")
-    parser.add_argument("--max-depth", type=int, default=6,
+    parser.add_argument("--max-depth", type=int, default=limits.max_depth,
                         help="discard generated clauses with deeper terms")
 
 
 def _add_solver_flags(parser) -> None:
-    parser.add_argument("-c", type=float, default=1.0,
+    cfg = SolverConfig()
+    parser.add_argument("-c", type=float, default=cfg.c,
                         help="SVM penalty parameter (must be > 0)")
-    parser.add_argument("--tolerance", type=float, default=1e-3,
+    parser.add_argument("--tolerance", type=float, default=cfg.tolerance,
                         help="stop when the largest dual violation drops below this")
-    parser.add_argument("--max-epochs", type=int, default=1000,
+    parser.add_argument("--max-epochs", type=int, default=cfg.max_epochs,
                         help="cap on coordinate-descent epochs")
 
 
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satguide",
         description="Saturation prover with learned clause-selection guidance.")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=SolverConfig().seed,
                         help="seed for all randomized steps")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -268,7 +268,9 @@ def run_corpus(problems, strategies: dict[str, Strategy], limits: Limits,
     else:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
+        # a forking pool starts all its workers up front
+        with ProcessPoolExecutor(max_workers=min(jobs, len(problems)),
+                                 initializer=_pool_init,
                                  initargs=args) as pool:
             results = list(pool.map(_pool_run, problems))
     for _, failure in results:

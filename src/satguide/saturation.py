@@ -19,10 +19,10 @@ A search does each piece of repeated work once per *content*, a clause's
 literal tuple.  Resolvents are made once per (given content, partner
 content) pair and factors once per given content; a repeat reuses the
 derived contents under its own parent ids, since derived literals depend
-only on the parents' literals.  A candidate content that was discarded,
-tautological or subsumed stays so, because the processed set only grows;
-a kept one is checked again only against the subsumers processed since,
-and only the first processed clause of each content is a subsumer.
+only on the parents' literals.  A candidate content that was subsumed
+stays so, because the processed set only grows; a kept one is checked
+again only against the subsumers processed since, and only the first
+processed clause of each content is a subsumer.
 Partners come from a ``(sign, predicate)`` index of processed slots: only
 clauses with a complementary literal can resolve with the given clause,
 and visiting them in slot order keeps the candidate order, so clause ids
@@ -35,10 +35,11 @@ its matcher and printed text once first needed.  The contents, the
 derived contents and each CEF's weights (for a learned CEF, the model's
 predictions) live in a :class:`ContentMemo`.  All of it depends only on
 a content and the problem's signature, so a corpus run gives each
-problem one memo for all its strategies.  A candidate's fate stays per
-search, since it depends on that search's processed set and limits.  A
-search without a memo makes its own, and the records are the same
-either way.
+problem one memo for all its strategies.  A search keeps only what
+depends on its own processed set: its kept clauses, the index of its
+processed ones and, per kept content, how many subsumers it was checked
+against.  A search without a memo makes its own, and the records are
+the same either way.
 
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
@@ -61,7 +62,7 @@ from .guidance import (
     CEF, Strategy, evaluate, format_strategy, next_entry_index,
 )
 from .svm import POS, Model, predict
-from .tptp import format_clause, parse_clause_text
+from .tptp import MAX_TERM_DEPTH, format_clause, parse_clause_text
 
 OUTCOME_PROOF = "proof_found"
 OUTCOME_SATURATED = "saturated"
@@ -84,6 +85,9 @@ class Limits:
             value = getattr(self, f.name)
             if value is not None and not value >= 0:  # NaN fails too
                 raise ValueError(f"{f.name} must be >= 0, not {value}")
+        # records store clauses as text, and deeper ones would not parse back
+        if self.max_depth > MAX_TERM_DEPTH:
+            raise ValueError(f"max_depth must be at most {MAX_TERM_DEPTH}")
 
 
 @dataclass
@@ -545,20 +549,22 @@ class ContentMemo:
     and the problem's signature, so every search of the problem can share
     it: :meth:`content` gives each distinct literal tuple one
     :class:`_Content`, and the memo keeps the contents that resolution and
-    factoring derive per content pair, a plain CEF's weight per content
-    and a model's prediction per content.  ``Fifo`` weighs a clause by its
+    factoring derive per content pair, each CEF's weight per content and
+    each model's prediction per content.  Tables are keyed by the objects
+    they describe: a CEF by ``(kind, gamma, model)``, a model by itself
+    (a :class:`Model` hashes by identity).  ``Fifo`` weighs a clause by its
     id, so its weights are not kept.  The memo is the one place that asks a
     model for a prediction: each model gets one :class:`SymbolMap` of the
     signature into its snapshot, which its predictions read feature labels
     through, and ``evaluate`` is handed the prediction.  A prediction keeps
-    the number of feature triples it dropped, which each search that reuses
-    it adds to its own ``dropped_triples``.
+    the number of feature triples it dropped, which every search that uses
+    it, the first included, adds to its own ``dropped_triples``.
 
     ``key_bits`` numbers every key a mask has used, a subsumer's literal
     key or a generalisation of a content's, and a key keeps its bit, so no
     mask is made again: a key first seen in a later subsumer generalises
-    no earlier content's key.  Per-search state (fates, processed clauses,
-    queues, clause ids) stays in :func:`prove`.
+    no earlier content's key.  Per-search state (kept and processed
+    clauses, queues, subsumption watermarks) stays in :func:`prove`.
     """
 
     def __init__(self, sig: Signature):
@@ -567,12 +573,11 @@ class ContentMemo:
         # (given content, partner content) or (given content,) -> the
         # contents resolution or factoring derives
         self.derived: dict[tuple, list[_Content]] = {}
-        # plain CEF kind, or (id of the model, gamma) -> content -> weight
-        self.weights: dict[object, dict[_Content, float]] = {}
-        # id of the model -> (the model, the signature's map into it,
-        # content -> (positive, triples dropped)); the models are held, so
-        # no id is reused while the memo lives
-        self.models: dict[int, tuple[Model, SymbolMap, dict]] = {}
+        # (kind, gamma, model) of a CEF other than Fifo -> content -> weight
+        self.weights: dict[tuple, dict[_Content, float]] = {}
+        # model -> (the signature's map into it, content -> (positive,
+        # triples dropped))
+        self.models: dict[Model, tuple[SymbolMap, dict]] = {}
         # literal key, or a generalisation of one -> its bit in the
         # pattern and instance masks
         self.key_bits: dict = {}
@@ -598,31 +603,27 @@ class ContentMemo:
         reuses what the memo knows of the content."""
         if cef.kind == "Fifo":
             return lambda clause, content: evaluate(clause, cef)
+        weights = self.weights.setdefault((cef.kind, cef.gamma, cef.model), {})
         model = cef.model
         if model is None:
-            weights = self.weights.setdefault(cef.kind, {})
-
             def weigh(clause: Clause, content: _Content) -> float:
                 weight = weights.get(content)
                 if weight is None:
                     weight = weights[content] = evaluate(content, cef)
                 return weight
             return weigh
-        if id(model) not in self.models:
-            self.models[id(model)] = (
-                model, SymbolMap(self.sig, model.signature), {})
-        _, symbols, predictions = self.models[id(model)]
-        weights = self.weights.setdefault((id(model), cef.gamma), {})
+        if model not in self.models:
+            self.models[model] = (SymbolMap(self.sig, model.signature), {})
+        symbols, predictions = self.models[model]
 
         def weigh_learned(clause: Clause, content: _Content) -> float:
             prediction = predictions.get(content)
             if prediction is None:
-                before = stats["dropped_triples"]
-                positive = predict(content, model, symbols, stats) == POS
+                counts: dict[str, int] = {}
+                positive = predict(content, model, symbols, counts) == POS
                 prediction = predictions[content] = (
-                    positive, stats["dropped_triples"] - before)
-            else:
-                stats["dropped_triples"] += prediction[1]
+                    positive, counts.get("dropped_triples", 0))
+            stats["dropped_triples"] += prediction[1]
             weight = weights.get(content)
             if weight is None:
                 weight = weights[content] = evaluate(content, cef,
@@ -634,11 +635,12 @@ class ContentMemo:
 class _CefQueue:
     """Lazy per-CEF ordering view over the unprocessed set.
 
-    ``seen`` is a watermark into the search's id-ordered clause list: the
-    clauses past it are weighed, once each, the next time this CEF is asked
-    to select, and those still unprocessed are pushed on a heap, ties
-    broken by id.  Heap entries for clauses that were selected by another
-    CEF in the meantime are skipped on pop.
+    ``seen`` is a watermark into the search's id-ordered list of kept
+    ``(clause, content)`` pairs: the clauses past it are weighed, once
+    each, the next time this CEF is asked to select, and those still
+    unprocessed are pushed on a heap, ties broken by id.  Heap entries for
+    clauses that were selected by another CEF in the meantime are skipped
+    on pop.
     """
 
     def __init__(self, weigh):
@@ -647,19 +649,18 @@ class _CefQueue:
         self.heap: list[tuple[float, int]] = []
         self.seen = 0
 
-    def pop(self, clauses: list, content_of: list,
-            unprocessed: dict) -> Clause | None:
+    def pop(self, kept: list, unprocessed: dict) -> tuple | None:
+        """Remove from ``unprocessed`` and return the pair this CEF picks."""
         weigh = self.weigh
-        for clause in clauses[self.seen:]:
+        for clause, content in kept[self.seen:]:
             if clause.id in unprocessed:
-                heapq.heappush(self.heap, (weigh(clause, content_of[clause.id]),
-                                           clause.id))
-        self.seen = len(clauses)
+                heapq.heappush(self.heap, (weigh(clause, content), clause.id))
+        self.seen = len(kept)
         while self.heap:
             _, cid = heapq.heappop(self.heap)
-            clause = unprocessed.get(cid)
-            if clause is not None:
-                return clause
+            pair = unprocessed.pop(cid, None)
+            if pair is not None:
+                return pair
         return None
 
 
@@ -685,17 +686,15 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
              "discarded": 0, "tautologies": 0, "equality_axioms": 0,
              "dropped_triples": 0}
     processed = _Processed(memo)
-    # no clause is both processed and unprocessed
-    unprocessed: dict[int, Clause] = {}
-    # every kept clause; a clause's id is its index
-    clauses: list[Clause] = []
-    # a clause's content, by clause id
-    content_of: list[_Content] = []
+    # every kept clause with its content; a clause's id is its index
+    kept: list[tuple[Clause, _Content]] = []
+    # the kept pairs not yet processed, by clause id
+    unprocessed: dict[int, tuple[Clause, _Content]] = {}
     derived = memo.derived
-    # a candidate content's fate: the counter it bumps when dropped, which
-    # is final since the processed set only grows, or, once kept, the
-    # number of subsumers it has been checked against
-    fates: dict[_Content, str | int] = {}
+    # a candidate content -> the number of subsumers it had been checked
+    # against when last kept, or None once subsumed, which is final since
+    # the processed set only grows
+    checked: dict[_Content, int | None] = {}
     empty_clause: int | None = None
 
     # entries with equal CEFs share one queue: they would pick alike.  A
@@ -703,19 +702,18 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     queues: dict = {}
     entry_queues = []
     for _, cef in strategy.entries:
-        key = (cef.kind, cef.gamma, id(cef.model))
+        key = (cef.kind, cef.gamma, cef.model)
         if key not in queues:
             queues[key] = _CefQueue(memo.weigher(cef, stats))
         entry_queues.append(queues[key])
 
     def register(content: _Content, parents) -> Clause:
-        clause = Clause(len(clauses), content.literals, parents)
-        clauses.append(clause)
-        content_of.append(content)
+        clause = Clause(len(kept), content.literals, parents)
+        kept.append((clause, content))
         return clause
 
     def admit(clause: Clause) -> None:
-        unprocessed[clause.id] = clause
+        unprocessed[clause.id] = kept[clause.id]
         stats["kept"] += 1
 
     def derive(key: tuple, parents: tuple[int, ...], make, *args) -> list:
@@ -753,10 +751,9 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             outcome = OUTCOME_RESOURCE_OUT
             break
         entry = next_entry_index(strategy, stats["processed"])
-        given = entry_queues[entry].pop(clauses, content_of, unprocessed)
-        assert given is not None, "unprocessed nonempty but queue is dry"
-        del unprocessed[given.id]
-        given_content = content_of[given.id]
+        pair = entry_queues[entry].pop(kept, unprocessed)
+        assert pair is not None, "unprocessed nonempty but queue is dry"
+        given, given_content = pair
         processed.add(given, given_content)
         stats["processed"] += 1
 
@@ -771,21 +768,19 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
                 outcome = OUTCOME_RESOURCE_OUT
                 break
             stats["generated"] += 1
-            fate = fates.get(cand)
-            if fate is None:
-                fate = 0
-                if cand.size > limits.max_literals \
-                        or cand.depth > limits.max_depth:
-                    fate = "discarded"
-                elif cand.tautology:
-                    fate = "tautologies"
-            if isinstance(fate, int) and processed.subsumed(cand, fate):
-                fate = "subsumed"
-            if isinstance(fate, str):
-                fates[cand] = fate
-                stats[fate] += 1
+            if cand.size > limits.max_literals \
+                    or cand.depth > limits.max_depth:
+                stats["discarded"] += 1
                 continue
-            fates[cand] = len(processed.subsumers)
+            if cand.tautology:
+                stats["tautologies"] += 1
+                continue
+            since = checked.get(cand, 0)
+            if since is None or processed.subsumed(cand, since):
+                checked[cand] = None
+                stats["subsumed"] += 1
+                continue
+            checked[cand] = len(processed.subsumers)
             clause = register(cand, parents)
             if not clause.literals:
                 empty_clause = clause.id
@@ -794,7 +789,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             admit(clause)
 
     # one text per content
-    for content in content_of:
+    for _, content in kept:
         if content.text is None:
             content.text = format_clause(content, sig)
     return ProofSearchRecord(
@@ -802,11 +797,10 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         strategy=format_strategy(strategy),
         outcome=outcome,
         given_sequence=[given.id for given, _ in processed.slots],
-        dag={clause.id: clause.parents for clause in clauses},
+        dag={clause.id: clause.parents for clause, _ in kept},
         empty_clause=empty_clause,
         stats=stats,
-        clause_texts={cid: content.text
-                      for cid, content in enumerate(content_of)},
+        clause_texts={clause.id: content.text for clause, content in kept},
     )
 
 

@@ -20,7 +20,7 @@ from satguide.pipeline import (
 )
 from satguide.saturation import Limits, OUTCOME_PROOF, prove, record_to_json
 from satguide.svm import predict
-from satguide.tptp import parse_problem
+from satguide.tptp import MAX_TERM_DEPTH, parse_problem
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 
@@ -266,6 +266,38 @@ def test_run_corpus_sequential_and_parallel_agree(corpus, corpus_limits):
     assert seq.keys() == par.keys()
     for key in seq:
         assert record_to_json(seq[key]) == record_to_json(par[key])
+
+
+def test_run_corpus_starts_no_more_workers_than_problems(
+        corpus, corpus_limits, monkeypatch):
+    """A pool forks its workers up front, so ``jobs`` past the problem
+    count is capped; a serial stand-in records the pool size."""
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(pipeline, "_POOL_STATE", {})
+    subset = corpus[:3]
+    strategies = {"base": baseline_strategy()}
+    pooled = run_corpus(subset, strategies, corpus_limits, jobs=8)
+    assert sizes == [3]
+    serial = run_corpus(subset, strategies, corpus_limits, jobs=1)
+    assert {key: record_to_json(r) for key, r in pooled.items()} == \
+        {key: record_to_json(r) for key, r in serial.items()}
 
 
 def test_run_corpus_records_equal_independent_searches(tmp_path, corpus,
@@ -543,6 +575,22 @@ def test_loop_grows_the_solved_set(tmp_path):
     sizes = [(r.n_positive + r.n_negative) for r in report.rounds
              if r.n_positive]
     assert sizes == sorted(sizes)
+
+
+def test_a_depth_cap_past_the_parser_bound_stops_the_loop_before_any_search(
+        corpus, monkeypatch):
+    """Records store clauses as text that must parse back, so ``Limits``
+    itself rejects a depth cap the parser would refuse to read."""
+    searches = []
+    monkeypatch.setattr(pipeline, "prove",
+                        lambda *args, **kwargs: searches.append(args))
+    grid = GridSpec(gammas=[0.2], frequencies=[5])
+    with pytest.raises(ValueError, match=f"max_depth must be at most "
+                                         f"{MAX_TERM_DEPTH}"):
+        loop(corpus[:2], None, 1, grid,
+             limits=Limits(max_depth=MAX_TERM_DEPTH + 1))
+    assert searches == []
+    assert Limits(max_depth=MAX_TERM_DEPTH).max_depth == MAX_TERM_DEPTH
 
 
 def test_loop_single_round_is_plain_train_once(corpus, corpus_limits):

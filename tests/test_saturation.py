@@ -752,6 +752,40 @@ def test_parser_never_crashes_on_garbage():
                 (text, type(exc))
 
 
+# two copies of p(a) give each dropped content two parent pairs
+DROPPED_TWICE = """
+cnf(p1, axiom, (p(a))).
+cnf(p2, axiom, (p(a))).
+cnf(sub, axiom, (u(X))).
+cnf(long, axiom, (~p(a) | q | r | s)).
+cnf(inst, axiom, (~p(X) | u(X))).
+cnf(w1, axiom, (w(a) | ~t(a))).
+cnf(w2, axiom, (w(a) | ~t(a))).
+cnf(taut, axiom, (~w(X) | t(X))).
+"""
+
+
+def test_each_occurrence_of_a_dropped_content_counts_once():
+    """In id order, ``long`` derives the over-long ``q | r | s`` once per
+    copy of p(a), ``inst`` derives ``u(a)``, which ``sub`` subsumes, and
+    ``taut`` derives the tautologies ``t(a) | ~t(a)`` and ``~w(a) | w(a)``
+    once per copy of ``w1``.  Every occurrence bumps its counter once, in a
+    fresh search and in one that reuses the first one's memo."""
+    sig = Signature()
+    clauses = parse_problem(DROPPED_TWICE, sig)
+    memo = saturation.ContentMemo(sig)
+    for _ in range(2):
+        record = prove(clauses, parse_strategy("1*Fifo"),
+                       Limits(max_literals=2), sig, memo=memo)
+        assert record.outcome == OUTCOME_SATURATED
+        assert record.given_sequence == list(range(len(clauses)))
+        stats = record.stats
+        assert (stats["discarded"], stats["subsumed"],
+                stats["tautologies"]) == (2, 2, 4)
+        assert stats["generated"] == 8
+        assert stats["kept"] == len(clauses) == 8
+
+
 def test_record_json_round_trip(tmp_path, fixture_baseline_records):
     sig = Signature()
     text = """
@@ -1184,7 +1218,7 @@ def test_the_selection_replay_rejects_a_swapped_pick_or_a_flipped_prediction(
         for flip in range(3):
             memo = saturation.ContentMemo(sig)
             prove(clauses, strategy, Limits(), sig, memo=memo)
-            (_, _, predictions), = memo.models.values()
+            (_, predictions), = memo.models.values()
             content = list(predictions)[flip]
             positive, dropped = predictions[content]
             predictions[content] = (not positive, dropped)

@@ -228,10 +228,11 @@ def cmd_loop(args) -> int:
     problems = pipeline.load_manifest(args.manifest)
     base = _strategy(args.base_strategy)
     grid = _grid_spec(args)
+    # before any search, so that an unusable directory costs no run
+    os.makedirs(args.output_dir, exist_ok=True)
     report = pipeline.loop(problems, base, args.rounds, grid,
                            boost_k=args.boost, limits=limits,
                            cfg=cfg, jobs=args.jobs)
-    os.makedirs(args.output_dir, exist_ok=True)
     for i, model in enumerate(report.models):
         svm.save_model(model, os.path.join(args.output_dir, f"model_round{i}.bin"))
     for rr in report.rounds:

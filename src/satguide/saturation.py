@@ -71,7 +71,7 @@ OUTCOME_RESOURCE_OUT = "resource_out"
 RECORD_FORMAT = "proof-search-record v1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Limits:
     max_processed: int = 1000
     max_generated: int = 100000
@@ -253,10 +253,6 @@ def factors(clause: Clause) -> list[Clause]:
     return out
 
 
-def _is_ground(t: Term) -> bool:
-    return isinstance(t, App) and all(_is_ground(a) for a in t.args)
-
-
 def compile_matcher(clause: Clause):
     """``match(literals)``: whether one substitution maps the clause's
     literals injectively onto some of ``literals``.
@@ -284,8 +280,6 @@ def compile_matcher(clause: Clause):
                 s[k] = t
                 return True
             return bind
-        if _is_ground(p):
-            return lambda t, s: t == p
         sym, ms = p.symbol, arguments(p.args)
         # a symbol has one arity, so a target App of it has len(p.args) args
         return lambda t, s: t.__class__ is App and t.symbol == sym \
@@ -311,17 +305,6 @@ def compile_matcher(clause: Clause):
     steps = [(lit.positive, lit.predicate, arguments(lit.args))
              for lit in clause.literals]
     size = len(slots)
-    if len(steps) == 1:
-        (positive, predicate, ms), = steps
-
-        def match_one(literals) -> bool:
-            s = [None] * size
-            for t in literals:
-                if t.predicate == predicate and t.positive == positive \
-                        and ms(t.args, s):
-                    return True
-            return False
-        return match_one
 
     def literal_step(positive: bool, predicate: int, ms, rest):
         """``step(literals, used, s)``: whether this pattern literal takes
@@ -522,10 +505,9 @@ class _Processed:
     def partners(self, content: _Content) -> list:
         """The slots holding a literal complementary in sign and predicate
         to one of the given content's, in slot order."""
-        keys = content.partner_keys
-        found = self.by_key.get(keys[0], ()) if len(keys) == 1 else \
-            sorted(set().union(*(self.by_key.get(key, ()) for key in keys)))
-        return [self.slots[slot] for slot in found]
+        found = set().union(*(self.by_key.get(key, ())
+                              for key in content.partner_keys))
+        return [self.slots[slot] for slot in sorted(found)]
 
     def subsumed(self, cand: _Content, since: int) -> bool:
         """Whether a subsumer added at or after index ``since`` subsumes

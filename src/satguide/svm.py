@@ -62,7 +62,7 @@ class NonFinite(Exception):
     """The optimization produced non-finite values (bad input scaling)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     c: float = 1.0
     tolerance: float = 1e-3
@@ -70,10 +70,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("penalty c must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # written so that NaN fails too
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"penalty c must be positive and finite, "
+                             f"not {self.c}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, "
+                             f"not {self.tolerance}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
 

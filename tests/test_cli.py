@@ -191,6 +191,20 @@ def test_loop_boost_below_one_is_a_usage_error(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_loop_output_that_is_a_file_fails_before_any_search(tmp_path, capsys,
+                                                            monkeypatch):
+    searches = []
+    monkeypatch.setattr(pipeline, "prove",
+                        lambda *args, **kwargs: searches.append(args))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"prob00 {CORPUS / 'prob00.p'}\n")
+    outdir = tmp_path / "notadir"
+    outdir.write_text("")
+    code, out, err = run(capsys, "loop", str(manifest), "-o", str(outdir))
+    assert code == 1 and f"cannot open {outdir}" in err
+    assert searches == [] and out == ""
+
+
 @pytest.mark.parametrize("flag,reason", [
     ("-c", "c must be positive"),
     ("--tolerance", "tolerance must be positive"),
@@ -204,10 +218,13 @@ def test_train_solver_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
     sig.write_text("symbols 4\n0 $var 0 variable-marker\n1 $sko 0 skolem-marker\n"
                    "2 $pos 0 pos-marker\n3 $neg 0 neg-marker\n")
     model = tmp_path / "m.bin"
-    code, _, err = run(capsys, "train", str(examples), "-o", str(model),
-                       flag, "0")
-    assert code == 1 and flag in err and reason in err
-    assert not model.exists()
+    # --max-epochs takes an int, so argparse itself refuses nan and inf
+    values = ["0"] if flag == "--max-epochs" else ["0", "nan", "inf"]
+    for value in values:
+        code, _, err = run(capsys, "train", str(examples), "-o", str(model),
+                           flag, value)
+        assert code == 1 and flag in err and reason in err, value
+        assert not model.exists()
 
 
 @pytest.mark.parametrize("flag,reason", [

@@ -1,5 +1,6 @@
 """Example extraction, boosting, grids, greedy cover, and the retrain loop."""
 
+import dataclasses
 import hashlib
 import random
 from pathlib import Path
@@ -19,7 +20,7 @@ from satguide.pipeline import (
     training_set, train_from_examples,
 )
 from satguide.saturation import Limits, OUTCOME_PROOF, prove, record_to_json
-from satguide.svm import predict
+from satguide.svm import SolverConfig, predict
 from satguide.tptp import MAX_TERM_DEPTH, parse_problem
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
@@ -591,6 +592,21 @@ def test_a_depth_cap_past_the_parser_bound_stops_the_loop_before_any_search(
              limits=Limits(max_depth=MAX_TERM_DEPTH + 1))
     assert searches == []
     assert Limits(max_depth=MAX_TERM_DEPTH).max_depth == MAX_TERM_DEPTH
+
+
+@pytest.mark.parametrize("config,name,value", [
+    (Limits(), "max_depth", MAX_TERM_DEPTH + 1),
+    (Limits(), "max_processed", -5),
+    (SolverConfig(), "c", float("nan")),
+    (SolverConfig(), "max_epochs", 0),
+])
+def test_limits_and_solver_config_cannot_be_changed_past_their_checks(
+        config, name, value):
+    """The checks run at construction, so a field cannot be set later."""
+    before = getattr(config, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, value)
+    assert getattr(config, name) == before
 
 
 def test_loop_single_round_is_plain_train_once(corpus, corpus_limits):

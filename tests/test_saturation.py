@@ -348,6 +348,14 @@ def _target(c, d_texts, instance, subst_texts, seed, sig):
          ["a", "a", "a"], 0)
 @example(["q(g(a,X),X)", "~q(X,f(X))"], ["~q(b,f(b))", "q(g(a,b),b)"],
          False, ["a", "a", "a"], 0)
+# one pattern literal: the first q target fails on X's repeat, a later one
+# matches
+@example(["q(X,X)"], ["q(a,b)", "r", "q(b,b)"], False, ["a", "a", "a"], 0)
+# a ground argument nested in a pattern with a variable
+@example(["p(f(a),X)"], ["p(f(b),c)", "p(f(a),c)"], False, ["a", "a", "a"], 0)
+# a pattern of constants only
+@example(["q(a,f(b))", "~r"], ["q(a,f(a))", "~r", "q(a,f(b))"], False,
+         ["a", "a", "a"], 0)
 def test_subsumes_agrees_with_the_brute_force_oracle(
         c_texts, d_texts, instance, subst_texts, seed):
     sig = Signature()
@@ -385,6 +393,8 @@ def test_subsumption_implies_the_literal_key_filter_passes(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_CLAUSE, min_size=1, max_size=6), _CLAUSE)
+# the last given clause has two complementary keys, whose slots interleave
+@example(["~q(b)", "p(a)", "~q(a)", "q(X) | ~p(X)"], "q(a)")
 def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
     # partners: every processed clause with a literal complementary in sign
     # and predicate, in selection order; subsumed: whether any processed

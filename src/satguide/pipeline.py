@@ -12,7 +12,8 @@ pool.  The task reads and parses the problem file once, into a fresh
 signature; all strategies share that parse and one content memo, a model
 maps the problem's symbols into its own table by name, and each record is
 the one an independent search would make.  A problem that cannot be read
-or parsed is logged and counted as unsolved, and the run carries on.
+or parsed, or whose search raises, is logged and counted as unsolved, and
+the run carries on.
 Records carry clause text and are re-read under the trainer's signature
 when examples are collected.
 """
@@ -221,7 +222,8 @@ def _solve_problem(problem: CorpusProblem, strategies: dict[str, Strategy],
     The file is read and parsed once, into a fresh signature, and the
     searches share one :class:`ContentMemo`; their records equal those of
     independent :func:`run_problem` searches.  A file that cannot be read
-    or parsed gives no records and a message naming the file.
+    or parsed, or a search that raises, gives no records and a message
+    naming the file.
     """
     try:
         with open(problem.path, "r", encoding="utf-8") as fp:
@@ -237,9 +239,14 @@ def _solve_problem(problem: CorpusProblem, strategies: dict[str, Strategy],
     except (ParseError, ArityClash) as exc:
         return {}, str(exc)  # names path and line
     memo = ContentMemo(sig)
-    return {key: prove(clauses, strategy, limits, sig,
-                       problem_id=problem.pid, memo=memo)
-            for key, strategy in strategies.items()}, None
+    try:
+        return {key: prove(clauses, strategy, limits, sig,
+                           problem_id=problem.pid, memo=memo)
+                for key, strategy in strategies.items()}, None
+    except Exception as exc:  # a backstop: one search must not end the run
+        log.debug("search of %s failed", problem.path, exc_info=True)
+        return {}, (f"{problem.path}: search failed: "
+                    f"{type(exc).__name__}: {exc}")
 
 
 # set once per pool worker, so tasks need not carry the strategies
@@ -259,8 +266,8 @@ def run_corpus(problems, strategies: dict[str, Strategy], limits: Limits,
     """Run every (strategy, problem) pair, one problem per task, optionally
     in a process pool.
 
-    A problem that cannot be read or parsed is logged as a warning and has
-    no record, and the run carries on.
+    A problem that cannot be read or parsed, or whose search raises, is
+    logged as a warning and has no record, and the run carries on.
     """
     args = (strategies, limits)
     if jobs <= 1 or len(problems) <= 1:

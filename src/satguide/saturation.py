@@ -5,11 +5,14 @@ takes that CEF's lowest-weight unprocessed clause as the given clause,
 moves it to the processed set, and generates all binary resolvents against
 the processed clauses plus all factors of the given clause, each built in
 one walk through its unifier (variables named X0, X1, ... by first
-occurrence, repeated literals merged).  New clauses that are too large,
-tautological, or subsumed by a processed clause are dropped; the exact
-subsumption check runs only on processed clauses whose literal keys all
-generalise some literal key of the new clause, and each processed content
-takes part in it as a matcher compiled once (:func:`compile_matcher`).
+occurrence, repeated literals merged) as a literal tuple; the search gives
+it an id and parents only when it keeps it.  A clause whose terms would
+nest past the parser's bound is not built.  New clauses that are too
+large, tautological, or subsumed by a processed clause are dropped; the
+exact subsumption check runs only on processed clauses whose literal keys
+all generalise some literal key of the new clause, and each processed
+content takes part in it as a matcher compiled once
+(:func:`compile_matcher`).
 The search stops on the empty clause, an empty unprocessed set, or a
 resource limit (the generated-clause cap and the timeout are checked
 before each new clause), and always returns a full record of the
@@ -23,23 +26,22 @@ only on the parents' literals.  A candidate content that was subsumed
 stays so, because the processed set only grows; a kept one is checked
 again only against the subsumers processed since, and only the first
 processed clause of each content is a subsumer.
-Partners come from a ``(sign, predicate)`` index of processed slots: only
-clauses with a complementary literal can resolve with the given clause,
-and visiting them in slot order keeps the candidate order, so clause ids
-and records are the same as without any of this.
+The same literal-key masks pick the partners: only processed clauses with
+a literal complementary in sign and predicate can resolve with the given
+clause, and visiting them in slot order keeps the candidate order, so
+clause ids and records are the same as without any of this.
 
 Each content is one :class:`_Content`, which holds what every search of
-the problem knows of it: literal count, depth, tautology flag and
-instance mask; once processed, its primed copy, keys and pattern mask;
-its matcher and printed text once first needed.  The contents, the
-derived contents and each CEF's weights (for a learned CEF, the model's
-predictions) live in a :class:`ContentMemo`.  All of it depends only on
-a content and the problem's signature, so a corpus run gives each
-problem one memo for all its strategies.  A search keeps only what
-depends on its own processed set: its kept clauses, the index of its
-processed ones and, per kept content, how many subsumers it was checked
-against.  A search without a memo makes its own, and the records are
-the same either way.
+the problem knows of it: literal count, depth, tautology flag and key
+masks; once processed, its primed copy; its matcher and printed text once
+first needed.  The contents, the derived contents and each CEF's weights
+(for a learned CEF, the model's predictions) live in a
+:class:`ContentMemo`.  All of it depends only on a content and the
+problem's signature, so a corpus run gives each problem one memo for all
+its strategies.  A search keeps only what depends on its own processed
+set: its kept clauses, its processed ones and, per kept content, how many
+subsumers it was checked against.  A search without a memo makes its own,
+and the records are the same either way.
 
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
@@ -190,58 +192,67 @@ def rename_apart(literals) -> tuple[Literal, ...]:
                  for lit in literals)
 
 
-def _derived(literals, subst: dict, parents: tuple[int, ...]) -> Clause:
-    """The clause of ``literals`` under ``subst``, built in one walk.
+class _TooDeep(Exception):
+    """A derived term would nest deeper than ``MAX_TERM_DEPTH``."""
+
+
+def _derived(literals, subst: dict) -> tuple[Literal, ...] | None:
+    """The literals of ``literals`` under ``subst``, built in one walk.
 
     Variables are renamed to X0, X1, ... in first-occurrence order and
     repeated literals are dropped.  Renaming is injective, so literals
     equal after substitution are equal after renaming, and a repeat adds
-    no variable number.
+    no variable number.  The walk stops, and gives None, once a term would
+    nest deeper than ``MAX_TERM_DEPTH`` (its predicate counting as one
+    level, as in ``clause_depth``): no record could hold such a clause,
+    and every later walk of it would recurse that deep.
     """
     names: dict[str, Var] = {}
 
-    def walk(t: Term) -> Term:
+    def walk(t: Term, depth: int) -> Term:
+        if depth > MAX_TERM_DEPTH:
+            raise _TooDeep
         t = _deref(t, subst)
         if isinstance(t, Var):
             var = names.get(t.name)
             if var is None:
                 var = names[t.name] = Var(f"X{len(names)}")
             return var
-        return App(t.symbol, tuple(walk(a) for a in t.args))
+        return App(t.symbol, tuple(walk(a, depth + 1) for a in t.args))
 
-    kept = dict.fromkeys(Literal(lit.positive, lit.predicate,
-                                 tuple(walk(a) for a in lit.args))
-                         for lit in literals)
-    return Clause(-1, tuple(kept), parents)
+    try:
+        kept = dict.fromkeys(Literal(lit.positive, lit.predicate,
+                                     tuple(walk(a, 2) for a in lit.args))
+                             for lit in literals)
+    except _TooDeep:
+        return None
+    return tuple(kept)
 
 
-def resolvents(given: Clause, partner: Clause,
-               primed: tuple[Literal, ...]) -> list[Clause]:
-    """All binary resolvents of the two clauses (ids unassigned).
-
-    ``primed`` is ``rename_apart(partner.literals)``: resolving against it
-    keeps the partner's variables apart from the given clause's, so the
-    same clause may be passed on both sides.
-    """
+def resolvents(lits: tuple[Literal, ...],
+               primed: tuple[Literal, ...]) -> list:
+    """The literals of every binary resolvent of a clause with ``lits`` and
+    a partner with ``primed``, its ``rename_apart`` copy, which keeps the
+    partner's variables apart, so a clause may resolve with itself.  None
+    stands for a resolvent too deep to build (see :func:`_derived`)."""
     out = []
-    lits = given.literals
     for i, lit_g in enumerate(lits):
-        for j, lit_p in enumerate(partner.literals):
+        for j, lit_p in enumerate(primed):
             if lit_g.positive == lit_p.positive \
                     or lit_g.predicate != lit_p.predicate:
                 continue
-            subst = unify_atoms(lit_g, primed[j])
+            subst = unify_atoms(lit_g, lit_p)
             if subst is None:
                 continue
             rest = lits[:i] + lits[i + 1:] + primed[:j] + primed[j + 1:]
-            out.append(_derived(rest, subst, (given.id, partner.id)))
+            out.append(_derived(rest, subst))
     return out
 
 
-def factors(clause: Clause) -> list[Clause]:
-    """All binary factors: unify two same-polarity literals, drop one."""
+def factors(lits: tuple[Literal, ...]) -> list:
+    """The literals of every binary factor: unify two same-polarity
+    literals, drop one.  None stands for a factor too deep to build."""
     out = []
-    lits = clause.literals
     for i in range(len(lits)):
         for j in range(i + 1, len(lits)):
             if lits[i].positive != lits[j].positive:
@@ -249,7 +260,7 @@ def factors(clause: Clause) -> list[Clause]:
             subst = unify_atoms(lits[i], lits[j])
             if subst is None:
                 continue
-            out.append(_derived(lits[:j] + lits[j + 1:], subst, (clause.id,)))
+            out.append(_derived(lits[:j] + lits[j + 1:], subst))
     return out
 
 
@@ -361,21 +372,21 @@ def _mask(keys, key_bits: dict) -> int:
     return mask
 
 
-def pattern_mask(clause: Clause, key_bits: dict) -> int:
-    """Bitmask of the clause's literal keys."""
-    return _mask(map(_literal_key, clause.literals), key_bits)
+def pattern_mask(literals, key_bits: dict) -> int:
+    """Bitmask of the literals' keys."""
+    return _mask(map(_literal_key, literals), key_bits)
 
 
-def instance_mask(clause: Clause, key_bits: dict) -> int:
-    """Bitmask of every generalisation of the clause's literal keys, which
-    keeps each top symbol or replaces it by None.
+def instance_mask(literals, key_bits: dict) -> int:
+    """Bitmask of every generalisation of the literals' keys, which keeps
+    each top symbol or replaces it by None.
 
     Instantiation keeps the sign, the predicate and every non-variable
     top, so if ``c`` subsumes ``d`` then every key of ``c`` generalises a
-    key of ``d``, and ``pattern_mask(c, bits) & ~instance_mask(d, bits)``
-    is 0 whichever mask was made first.
+    key of ``d``, and ``pattern_mask(c.literals, bits) &
+    ~instance_mask(d.literals, bits)`` is 0 whichever mask was made first.
     """
-    keys = map(_literal_key, clause.literals)
+    keys = map(_literal_key, literals)
     return _mask(((sign, predicate, gen) for sign, predicate, tops in keys
                   for gen in product(*((t, None) for t in tops))), key_bits)
 
@@ -439,65 +450,53 @@ class _Content:
     """One distinct literal tuple of a problem and what every search of the
     problem knows of it.
 
-    The literal count, depth, tautology flag and instance mask are made
-    when the content is first seen.  The primed copy, the ``(sign,
-    predicate)`` keys, the complementary keys its partners hold and the
-    pattern mask are filled when it is first processed, by :meth:`prime`;
-    the matcher on the first exact subsumption check that reaches it; the
-    text when a record first prints it.  A content reads as a clause
-    wherever only ``.literals`` matter.  It hashes by identity, so no order
-    may come from iterating a set of contents.
+    The literal count, depth, tautology flag and key masks are made with
+    the content: the instance mask of every generalisation of its literal
+    keys, the pattern mask of its keys, and the opposite mask of each
+    literal's key with the other sign and variable tops, which a clause's
+    instance mask meets just when the two can resolve on sign and
+    predicate.  The primed copy is filled when the content is first
+    processed, the matcher on the first exact subsumption check that
+    reaches it, the text when a record first prints it.  A content reads as
+    a clause wherever only ``.literals`` matter.  It hashes by identity, so
+    no order may come from iterating a set of contents.
     """
 
-    __slots__ = ("literals", "size", "depth", "tautology", "mask", "primed",
-                 "keys", "partner_keys", "pattern", "match", "text")
+    __slots__ = ("literals", "size", "depth", "tautology", "mask", "pattern",
+                 "opposite", "primed", "match", "text")
 
-    def __init__(self, literals: tuple[Literal, ...], mask: int):
+    def __init__(self, literals: tuple[Literal, ...], mask: int,
+                 pattern: int, opposite: int):
         self.literals = literals
         self.size = len(literals)
         self.depth = clause_depth(self)
         self.tautology = is_tautology(self)
-        self.mask = mask
-        self.primed = self.keys = self.partner_keys = self.pattern = None
-        self.match = self.text = None
-
-    def prime(self, key_bits: dict) -> None:
-        self.primed = rename_apart(self.literals)
-        self.keys = tuple({(lit.positive, lit.predicate)
-                           for lit in self.literals})
-        self.partner_keys = tuple({(not sign, predicate)
-                                   for sign, predicate in self.keys})
-        self.pattern = pattern_mask(self, key_bits)
+        self.mask, self.pattern, self.opposite = mask, pattern, opposite
+        self.primed = self.match = self.text = None
 
 
 class _Processed:
     """The processed clauses of one search and the loop's lookups into them.
 
     Each processed clause takes the next *slot*, a ``(clause, content)``
-    pair.  ``by_key`` maps a ``(sign, predicate)`` pair to the slots whose
-    clauses hold such a literal, so :meth:`partners` visits only clauses
-    that can resolve with the given clause, in slot order.  Only the first
-    processed clause of each content is a subsumer: equal clauses subsume
-    the same candidates.  What depends only on a content lives on its
-    :class:`_Content`, shared with the problem's other searches; the slots,
-    the index and the subsumers are this search's own.
+    pair.  :meth:`partners` keeps the slots whose content's instance mask
+    meets the given content's opposite mask, in slot order.  Only the
+    first processed clause of each content is a subsumer: equal clauses
+    subsume the same candidates.  What depends only on a content lives on
+    its :class:`_Content`, shared with the problem's other searches; the
+    slots and the subsumers are this search's own.
     """
 
-    def __init__(self, memo: ContentMemo):
-        self.memo = memo
+    def __init__(self):
         self.slots: list[tuple[Clause, _Content]] = []
-        self.by_key: dict[tuple[bool, int], list[int]] = {}
         # one per processed content, in processing order
         self.subsumers: list[_Content] = []
         self.subsuming: set[_Content] = set()
 
     def add(self, clause: Clause, content: _Content) -> None:
         if content.primed is None:
-            content.prime(self.memo.key_bits)
-        slot = len(self.slots)
+            content.primed = rename_apart(content.literals)
         self.slots.append((clause, content))
-        for key in content.keys:
-            self.by_key.setdefault(key, []).append(slot)
         if content not in self.subsuming:
             self.subsuming.add(content)
             self.subsumers.append(content)
@@ -505,9 +504,8 @@ class _Processed:
     def partners(self, content: _Content) -> list:
         """The slots holding a literal complementary in sign and predicate
         to one of the given content's, in slot order."""
-        found = set().union(*(self.by_key.get(key, ())
-                              for key in content.partner_keys))
-        return [self.slots[slot] for slot in sorted(found)]
+        opposite = content.opposite
+        return [slot for slot in self.slots if slot[1].mask & opposite]
 
     def subsumed(self, cand: _Content, since: int) -> bool:
         """Whether a subsumer added at or after index ``since`` subsumes
@@ -542,43 +540,52 @@ class ContentMemo:
     the number of feature triples it dropped, which every search that uses
     it, the first included, adds to its own ``dropped_triples``.
 
-    ``key_bits`` numbers every key a mask has used, a subsumer's literal
-    key or a generalisation of a content's, and a key keeps its bit, so no
-    mask is made again: a key first seen in a later subsumer generalises
-    no earlier content's key.  Per-search state (kept and processed
-    clauses, queues, subsumption watermarks) stays in :func:`prove`.
+    ``key_bits`` gives every key a mask uses one bit for good, so masks
+    made at any time agree and none is made again.  Per-search state
+    (kept and processed clauses, queues, subsumption watermarks) stays in
+    :func:`prove`.
     """
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.contents: dict[tuple[Literal, ...], _Content] = {}
         # (given content, partner content) or (given content,) -> the
-        # contents resolution or factoring derives
-        self.derived: dict[tuple, list[_Content]] = {}
+        # contents resolution or factoring derives, None for one too deep
+        self.derived: dict[tuple, list[_Content | None]] = {}
         # (kind, gamma, model) of a CEF other than Fifo -> content -> weight
         self.weights: dict[tuple, dict[_Content, float]] = {}
         # model -> (the signature's map into it, content -> (positive,
         # triples dropped))
         self.models: dict[Model, tuple[SymbolMap, dict]] = {}
-        # literal key, or a generalisation of one -> its bit in the
-        # pattern and instance masks
+        # literal key, a generalisation of one, or an opposite key -> its
+        # bit in the masks
         self.key_bits: dict = {}
-        # literal key -> the instance mask of a literal with that key
-        self.key_masks: dict[tuple, int] = {}
+        # literal key -> the instance, pattern and opposite masks of a
+        # literal with that key
+        self.key_masks: dict[tuple, tuple[int, int, int]] = {}
 
     def content(self, literals: tuple[Literal, ...]) -> _Content:
         content = self.contents.get(literals)
         if content is None:
-            mask = 0
+            mask = pattern = opposite = 0
             for lit in literals:
                 key = _literal_key(lit)
-                bits = self.key_masks.get(key)
-                if bits is None:
-                    bits = self.key_masks[key] = instance_mask(
-                        Clause(-1, (lit,)), self.key_bits)
-                mask |= bits
-            content = self.contents[literals] = _Content(literals, mask)
+                masks = self.key_masks.get(key)
+                if masks is None:
+                    masks = self.key_masks[key] = self._key_masks(lit)
+                mask |= masks[0]
+                pattern |= masks[1]
+                opposite |= masks[2]
+            content = self.contents[literals] = _Content(literals, mask,
+                                                         pattern, opposite)
         return content
+
+    def _key_masks(self, lit: Literal) -> tuple[int, int, int]:
+        """The instance, pattern and opposite masks of one literal."""
+        bits, tops = self.key_bits, lit.args[:2]
+        opposite = (not lit.positive, lit.predicate, (None,) * len(tops))
+        return (instance_mask((lit,), bits), pattern_mask((lit,), bits),
+                _mask([opposite], bits))
 
     def weigher(self, cef: CEF, stats: dict):
         """``weigh(clause, content)``, the CEF's weight of the clause, that
@@ -667,7 +674,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     stats = {"generated": 0, "processed": 0, "kept": 0, "subsumed": 0,
              "discarded": 0, "tautologies": 0, "equality_axioms": 0,
              "dropped_triples": 0}
-    processed = _Processed(memo)
+    processed = _Processed()
     # every kept clause with its content; a clause's id is its index
     kept: list[tuple[Clause, _Content]] = []
     # the kept pairs not yet processed, by clause id
@@ -701,8 +708,9 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     def derive(key: tuple, parents: tuple[int, ...], make, *args) -> list:
         made = derived.get(key)
         if made is None:
-            made = derived[key] = [memo.content(c.literals)
-                                   for c in make(*args)]
+            made = derived[key] = [None if literals is None
+                                   else memo.content(literals)
+                                   for literals in make(*args)]
         return [(cand, parents) for cand in made]
 
     input_literal_sets = [clause.literals for clause in problem]
@@ -743,14 +751,15 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         for partner, partner_content in processed.partners(given_content):
             candidates += derive((given_content, partner_content),
                                  (given.id, partner.id), resolvents,
-                                 given, partner, partner_content.primed)
-        candidates += derive((given_content,), (given.id,), factors, given)
+                                 given.literals, partner_content.primed)
+        candidates += derive((given_content,), (given.id,), factors,
+                             given.literals)
         for cand, parents in candidates:
             if spent():
                 outcome = OUTCOME_RESOURCE_OUT
                 break
             stats["generated"] += 1
-            if cand.size > limits.max_literals \
+            if cand is None or cand.size > limits.max_literals \
                     or cand.depth > limits.max_depth:
                 stats["discarded"] += 1
                 continue

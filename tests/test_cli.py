@@ -268,9 +268,14 @@ def test_loop_out_of_range_flag_is_a_usage_error(tmp_path, capsys, flag,
     (["grid", "{tmp}/manifest.txt", "--model", "{tmp}/model.bin",
       "--frequencies", "5,5"],
      "bad --gammas or --frequencies: frequencies must not repeat"),
+    (["prove", "{tmp}/chain.p", "--strategy",
+      "1*Learned({tmp}/model.bin,gamma=two)"],
+     "bad --strategy '1*Learned({tmp}/model.bin,gamma=two)': bad gamma "
+     "'two' in 'Learned({tmp}/model.bin,gamma=two)'"),
 ], ids=["loop-negative", "loop-nan", "loop-empty", "grid-inf",
         "prove-strategy-nan", "grid-gammas-share-a-key",
-        "loop-gamma-repeated", "grid-frequency-repeated"])
+        "loop-gamma-repeated", "grid-frequency-repeated",
+        "prove-strategy-unparsable"])
 def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
     # the problem file does not exist, so any corpus run would fail first
     (tmp_path / "manifest.txt").write_text(f"p0 {tmp_path / 'missing.p'}\n")
@@ -282,7 +287,7 @@ def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
     assert run(capsys, "train", str(tmp_path / "ex.txt"),
                "-o", str(tmp_path / "model.bin"))[0] == 0
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
-    assert code == 1 and reason in err, err
+    assert code == 1 and reason.format(tmp=tmp_path) in err, err
     assert not (tmp_path / "out").exists()
 
 
@@ -471,6 +476,59 @@ def test_prove_on_a_too_deeply_nested_term_names_the_line(tmp_path, capsys):
     code, _, err = run(capsys, "prove", str(problem))
     assert code == 2
     assert f"{problem}:2: term nested deeper than" in err
+
+
+def nested(levels, inner):
+    return "f(" * levels + inner + ")" * levels
+
+
+# input at the parser's bound whose factor binds X0 to 396 nested fs
+DEEP_FACTOR_PROBLEM = (
+    f"cnf(a, axiom, (p(X0,X1,X2) | p({nested(198, 'X1')},"
+    f"{nested(198, 'X2')},c))).\n"
+    "cnf(g, negated_conjecture, (~q(c))).\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--max-depth", "200"]])
+def test_prove_discards_a_derived_term_nested_past_the_parser_bound(
+        tmp_path, capsys, flags):
+    problem = tmp_path / "deep.p"
+    problem.write_text(DEEP_FACTOR_PROBLEM)
+    record = tmp_path / "rec.json"
+    code, out, err = run(capsys, "prove", str(problem), "--record",
+                         str(record), *flags)
+    assert code == 0, err
+    assert out.startswith("saturated ")
+    assert json.loads(record.read_text())["stats"]["discarded"] > 0
+
+
+def test_grid_counts_the_problem_next_to_a_derivation_too_deep_to_build(
+        tmp_path, capsys):
+    chain, record = tmp_path / "chain.p", tmp_path / "chain.json"
+    chain.write_text(CHAIN_PROBLEM)
+    examples, model = tmp_path / "ex.txt", tmp_path / "model.bin"
+    assert run(capsys, "prove", str(chain), "--record", str(record))[0] == 0
+    assert run(capsys, "extract", str(record), "-o", str(examples))[0] == 0
+    assert run(capsys, "train", str(examples), "-o", str(model))[0] == 0
+    (tmp_path / "deep.p").write_text(DEEP_FACTOR_PROBLEM)
+    (tmp_path / "one.p").write_text("cnf(a, axiom, (r(a))).\n"
+                                    "cnf(g, negated_conjecture, (~r(a))).\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("deep deep.p\none one.p\n")
+    code, out, err = run(capsys, "grid", str(manifest), "--model", str(model),
+                         "--gammas", "0.2", "--frequencies", "5")
+    assert code == 0, err
+    assert out == ("gamma\t0\t5\tinf\n"
+                   "0.2\t1\t1\t1\n"
+                   "solved 1/2; greedy cover: 0\n")
+
+
+def test_prove_on_a_file_with_no_clauses_is_a_usage_error(tmp_path, capsys):
+    problem = tmp_path / "empty.p"
+    problem.write_text("% only a comment\n")
+    code, out, err = run(capsys, "prove", str(problem))
+    assert code == 1 and out == ""
+    assert f"{problem}: no clauses found" in err
 
 
 def test_max_depth_past_the_parser_bound_is_a_usage_error(tmp_path, capsys):

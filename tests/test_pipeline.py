@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import logging
 import random
 from pathlib import Path
 
@@ -12,7 +13,9 @@ from oracles import OwnLabels, brute_force_min_cover, record_proof_faults
 from satguide import pipeline, saturation
 from satguide.clauses import Signature, SymbolMap
 from satguide.features import clause_features, vectorize
-from satguide.guidance import Strategy, baseline_strategy, learned_cef
+from satguide.guidance import (
+    Strategy, baseline_strategy, learned_cef, parse_strategy,
+)
 from satguide.pipeline import (
     CorpusProblem, GridSpec, NoProof, ancestor_ids, boost_rows,
     extract_examples, greedy_cover, grid_strategies, grid_table,
@@ -267,6 +270,32 @@ def test_run_corpus_sequential_and_parallel_agree(corpus, corpus_limits):
     assert seq.keys() == par.keys()
     for key in seq:
         assert record_to_json(seq[key]) == record_to_json(par[key])
+
+
+def test_a_search_that_raises_fails_its_own_problem_only(
+        corpus, corpus_limits, monkeypatch, caplog):
+    subset = corpus[:2]
+    strategies = {"base": baseline_strategy(),
+                  "fifo": parse_strategy("1*Fifo")}
+    want = run_corpus(subset, strategies, corpus_limits)
+    prove_ = pipeline.prove
+
+    def failing(clauses, strategy, limits, sig, problem_id="", **kwargs):
+        if problem_id == subset[0].pid:
+            raise RecursionError("maximum recursion depth exceeded")
+        return prove_(clauses, strategy, limits, sig, problem_id, **kwargs)
+
+    monkeypatch.setattr(pipeline, "prove", failing)
+    with caplog.at_level(logging.DEBUG, logger="satguide"):
+        got = run_corpus(subset, strategies, corpus_limits)
+    assert (f"{subset[0].path}: search failed: RecursionError: maximum "
+            "recursion depth exceeded; counted as unsolved") in caplog.text
+    # the traceback goes to the debug log
+    assert [r.exc_info[0] for r in caplog.records if r.exc_info] \
+        == [RecursionError]
+    assert sorted(got) == [(key, subset[1].pid) for key in sorted(strategies)]
+    for key in got:
+        assert record_to_json(got[key]) == record_to_json(want[key])
 
 
 def test_run_corpus_starts_no_more_workers_than_problems(

@@ -15,7 +15,9 @@ from oracles import (
     robinson_unify, selection_faults, substitute,
 )
 from satguide import saturation
-from satguide.clauses import App, Clause, Literal, Signature, Var
+from satguide.clauses import (
+    App, Clause, Literal, Signature, Var, clause_depth,
+)
 from satguide.guidance import (
     Strategy, baseline_strategy, learned_cef, parse_strategy,
 )
@@ -30,7 +32,10 @@ from satguide.saturation import (
     pattern_mask, prove, record_from_json, record_to_json, rename_apart,
     resolvents, save_record, subsumes, unify, apply_subst,
 )
-from satguide.tptp import format_clause, format_term, parse_clause_text, parse_problem
+from satguide.tptp import (
+    MAX_TERM_DEPTH, format_clause, format_term, parse_clause_text,
+    parse_problem,
+)
 
 
 def parse_terms(text, sig):
@@ -101,7 +106,7 @@ def test_unify_agrees_with_the_robinson_oracle(t1_text, t2_text):
 
 def resolve(given, partner):
     """Resolvents against the primed partner, as ``prove`` passes it."""
-    return resolvents(given, partner, rename_apart(partner.literals))
+    return resolvents(given.literals, rename_apart(partner.literals))
 
 
 class TestResolvents:
@@ -109,18 +114,13 @@ class TestResolvents:
         sig = Signature()
         given = parse_one("p(X)", sig)
         partner = parse_one("~p(a)", sig)
-        partner.id = 1
-        out = resolve(given, partner)
-        assert len(out) == 1
-        assert out[0].literals == ()
-        assert out[0].parents == (given.id, partner.id)
+        assert resolve(given, partner) == [()]
 
     def test_textbook_resolvent(self):
         sig = Signature()
         given = parse_one("p(X) | q(X)", sig)
         partner = parse_one("~p(a)", sig)
-        out = resolve(given, partner)
-        assert [format_clause(c, sig) for c in out] == ["q(a)"]
+        assert resolve(given, partner) == [parse_one("q(a)", sig).literals]
 
     def test_no_complementary_pair(self):
         sig = Signature()
@@ -133,8 +133,7 @@ class TestResolvents:
         clause = parse_one("~le(X, Y) | le(f(X), Y)", sig)
         out = resolve(clause, clause)
         # the shared variable names must not block the unifications
-        texts = {format_clause(c, sig) for c in out}
-        assert "~le(X0,X1) | le(f(f(X0)),X1)" in texts
+        assert parse_one("~le(X0,X1) | le(f(f(X0)),X1)", sig).literals in out
 
 
 _TERM = st.recursive(st.sampled_from(["a", "b", "X", "Y", "Z"]),
@@ -166,14 +165,10 @@ def test_resolvents_ignore_the_partners_variable_names(g_text, p_text, same,
     g = parse_one(g_text, sig)
     p = g if same else Clause(1, parse_one(p_text, sig).literals)
     rho_p = _renamed(p, dict(zip("XYZ", names)))
-
-    def printed(clauses):
-        return [(format_clause(c, sig), c.parents) for c in clauses]
-
-    assert printed(resolve(g, p)) == printed(resolve(g, rho_p))
+    assert resolve(g, p) == resolve(g, rho_p)
 
 
-def _oracle_derived(literals, subst, parents):
+def _oracle_derived(literals, subst):
     """Substitute, drop repeated literals, then name variables X0, X1, ...
     by first occurrence."""
     kept = []
@@ -191,7 +186,7 @@ def _oracle_derived(literals, subst, parents):
 
     return tuple(Literal(lit.positive, lit.predicate,
                          tuple(walk(a) for a in lit.args))
-                 for lit in kept), parents
+                 for lit in kept)
 
 
 def _oracle_unify_atoms(a, b):
@@ -215,8 +210,7 @@ def _oracle_resolvents(given, partner):
             if subst is not None:
                 rest = [l for k, l in enumerate(given.literals) if k != i]
                 rest += [l for k, l in enumerate(primed) if k != j]
-                out.append(_oracle_derived(rest, subst,
-                                           (given.id, partner.id)))
+                out.append(_oracle_derived(rest, subst))
     return out
 
 
@@ -230,7 +224,7 @@ def _oracle_factors(clause):
         subst = _oracle_unify_atoms(lits[i], lits[j])
         if subst is not None:
             rest = [l for k, l in enumerate(lits) if k != j]
-            out.append(_oracle_derived(rest, subst, (clause.id,)))
+            out.append(_oracle_derived(rest, subst))
     return out
 
 
@@ -245,28 +239,23 @@ def test_derived_clauses_agree_with_the_oracle_construction(g_text, p_text,
     sig = Signature()
     g = parse_one(g_text, sig)
     p = g if same else Clause(1, parse_one(p_text, sig).literals)
-
-    def shapes(clauses):
-        return [(c.literals, c.parents) for c in clauses]
-
-    assert shapes(resolve(g, p)) == _oracle_resolvents(g, p)
-    assert shapes(factors(g)) == _oracle_factors(g)
+    assert resolve(g, p) == _oracle_resolvents(g, p)
+    assert factors(g.literals) == _oracle_factors(g)
 
 
 class TestFactors:
     def test_basic_factoring(self):
         sig = Signature()
         clause = parse_one("p(X) | p(a)", sig)
-        out = factors(clause)
-        assert [format_clause(c, sig) for c in out] == ["p(a)"]
+        assert factors(clause.literals) == [parse_one("p(a)", sig).literals]
 
     def test_opposite_polarity_does_not_factor(self):
         sig = Signature()
-        assert factors(parse_one("p(X) | ~p(a)", sig)) == []
+        assert factors(parse_one("p(X) | ~p(a)", sig).literals) == []
 
     def test_different_predicates_do_not_factor(self):
         sig = Signature()
-        assert factors(parse_one("p(a) | q(b)", sig)) == []
+        assert factors(parse_one("p(a) | q(b)", sig).literals) == []
 
 
 class TestSubsumes:
@@ -381,14 +370,14 @@ def test_subsumption_implies_the_literal_key_filter_passes(
     d = _target(c, d_texts, instance, subst_texts, seed, sig)
     assert not instance or subsumes(c, d)
     key_bits: dict = {}
-    pattern = pattern_mask(c, key_bits)
+    pattern = pattern_mask(c.literals, key_bits)
     if subsumes(c, d):
-        assert pattern & ~instance_mask(d, key_bits) == 0
+        assert pattern & ~instance_mask(d.literals, key_bits) == 0
     # the candidate's mask made first, before the subsumer's keys have bits
     key_bits = {}
-    instance = instance_mask(d, key_bits)
+    instance = instance_mask(d.literals, key_bits)
     if subsumes(c, d):
-        assert pattern_mask(c, key_bits) & ~instance == 0
+        assert pattern_mask(c.literals, key_bits) & ~instance == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -401,7 +390,7 @@ def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
     # clause, repeats included, subsumes the candidate
     sig = Signature()
     memo = saturation.ContentMemo(sig)
-    processed = saturation._Processed(memo)
+    processed = saturation._Processed()
     cand = memo.content(parse_one(cand_text, sig).literals)
     scanned = []
     for k, text in enumerate(texts):
@@ -416,7 +405,7 @@ def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
                    for g in given.literals for lit in c.literals)]
         assert set(partners) >= {
             c.id for c, part in processed.slots
-            if resolvents(given, c, part.primed)}
+            if resolvents(given.literals, part.primed)}
         assert processed.subsumed(cand, 0) == \
             any(subsumes(c, cand) for c in scanned)
 
@@ -435,14 +424,14 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
     sig = Signature()
     memo = saturation.ContentMemo(sig)
     cand = memo.content(parse_one(cand_text, sig).literals)
-    other = saturation._Processed(memo)
+    other = saturation._Processed()
     for k, text in enumerate(others):
         clause = Clause(k, parse_one(text, sig).literals)
         content = memo.content(clause.literals)
         other.add(clause, content)
         other.partners(content)
         other.subsumed(cand, 0)
-    processed = saturation._Processed(memo)
+    processed = saturation._Processed()
     scanned = []
     for k, text in enumerate(texts):
         given = Clause(k, parse_one(text, sig).literals)
@@ -456,6 +445,80 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
                    for g in given.literals for lit in c.literals)]
         assert processed.subsumed(cand, 0) == \
             any(subsumes(c, cand) for c in scanned)
+
+
+def _nested(levels, inner):
+    return "f(" * levels + inner + ")" * levels
+
+
+# input at the parser's bound whose factor binds X0 to 396 nested fs
+DEEP_FACTOR = [f"p(X0,X1,X2) | p({_nested(198, 'X1')},{_nested(198, 'X2')},c)",
+               "~q(c)"]
+
+
+def _problem(texts, sig):
+    return parse_problem("".join(f"cnf(c{k}, axiom, ({text})).\n"
+                                 for k, text in enumerate(texts)), sig)
+
+
+@pytest.mark.parametrize("levels,built", [(98, True), (99, False)])
+def test_a_resolvent_is_built_up_to_the_parser_bound(levels, built):
+    sig = Signature()
+    given = parse_one(f"q({_nested(100, 'X')})", sig)
+    partner = parse_one(f"~q(Y) | q({_nested(levels, 'Y')})", sig)
+    (out,) = resolve(given, partner)
+    if built:
+        assert out == parse_one(f"q({_nested(198, 'X0')})", sig).literals
+        assert clause_depth(Clause(0, out)) == MAX_TERM_DEPTH
+    else:
+        assert out is None
+
+
+@pytest.mark.parametrize("max_depth", [6, MAX_TERM_DEPTH])
+def test_a_factor_nested_past_the_parser_bound_is_discarded(max_depth):
+    sig = Signature()
+    memo = saturation.ContentMemo(sig)
+    record = prove(_problem(DEEP_FACTOR, sig), baseline_strategy(),
+                   Limits(max_depth=max_depth), sig, memo=memo)
+    assert record.outcome == OUTCOME_SATURATED
+    assert record.stats["generated"] == record.stats["discarded"] == 1
+    # the memo keeps the too-deep factor for the problem's other searches
+    content = memo.content(_problem(DEEP_FACTOR[:1], Signature())[0].literals)
+    assert memo.derived[(content,)] == [None]
+
+
+_LEAF = st.sampled_from(["a", "c", "X", "Y", "Z"])
+# terms of any depth a literal may have within the parser's bound, with
+# shallow and deepest ones drawn more often
+_CHAIN = st.builds(_nested, st.one_of(
+    st.integers(0, 2), st.integers(0, MAX_TERM_DEPTH - 2),
+    st.integers(MAX_TERM_DEPTH - 12, MAX_TERM_DEPTH - 2)), _LEAF)
+_NESTED_LITERAL = st.builds(
+    "{}{}".format, st.sampled_from(["", "~"]),
+    st.one_of(st.builds("p({},{},{})".format, _CHAIN, _CHAIN, _CHAIN),
+              st.builds("q({})".format, _CHAIN),
+              st.builds("{} = {}".format, _CHAIN, _CHAIN)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(_NESTED_LITERAL, min_size=1, max_size=3)
+                .map(" | ".join), min_size=1, max_size=4),
+       st.sampled_from([6, MAX_TERM_DEPTH]))
+@example(DEEP_FACTOR, 6)
+@example([f"q({_nested(198, 'X')})", f"~q(Y) | q({_nested(198, 'Y')})"],
+         MAX_TERM_DEPTH)
+def test_problems_nested_up_to_the_parser_bound_end_without_raising(
+        texts, max_depth):
+    sig = Signature()
+    record = prove(_problem(texts, sig), baseline_strategy(),
+                   Limits(max_processed=25, max_generated=400,
+                          max_depth=max_depth), sig)
+    assert record.outcome in (OUTCOME_PROOF, OUTCOME_SATURATED,
+                              OUTCOME_RESOURCE_OUT)
+    # every kept clause is written and parses back within the bound
+    again = record_from_json(json.loads(json.dumps(record_to_json(record))))
+    for cid in again.clause_texts:
+        again.clause(cid, sig)
 
 
 def test_tautology_detection():

@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 import time
 
 import numpy as np
@@ -443,6 +444,57 @@ def test_load_model_rejects_corrupt_files(tmp_path):
     not_model.write_text("hello\nworld\n")
     with pytest.raises(FormatError):
         load_model(str(not_model))
+
+
+def _edit_line(header, new):
+    """Replace the first line that starts with ``header`` by ``new``."""
+    def edit(lines):
+        at = next(k for k, line in enumerate(lines) if line.startswith(header))
+        return lines[:at] + [new] + lines[at + 1:]
+    return edit
+
+
+def _edit_row(header, new):
+    """Replace the row after the first line that starts with ``header`` by
+    ``new(row)``."""
+    def edit(lines):
+        at = next(k for k, line in enumerate(lines) if line.startswith(header))
+        return lines[:at + 1] + [new(lines[at + 1])] + lines[at + 2:]
+    return edit
+
+
+@pytest.mark.parametrize("kind,edit,message", [
+    ("bin", _edit_row("weights ", lambda row: row.split()[0]),
+     "bad weight row"),
+    ("bin", _edit_row("weights ", lambda row: f"{10**9} {row.split()[1]}"),
+     "weight index 1000000000 out of range"),
+    ("bin", _edit_line("end", "fin"), "missing end marker"),
+    ("bin", _edit_row("weights ", lambda row: f"{row.split()[0]} inf"),
+     "non-finite weights"),
+    ("bin", _edit_row("symbols ", lambda row: "0 $var 0"), "bad symbol row"),
+    ("bin", _edit_row("symbols ", lambda row: "1" + row[1:]),
+     "symbol ids must be dense"),
+    ("bin", _edit_line("skolem-prefixes ", "skolem-prefixes [1]"),
+     "bad Skolem prefixes"),
+    ("sig", _edit_line("symbols ", "symbols many"), "corrupt signature file"),
+], ids=["weight-row", "weight-index", "end-marker", "non-finite-weight",
+        "symbol-row", "symbol-ids", "skolem-prefixes", "sig-file"])
+def test_loaders_name_the_file_and_what_is_wrong(tmp_path, kind, edit,
+                                                 message):
+    sig = Signature()
+    model = train_from_examples(clause_sets(sig), sig)
+    path = tmp_path / f"model.{kind}"
+    if kind == "sig":
+        svm.save_signature(model.signature, str(path))
+        load = svm.load_signature
+    else:
+        save_model(model, str(path))
+        load = load_model
+    path.write_text("".join(f"{line}\n" for line
+                            in edit(path.read_text().splitlines())))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "
+                                          f"{message}"):
+        load(str(path))
 
 
 def test_load_model_needs_strictly_increasing_weight_indices(tmp_path):

@@ -52,12 +52,19 @@ def test_variables_are_uppercase_initial():
     "cnf(a, theorem, (p(X))).",       # unsupported role
     "cnf(a, axiom, (X)).",            # bare variable literal
     "cnf(a, axiom, (p(X) | $false)).",
+    "cnf(a, axiom, (~$false)).",
     "cnf(a, axiom, (p(X))) .extra",
     "fof(a, axiom, p(X)).",
 ])
 def test_parse_errors(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^bad\.p:1: "):
         parse_problem(bad, Signature(), "bad.p")
+
+
+def test_trailing_input_after_a_clause_text_names_the_source():
+    with pytest.raises(ParseError, match=r"^rec\.json:1: trailing input "
+                                         r"after clause \(at '\)'\)"):
+        parse_clause_text("p(a) | q(b))", Signature(), "rec.json")
 
 
 def test_a_missing_term_names_the_line():

@@ -134,17 +134,11 @@ def cmd_extract(args) -> int:
 
     def proofs():
         # loaded one by one as they are pooled, so ``path`` names the
-        # record whose clause text fails to parse
+        # record that is malformed, is not a proof or has a clause text
+        # that fails to parse
         nonlocal path
         for path in args.records:
-            try:
-                record = saturation.load_record(path)
-            except ValueError as exc:  # malformed JSON or not a record
-                raise UsageError(f"cannot load record {path}: {exc}") from exc
-            if record.outcome != saturation.OUTCOME_PROOF:
-                raise UsageError(
-                    f"record {path} has outcome {record.outcome}, not a proof")
-            yield record
+            yield saturation.load_record(path)
 
     try:
         examples = pipeline.pool_examples(proofs(), sig)
@@ -404,9 +398,6 @@ def main(argv=None) -> int:
         print(f"error: cannot open {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return USAGE_ERROR
-    except (FormatError, tptp.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
     except Exception as exc:  # runtime failures map to exit code 2
         log.debug("unhandled failure", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)

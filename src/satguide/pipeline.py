@@ -40,8 +40,9 @@ MODEL_ALONE = "inf"
 BASE_ALONE = "0"
 
 
-class NoProof(Exception):
-    """Example extraction needs a record whose outcome is proof_found."""
+class NoProof(ValueError):
+    """Example extraction needs a record whose outcome is proof_found; a
+    ValueError, as a malformed record is."""
 
 
 @dataclass

@@ -29,7 +29,9 @@ processed clause of each content is a subsumer.
 The same literal-key masks pick the partners: only processed clauses with
 a literal complementary in sign and predicate can resolve with the given
 clause, and visiting them in slot order keeps the candidate order, so
-clause ids and records are the same as without any of this.
+clause ids and records are the same as without any of this.  The memo
+alone numbers the key bits and makes each literal key's masks
+(:meth:`ContentMemo._key_masks`).
 
 Each content is one :class:`_Content`, which holds what every search of
 the problem knows of it: literal count, depth, tautology flag and key
@@ -361,36 +363,6 @@ def _literal_key(lit: Literal) -> tuple:
                    for a in lit.args[:2]]))
 
 
-def _mask(keys, key_bits: dict) -> int:
-    """Bitmask of ``keys``; unseen keys get a new bit."""
-    mask = 0
-    for key in keys:
-        bit = key_bits.get(key)
-        if bit is None:
-            bit = key_bits[key] = 1 << len(key_bits)
-        mask |= bit
-    return mask
-
-
-def pattern_mask(literals, key_bits: dict) -> int:
-    """Bitmask of the literals' keys."""
-    return _mask(map(_literal_key, literals), key_bits)
-
-
-def instance_mask(literals, key_bits: dict) -> int:
-    """Bitmask of every generalisation of the literals' keys, which keeps
-    each top symbol or replaces it by None.
-
-    Instantiation keeps the sign, the predicate and every non-variable
-    top, so if ``c`` subsumes ``d`` then every key of ``c`` generalises a
-    key of ``d``, and ``pattern_mask(c.literals, bits) &
-    ~instance_mask(d.literals, bits)`` is 0 whichever mask was made first.
-    """
-    keys = map(_literal_key, literals)
-    return _mask(((sign, predicate, gen) for sign, predicate, tops in keys
-                  for gen in product(*((t, None) for t in tops))), key_bits)
-
-
 def is_tautology(clause: Clause) -> bool:
     atoms = {(lit.predicate, lit.args, lit.positive) for lit in clause.literals}
     return any((pred, args, not pos) in atoms for pred, args, pos in atoms)
@@ -540,8 +512,10 @@ class ContentMemo:
     the number of feature triples it dropped, which every search that uses
     it, the first included, adds to its own ``dropped_triples``.
 
-    ``key_bits`` gives every key a mask uses one bit for good, so masks
-    made at any time agree and none is made again.  Per-search state
+    :meth:`_key_masks` is the one place that numbers key bits and makes a
+    literal key's masks: ``key_bits`` gives every key a mask uses one bit
+    for good, so masks made at any time agree, and ``key_masks`` keeps
+    each literal key's masks, so none is made again.  Per-search state
     (kept and processed clauses, queues, subsumption watermarks) stays in
     :func:`prove`.
     """
@@ -572,7 +546,7 @@ class ContentMemo:
                 key = _literal_key(lit)
                 masks = self.key_masks.get(key)
                 if masks is None:
-                    masks = self.key_masks[key] = self._key_masks(lit)
+                    masks = self.key_masks[key] = self._key_masks(key)
                 mask |= masks[0]
                 pattern |= masks[1]
                 opposite |= masks[2]
@@ -580,12 +554,29 @@ class ContentMemo:
                                                          pattern, opposite)
         return content
 
-    def _key_masks(self, lit: Literal) -> tuple[int, int, int]:
-        """The instance, pattern and opposite masks of one literal."""
-        bits, tops = self.key_bits, lit.args[:2]
-        opposite = (not lit.positive, lit.predicate, (None,) * len(tops))
-        return (instance_mask((lit,), bits), pattern_mask((lit,), bits),
-                _mask([opposite], bits))
+    def _key_masks(self, key: tuple) -> tuple[int, int, int]:
+        """The instance, pattern and opposite masks of a literal with
+        ``key``; a key without a bit gets a new one in ``key_bits``.
+
+        The instance mask has the bit of every generalisation of the key,
+        which keeps each top symbol or replaces it by None; the pattern
+        mask has the bit of the key itself, the first of them.
+        Instantiation keeps the sign, the predicate and every non-variable
+        top, so if ``c`` subsumes ``d`` then every key of ``c`` generalises
+        a key of ``d``, and the pattern mask of ``c``'s content has no bit
+        outside the instance mask of ``d``'s, whichever content was made
+        first.  The opposite mask is the bit of ``(not sign, predicate,
+        None tops)``, which the instance mask of every literal that can
+        resolve with this one holds.
+        """
+        sign, predicate, tops = key
+        bits = self.key_bits
+        instance = 0
+        for gen in product(*((t, None) for t in tops)):
+            instance |= bits.setdefault((sign, predicate, gen), 1 << len(bits))
+        opposite = (not sign, predicate, (None,) * len(tops))
+        return (instance, bits[key],
+                bits.setdefault(opposite, 1 << len(bits)))
 
     def weigher(self, cef: CEF, stats: dict):
         """``weigh(clause, content)``, the CEF's weight of the clause, that

@@ -419,7 +419,7 @@ def load_model(path: str) -> Model:
     try:
         with open(path, "r", encoding="utf-8") as fp:
             return _parse_model(fp, path)
-    except (EOFError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: corrupt model file ({exc})") from exc
 
 

@@ -272,10 +272,15 @@ def test_loop_out_of_range_flag_is_a_usage_error(tmp_path, capsys, flag,
       "1*Learned({tmp}/model.bin,gamma=two)"],
      "bad --strategy '1*Learned({tmp}/model.bin,gamma=two)': bad gamma "
      "'two' in 'Learned({tmp}/model.bin,gamma=two)'"),
+    (["grid", "{tmp}/manifest.txt", "--model", "{tmp}/model.bin",
+      "--gammas", "0,x"], "bad --gammas '0,x'"),
+    (["loop", "{tmp}/manifest.txt", "--frequencies", "5,1.5",
+      "-o", "{tmp}/out"], "bad --frequencies '5,1.5'"),
 ], ids=["loop-negative", "loop-nan", "loop-empty", "grid-inf",
         "prove-strategy-nan", "grid-gammas-share-a-key",
         "loop-gamma-repeated", "grid-frequency-repeated",
-        "prove-strategy-unparsable"])
+        "prove-strategy-unparsable", "grid-gamma-not-a-number",
+        "loop-frequency-not-an-int"])
 def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
     # the problem file does not exist, so any corpus run would fail first
     (tmp_path / "manifest.txt").write_text(f"p0 {tmp_path / 'missing.p'}\n")
@@ -329,13 +334,16 @@ def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
      "clause id True must be int, not bool"),
     (lambda r: dict(r, stats={**r["stats"], "processed": True}),
      "stat processed must be int, not bool"),
+    (lambda r: dict(r, outcome="saturated", empty_clause=None),
+     "has outcome saturated"),
 ], ids=["no-problem-key", "empty-clause-not-in-dag",
         "given-clause-without-text", "parent-not-in-dag", "record-not-an-object",
         "dag-a-list", "given-sequence-an-int", "given-id-a-list",
         "dag-parents-an-int", "dag-parent-a-list", "clause-text-a-number",
         "dag-key-not-an-id", "empty-clause-null", "empty-clause-not-false",
         "clause-text-not-a-clause", "clause-text-arity-clash",
-        "given-id-true", "empty-clause-true", "dag-parent-true", "stat-true"])
+        "given-id-true", "empty-clause-true", "dag-parent-true", "stat-true",
+        "not-a-proof"])
 def test_extract_on_a_malformed_record_is_a_usage_error(tmp_path, capsys,
                                                         breaks, reason):
     problem = tmp_path / "chain.p"
@@ -752,7 +760,8 @@ CLASH_MESSAGE = ("symbol 'p' already registered as predicate/1, "
     ("cnf(a,axiom,(p(a) | ).\n", "bad.p:1: expected a term"),
     (CLASH_PROBLEM, f"bad.p:2: {CLASH_MESSAGE}; counted as unsolved"),
     (None, "bad.p: cannot read"),
-], ids=["malformed", "arity-clash", "missing"])
+    ("% only a comment\n", "bad.p: no clauses found; counted as unsolved"),
+], ids=["malformed", "arity-clash", "missing", "no-clauses"])
 def test_loop_counts_a_problem_it_cannot_read_as_unsolved(tmp_path, capsys,
                                                           caplog, text,
                                                           warning):

@@ -28,9 +28,9 @@ from satguide.pipeline import (
 from satguide.saturation import (
     Limits, OUTCOME_PROOF, OUTCOME_RESOURCE_OUT, OUTCOME_SATURATED,
     ProofSearchRecord,
-    equality_axioms, factors, instance_mask, is_tautology, load_record,
-    pattern_mask, prove, record_from_json, record_to_json, rename_apart,
-    resolvents, save_record, subsumes, unify, apply_subst,
+    equality_axioms, factors, is_tautology, load_record, prove,
+    record_from_json, record_to_json, rename_apart, resolvents, save_record,
+    subsumes, unify, apply_subst,
 )
 from satguide.tptp import (
     MAX_TERM_DEPTH, format_clause, format_term, parse_clause_text,
@@ -369,15 +369,15 @@ def test_subsumption_implies_the_literal_key_filter_passes(
     c = parse_one(" | ".join(c_texts), sig)
     d = _target(c, d_texts, instance, subst_texts, seed, sig)
     assert not instance or subsumes(c, d)
-    key_bits: dict = {}
-    pattern = pattern_mask(c.literals, key_bits)
-    if subsumes(c, d):
-        assert pattern & ~instance_mask(d.literals, key_bits) == 0
-    # the candidate's mask made first, before the subsumer's keys have bits
-    key_bits = {}
-    instance = instance_mask(d.literals, key_bits)
-    if subsumes(c, d):
-        assert pattern_mask(c.literals, key_bits) & ~instance == 0
+    if not subsumes(c, d):
+        return
+    # each content made first, before the other's keys have bits
+    for first, second in ((c, d), (d, c)):
+        memo = saturation.ContentMemo(sig)
+        memo.content(first.literals)
+        memo.content(second.literals)
+        assert (memo.content(c.literals).pattern
+                & ~memo.content(d.literals).mask == 0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -476,9 +476,14 @@ def _edit_row(header, new):
      "symbol ids must be dense"),
     ("bin", _edit_line("skolem-prefixes ", "skolem-prefixes [1]"),
      "bad Skolem prefixes"),
+    ("bin", _edit_line("c ", "c abc"), "corrupt model file"),
+    ("bin", _edit_line("dimension ", "dimension 7"),
+     "dimension 7 does not match signature"),
+    ("bin", _edit_line("epochs ", "epoch 3"), "expected 'epochs ...'"),
     ("sig", _edit_line("symbols ", "symbols many"), "corrupt signature file"),
 ], ids=["weight-row", "weight-index", "end-marker", "non-finite-weight",
-        "symbol-row", "symbol-ids", "skolem-prefixes", "sig-file"])
+        "symbol-row", "symbol-ids", "skolem-prefixes", "c-not-a-number",
+        "dimension-mismatch", "epochs-line-misnamed", "sig-file"])
 def test_loaders_name_the_file_and_what_is_wrong(tmp_path, kind, edit,
                                                  message):
     sig = Signature()

@@ -205,20 +205,21 @@ class Clause:
     parents: tuple[int, ...] = ()
 
 
-def term_len(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_len(a) for a in t.args)
+def _symbols(clause: Clause, var: float):
+    """Symbol occurrences in the clause, each variable counting ``var``; a
+    literal's predicate counts, its polarity is not a symbol."""
 
+    def term(t: Term):
+        if isinstance(t, Var):
+            return var
+        return 1 + sum(term(a) for a in t.args)
 
-def literal_len(lit: Literal) -> int:
-    """Symbol occurrences in a literal; the polarity is not a symbol."""
-    return 1 + sum(term_len(a) for a in lit.args)
+    return sum(1 + sum(term(a) for a in lit.args) for lit in clause.literals)
 
 
 def clause_len(clause: Clause) -> int:
     """Number of symbol occurrences in the clause (its "length")."""
-    return sum(literal_len(lit) for lit in clause.literals)
+    return _symbols(clause, 1)
 
 
 def term_depth(t: Term) -> int:
@@ -234,11 +235,4 @@ def clause_depth(clause: Clause) -> int:
 
 def weighted_symbol_count(clause: Clause) -> float:
     """Like :func:`clause_len` but variable occurrences count one half."""
-
-    def term_count(t: Term) -> float:
-        if isinstance(t, Var):
-            return 0.5
-        return 1.0 + sum(term_count(a) for a in t.args)
-
-    return sum(1.0 + sum(term_count(a) for a in lit.args)
-               for lit in clause.literals)
+    return float(_symbols(clause, 0.5))

@@ -44,7 +44,18 @@ def _setup_logging() -> None:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fp:
-        return fp.read()
+        try:
+            return fp.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _check_writable(path: str | None) -> None:
+    """Open an output file before any search, so that one that cannot be
+    written costs no run; the OSError names the path.  A file made here
+    stays empty until the command writes it."""
+    if path:
+        open(path, "a", encoding="utf-8").close()
 
 
 def _fmt(value) -> str:
@@ -115,6 +126,7 @@ def cmd_prove(args) -> int:
     clauses = tptp.parse_problem(_read_text(args.problem), sig, args.problem)
     if not clauses:
         raise UsageError(f"{args.problem}: no clauses found")
+    _check_writable(args.record)
     record = saturation.prove(clauses, strategy, limits, sig,
                               problem_id=args.problem,
                               inject_equality=not args.no_equality_axioms)
@@ -202,6 +214,7 @@ def cmd_grid(args) -> int:
     problems = pipeline.load_manifest(args.manifest)
     model = svm.load_model(args.model)
     base = _strategy(args.base_strategy)
+    _check_writable(args.csv)
     result = pipeline.run_grid(problems, model, base, grid, limits,
                                jobs=args.jobs, model_path=args.model)
     print(pipeline.grid_table(result), end="")

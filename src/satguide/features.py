@@ -149,15 +149,18 @@ def read_examples(fp, dimension: int, path: str = "<examples>"):
     Each distinct line is parsed once, and its repeats share that row."""
     rows = []
     parsed: dict[str, tuple] = {}
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        row = parsed.get(line)
-        if row is None:
-            row = parsed[line] = _example_row(line, dimension,
-                                              f"{path}:{lineno}")
-        rows.append(row)
+    try:
+        for lineno, line in enumerate(fp, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            row = parsed.get(line)
+            if row is None:
+                row = parsed[line] = _example_row(line, dimension,
+                                                  f"{path}:{lineno}")
+            rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return rows
 
 

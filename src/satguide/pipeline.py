@@ -83,21 +83,25 @@ def load_manifest(path: str) -> list[CorpusProblem]:
     problems = []
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split()
-            if len(cells) != 2:
-                raise ValueError(f"{path}:{lineno}: expected '<id> <path>'")
-            pid, ppath = cells
-            if pid in first_line:
-                raise ValueError(f"{path}:{lineno}: problem id {pid!r} "
-                                 f"repeats line {first_line[pid]}")
-            first_line[pid] = lineno
-            if not os.path.isabs(ppath):
-                ppath = os.path.join(base, ppath)
-            problems.append(CorpusProblem(pid, ppath))
+        try:
+            lines = fp.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split()
+        if len(cells) != 2:
+            raise ValueError(f"{path}:{lineno}: expected '<id> <path>'")
+        pid, ppath = cells
+        if pid in first_line:
+            raise ValueError(f"{path}:{lineno}: problem id {pid!r} "
+                             f"repeats line {first_line[pid]}")
+        first_line[pid] = lineno
+        if not os.path.isabs(ppath):
+            ppath = os.path.join(base, ppath)
+        problems.append(CorpusProblem(pid, ppath))
     return problems
 
 

@@ -5,8 +5,9 @@ takes that CEF's lowest-weight unprocessed clause as the given clause,
 moves it to the processed set, and generates all binary resolvents against
 the processed clauses plus all factors of the given clause, each built in
 one walk through its unifier (variables named X0, X1, ... by first
-occurrence, repeated literals merged) as a literal tuple; the search gives
-it an id and parents only when it keeps it.  A clause whose terms would
+occurrence, repeated literals merged) as a literal tuple.  A kept clause
+is its index in the search's lists of kept contents and parent ids, and
+the unprocessed set holds such indices.  A clause whose terms would
 nest past the parser's bound is not built.  New clauses that are too
 large, tautological, or subsumed by a processed clause are dropped; the
 exact subsumption check runs only on processed clauses whose literal keys
@@ -450,7 +451,7 @@ class _Content:
 class _Processed:
     """The processed clauses of one search and the loop's lookups into them.
 
-    Each processed clause takes the next *slot*, a ``(clause, content)``
+    Each processed clause takes the next *slot*, a ``(clause id, content)``
     pair.  :meth:`partners` keeps the slots whose content's instance mask
     meets the given content's opposite mask, in slot order.  Only the
     first processed clause of each content is a subsumer: equal clauses
@@ -460,15 +461,15 @@ class _Processed:
     """
 
     def __init__(self):
-        self.slots: list[tuple[Clause, _Content]] = []
+        self.slots: list[tuple[int, _Content]] = []
         # one per processed content, in processing order
         self.subsumers: list[_Content] = []
         self.subsuming: set[_Content] = set()
 
-    def add(self, clause: Clause, content: _Content) -> None:
+    def add(self, cid: int, content: _Content) -> None:
         if content.primed is None:
             content.primed = rename_apart(content.literals)
-        self.slots.append((clause, content))
+        self.slots.append((cid, content))
         if content not in self.subsuming:
             self.subsuming.add(content)
             self.subsumers.append(content)
@@ -579,14 +580,16 @@ class ContentMemo:
                 bits.setdefault(opposite, 1 << len(bits)))
 
     def weigher(self, cef: CEF, stats: dict):
-        """``weigh(clause, content)``, the CEF's weight of the clause, that
-        reuses what the memo knows of the content."""
+        """``weigh(cid, content)``, the CEF's weight of the kept clause with
+        that id and content, that reuses what the memo knows of the
+        content.  Fifo alone weighs the clause, not its content."""
         if cef.kind == "Fifo":
-            return lambda clause, content: evaluate(clause, cef)
+            return lambda cid, content: evaluate(Clause(cid, content.literals),
+                                                 cef)
         weights = self.weights.setdefault((cef.kind, cef.gamma, cef.model), {})
         model = cef.model
         if model is None:
-            def weigh(clause: Clause, content: _Content) -> float:
+            def weigh(cid: int, content: _Content) -> float:
                 weight = weights.get(content)
                 if weight is None:
                     weight = weights[content] = evaluate(content, cef)
@@ -596,7 +599,7 @@ class ContentMemo:
             self.models[model] = (SymbolMap(self.sig, model.signature), {})
         symbols, predictions = self.models[model]
 
-        def weigh_learned(clause: Clause, content: _Content) -> float:
+        def weigh_learned(cid: int, content: _Content) -> float:
             prediction = predictions.get(content)
             if prediction is None:
                 counts: dict[str, int] = {}
@@ -615,8 +618,8 @@ class ContentMemo:
 class _CefQueue:
     """Lazy per-CEF ordering view over the unprocessed set.
 
-    ``seen`` is a watermark into the search's id-ordered list of kept
-    ``(clause, content)`` pairs: the clauses past it are weighed, once
+    ``seen`` is a watermark into the search's list of kept contents, whose
+    indices are the clause ids: the clauses past it are weighed, once
     each, the next time this CEF is asked to select, and those still
     unprocessed are pushed on a heap, ties broken by id.  Heap entries for
     clauses that were selected by another CEF in the meantime are skipped
@@ -624,23 +627,23 @@ class _CefQueue:
     """
 
     def __init__(self, weigh):
-        # (clause, content) -> weight under this queue's CEF
+        # (clause id, content) -> weight under this queue's CEF
         self.weigh = weigh
         self.heap: list[tuple[float, int]] = []
         self.seen = 0
 
-    def pop(self, kept: list, unprocessed: dict) -> tuple | None:
-        """Remove from ``unprocessed`` and return the pair this CEF picks."""
+    def pop(self, kept: list, unprocessed: set) -> int | None:
+        """Remove from ``unprocessed`` and return the id this CEF picks."""
         weigh = self.weigh
-        for clause, content in kept[self.seen:]:
-            if clause.id in unprocessed:
-                heapq.heappush(self.heap, (weigh(clause, content), clause.id))
+        for cid, content in enumerate(kept[self.seen:], self.seen):
+            if cid in unprocessed:
+                heapq.heappush(self.heap, (weigh(cid, content), cid))
         self.seen = len(kept)
         while self.heap:
             _, cid = heapq.heappop(self.heap)
-            pair = unprocessed.pop(cid, None)
-            if pair is not None:
-                return pair
+            if cid in unprocessed:
+                unprocessed.remove(cid)
+                return cid
         return None
 
 
@@ -666,16 +669,15 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
              "discarded": 0, "tautologies": 0, "equality_axioms": 0,
              "dropped_triples": 0}
     processed = _Processed()
-    # every kept clause with its content; a clause's id is its index
-    kept: list[tuple[Clause, _Content]] = []
-    # the kept pairs not yet processed, by clause id
-    unprocessed: dict[int, tuple[Clause, _Content]] = {}
+    # the content and the parent ids of every kept clause; a clause's id
+    # is its index in both
+    kept: list[_Content] = []
+    parents: list[tuple[int, ...]] = []
     derived = memo.derived
     # a candidate content -> the number of subsumers it had been checked
     # against when last kept, or None once subsumed, which is final since
     # the processed set only grows
     checked: dict[_Content, int | None] = {}
-    empty_clause: int | None = None
 
     # entries with equal CEFs share one queue: they would pick alike.  A
     # learned CEF is told apart by its model object, not its model path.
@@ -687,22 +689,13 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             queues[key] = _CefQueue(memo.weigher(cef, stats))
         entry_queues.append(queues[key])
 
-    def register(content: _Content, parents) -> Clause:
-        clause = Clause(len(kept), content.literals, parents)
-        kept.append((clause, content))
-        return clause
-
-    def admit(clause: Clause) -> None:
-        unprocessed[clause.id] = kept[clause.id]
-        stats["kept"] += 1
-
-    def derive(key: tuple, parents: tuple[int, ...], make, *args) -> list:
+    def derive(key: tuple, ids: tuple[int, ...], make, *args) -> list:
         made = derived.get(key)
         if made is None:
             made = derived[key] = [None if literals is None
                                    else memo.content(literals)
                                    for literals in make(*args)]
-        return [(cand, parents) for cand in made]
+        return [(cand, ids) for cand in made]
 
     input_literal_sets = [clause.literals for clause in problem]
     if inject_equality:
@@ -710,10 +703,13 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
         stats["equality_axioms"] = len(eq_axioms)
         input_literal_sets.extend(eq_axioms)
     for literals in input_literal_sets:
-        clause = register(memo.content(tuple(literals)), ())
-        if not clause.literals and empty_clause is None:
-            empty_clause = clause.id
-        admit(clause)
+        kept.append(memo.content(tuple(literals)))
+        parents.append(())
+    # the ids of the kept clauses not yet processed
+    unprocessed = set(range(len(kept)))
+    stats["kept"] = len(kept)
+    empty_clause = next((cid for cid, content in enumerate(kept)
+                         if not content.literals), None)
 
     def spent() -> bool:
         return stats["generated"] >= limits.max_generated \
@@ -732,20 +728,20 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             outcome = OUTCOME_RESOURCE_OUT
             break
         entry = next_entry_index(strategy, stats["processed"])
-        pair = entry_queues[entry].pop(kept, unprocessed)
-        assert pair is not None, "unprocessed nonempty but queue is dry"
-        given, given_content = pair
+        given = entry_queues[entry].pop(kept, unprocessed)
+        assert given is not None, "unprocessed nonempty but queue is dry"
+        given_content = kept[given]
         processed.add(given, given_content)
         stats["processed"] += 1
 
         candidates = []
         for partner, partner_content in processed.partners(given_content):
             candidates += derive((given_content, partner_content),
-                                 (given.id, partner.id), resolvents,
-                                 given.literals, partner_content.primed)
-        candidates += derive((given_content,), (given.id,), factors,
-                             given.literals)
-        for cand, parents in candidates:
+                                 (given, partner), resolvents,
+                                 given_content.literals, partner_content.primed)
+        candidates += derive((given_content,), (given,), factors,
+                             given_content.literals)
+        for cand, ids in candidates:
             if spent():
                 outcome = OUTCOME_RESOURCE_OUT
                 break
@@ -763,26 +759,29 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
                 stats["subsumed"] += 1
                 continue
             checked[cand] = len(processed.subsumers)
-            clause = register(cand, parents)
-            if not clause.literals:
-                empty_clause = clause.id
+            cid = len(kept)
+            kept.append(cand)
+            parents.append(ids)
+            if not cand.literals:
+                empty_clause = cid
                 outcome = OUTCOME_PROOF
                 break
-            admit(clause)
+            unprocessed.add(cid)
+            stats["kept"] += 1
 
     # one text per content
-    for _, content in kept:
+    for content in kept:
         if content.text is None:
             content.text = format_clause(content, sig)
     return ProofSearchRecord(
         problem=problem_id,
         strategy=format_strategy(strategy),
         outcome=outcome,
-        given_sequence=[given.id for given, _ in processed.slots],
-        dag={clause.id: clause.parents for clause, _ in kept},
+        given_sequence=[cid for cid, _ in processed.slots],
+        dag=dict(enumerate(parents)),
         empty_clause=empty_clause,
         stats=stats,
-        clause_texts={clause.id: content.text for clause, content in kept},
+        clause_texts={cid: content.text for cid, content in enumerate(kept)},
     )
 
 

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import _symbols
 from satguide.clauses import (
-    ArityClash, DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION, KIND_PREDICATE, NEG_MARKER, POS_MARKER,
-    SKOLEM_MARKER, Signature, SymbolMap, VAR_MARKER, clause_len,
-    weighted_symbol_count,
+    App, ArityClash, Clause, DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION,
+    KIND_PREDICATE, Literal, NEG_MARKER, POS_MARKER, SKOLEM_MARKER, Signature,
+    SymbolMap, VAR_MARKER, Var, clause_len, weighted_symbol_count,
 )
 from satguide.tptp import parse_problem
 
@@ -135,3 +137,23 @@ def test_weighted_symbol_count_halves_variables():
     assert weighted_symbol_count(parse_one("p(X)", sig)) == 1.5
     assert weighted_symbol_count(parse_one("p(a)", sig)) == 2.0
     assert weighted_symbol_count(parse_one("f(X,Y) = g(sko1,sko2(X))", sig)) == 6.5
+
+
+_TERM = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["X", "Y"])),
+              st.builds(App, st.integers(4, 6))),
+    lambda inner: st.builds(App, st.integers(4, 6),
+                            st.lists(inner, min_size=1, max_size=3).map(tuple)),
+    max_leaves=12)
+_LITERAL = st.builds(Literal, st.booleans(), st.integers(7, 8),
+                     st.lists(_TERM, max_size=3).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LITERAL, max_size=4).map(tuple))
+def test_symbol_counts_agree_with_the_reference_walker(literals):
+    clause = Clause(0, literals)
+    length = clause_len(clause)
+    weighted = weighted_symbol_count(clause)
+    assert type(length) is int and length == _symbols(literals, 1)
+    assert type(weighted) is float and weighted == _symbols(literals, 0.5)

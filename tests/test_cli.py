@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import satguide
-from satguide import pipeline
+from satguide import pipeline, saturation
 from satguide.cli import main
 from satguide.clauses import Signature, SymbolMap
 from satguide.features import clause_features, format_multiset
@@ -21,6 +21,11 @@ from satguide.tptp import parse_problem
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 DATA = Path(__file__).parent / "data"
+
+# a signature table with only the four marker symbols
+MARKER_SIGNATURE = ("symbols 4\n0 $var 0 variable-marker\n"
+                    "1 $sko 0 skolem-marker\n2 $pos 0 pos-marker\n"
+                    "3 $neg 0 neg-marker\n")
 
 EXAMPLE_PROBLEM = "cnf(ex, axiom, (f(X,Y) = g(sko1,sko2(X)))).\n"
 
@@ -599,21 +604,63 @@ def test_usage_and_runtime_exit_codes(tmp_path, capsys):
         "loop-manifest", "prove-strategy-model"])
 def test_a_named_file_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys,
                                                             argv):
-    sig_text = ("symbols 4\n0 $var 0 variable-marker\n1 $sko 0 skolem-marker\n"
-                "2 $pos 0 pos-marker\n3 $neg 0 neg-marker\n")
-    (tmp_path / "ex.txt").write_text("+1 1:1\n-1 2:1\n")
-    (tmp_path / "ex.txt.sig").write_text(sig_text)
+    gone = tmp_path / "gone"
     # train finds the signature and fails on the examples file itself
-    (tmp_path / "gone.sig").write_text(sig_text)
+    (tmp_path / "gone.sig").write_text(MARKER_SIGNATURE)
+    code, _, err = run_on_named_files(tmp_path, capsys, argv, gone=gone)
+    assert code == 1, err
+    assert f"cannot open {gone}" in err
+
+
+def run_on_named_files(tmp_path, capsys, argv, **names):
+    """Run ``argv``, formatted with ``tmp`` and ``names``, in a directory
+    that holds ex.txt with its signature, a model.bin trained on it,
+    chain.p and a manifest listing it."""
+    (tmp_path / "ex.txt").write_text("+1 1:1\n-1 2:1\n")
+    (tmp_path / "ex.txt.sig").write_text(MARKER_SIGNATURE)
     (tmp_path / "chain.p").write_text(CHAIN_PROBLEM)
     (tmp_path / "manifest.txt").write_text("chain chain.p\n")
     assert run(capsys, "train", str(tmp_path / "ex.txt"),
                "-o", str(tmp_path / "model.bin"))[0] == 0
-    gone = tmp_path / "gone"
-    code, _, err = run(capsys, *(a.format(gone=gone, tmp=tmp_path)
-                                 for a in argv))
-    assert code == 1, err
-    assert f"cannot open {gone}" in err
+    return run(capsys, *(a.format(tmp=tmp_path, **names) for a in argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "{bad}"],
+    ["featurize", "{bad}"],
+    ["train", "{bad}", "-o", "{tmp}/m.bin", "--signature", "{tmp}/ex.txt.sig"],
+    ["eval", "{tmp}/model.bin", "{bad}"],
+    ["grid", "{bad}", "--model", "{tmp}/model.bin"],
+    ["loop", "{bad}", "-o", "{tmp}/out"],
+], ids=["prove-problem", "featurize-problem", "train-examples",
+        "eval-examples", "grid-manifest", "loop-manifest"])
+def test_a_named_file_that_is_not_utf8_is_a_runtime_failure_naming_it(
+        tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"cnf(a, axiom, (p)).\n\xff\n")
+    code, _, err = run_on_named_files(tmp_path, capsys, argv, bad=bad)
+    assert code == 2, err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "{tmp}/chain.p", "--record", "{out}"],
+    ["grid", "{tmp}/manifest.txt", "--model", "{tmp}/model.bin",
+     "--gammas", "0,0.2", "--frequencies", "5", "--csv", "{out}"],
+], ids=["prove-record", "grid-csv"])
+def test_an_output_file_that_cannot_be_opened_fails_before_any_search(
+        tmp_path, capsys, monkeypatch, argv):
+    searches = []
+
+    def search(*args, **kwargs):
+        searches.append(args)
+
+    monkeypatch.setattr(saturation, "prove", search)
+    monkeypatch.setattr(pipeline, "prove", search)
+    out = tmp_path / "nodir" / "out"
+    code, stdout, err = run_on_named_files(tmp_path, capsys, argv, out=out)
+    assert code == 1 and f"cannot open {out}" in err
+    assert searches == [] and stdout == ""
 
 
 def test_help_lists_every_subcommand(capsys):

@@ -396,15 +396,15 @@ def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
     for k, text in enumerate(texts):
         given = Clause(k, parse_one(text, sig).literals)
         content = memo.content(given.literals)
-        processed.add(given, content)
+        processed.add(given.id, content)
         scanned.append(given)
-        partners = [c.id for c, _ in processed.partners(content)]
+        partners = [cid for cid, _ in processed.partners(content)]
         assert partners == [
             c.id for c in scanned
             if any(g.positive != lit.positive and g.predicate == lit.predicate
                    for g in given.literals for lit in c.literals)]
         assert set(partners) >= {
-            c.id for c, part in processed.slots
+            cid for cid, part in processed.slots
             if resolvents(given.literals, part.primed)}
         assert processed.subsumed(cand, 0) == \
             any(subsumes(c, cand) for c in scanned)
@@ -428,7 +428,7 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
     for k, text in enumerate(others):
         clause = Clause(k, parse_one(text, sig).literals)
         content = memo.content(clause.literals)
-        other.add(clause, content)
+        other.add(clause.id, content)
         other.partners(content)
         other.subsumed(cand, 0)
     processed = saturation._Processed()
@@ -436,9 +436,9 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
     for k, text in enumerate(texts):
         given = Clause(k, parse_one(text, sig).literals)
         content = memo.content(given.literals)
-        processed.add(given, content)
+        processed.add(given.id, content)
         scanned.append(given)
-        partners = [c.id for c, _ in processed.partners(content)]
+        partners = [cid for cid, _ in processed.partners(content)]
         assert partners == [
             c.id for c in scanned
             if any(g.positive != lit.positive and g.predicate == lit.predicate

@@ -10,8 +10,8 @@ data from proof records and drives grid evaluation and the retrain loop;
 """
 
 from .clauses import (
-    ArityClash, Clause, FrozenSignature, Literal, Signature, Symbol, Term,
-    Var, App, clause_len,
+    ArityClash, FrozenSignature, Literal, Signature, Symbol, Term, Var, App,
+    clause_len,
 )
 from .features import (
     EPSILON, FeatureMultiset, FeatureTriple, SparseVector, UnknownSymbol,

@@ -1,12 +1,14 @@
 """First-order terms, literals, clauses, and the shared interned signature.
 
-Every symbol that appears in a term or literal is registered in a
-:class:`Signature`, the symbol table, which hands out dense, stable integer
-ids.  Four marker symbols are reserved at ids 0-3: one standing for all
-variables, one for all Skolem functions, and one for each literal polarity.
-The featurizer relies on these ids being fixed.  A :class:`SymbolMap` is the
-one thing that turns a signature's symbol ids into feature labels: the ids
-of a snapshot's table, with Skolem functions collapsed to their marker.
+A clause is a tuple of :class:`Literal`, read as their disjunction; the
+empty tuple is the empty clause.  Every symbol that appears in a term or
+literal is registered in a :class:`Signature`, the symbol table, which
+hands out dense, stable integer ids.  Four marker symbols are reserved at
+ids 0-3: one standing for all variables, one for all Skolem functions, and
+one for each literal polarity.  The featurizer relies on these ids being
+fixed.  A :class:`SymbolMap` is the one thing that turns a signature's
+symbol ids into feature labels: the ids of a snapshot's table, with Skolem
+functions collapsed to their marker.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class Symbol:
     kind: str
 
 
-_MARKERS = (
+# The marker symbols, in id order: every symbol table starts with them.
+MARKERS = (
     Symbol(VAR_MARKER, "$var", 0, KIND_VARIABLE_MARKER),
     Symbol(SKOLEM_MARKER, "$sko", 0, KIND_SKOLEM_MARKER),
     Symbol(POS_MARKER, "$pos", 0, KIND_POS_MARKER),
@@ -94,7 +97,7 @@ class Signature:
         self.skolem_prefixes = tuple(skolem_prefixes)
         self._symbols: list[Symbol] = []
         self._lookup: dict[str, int] = {}
-        for marker in _MARKERS:
+        for marker in MARKERS:
             self._append(marker.name, marker.arity, marker.kind)
 
     def _append(self, name: str, arity: int, kind: str) -> int:
@@ -138,7 +141,7 @@ class Signature:
     def from_frozen(cls, frozen: FrozenSignature) -> "Signature":
         """A live signature whose ids and Skolem prefixes extend the snapshot."""
         sig = cls(frozen.skolem_prefixes)
-        for sym in frozen.symbols[len(_MARKERS):]:
+        for sym in frozen.symbols[len(MARKERS):]:
             got = sig.intern_symbol(sym.name, sym.arity, sym.kind)
             if got != sym.id:
                 raise ArityClash(f"snapshot ids are not dense at {sym.name!r}")
@@ -191,21 +194,7 @@ class Literal:
     args: tuple = ()
 
 
-@dataclass(eq=False)
-class Clause:
-    """A disjunction of literals.
-
-    ``id`` is assigned per context (file order when parsed, creation order
-    inside a proof search); ``parents`` only ever reference smaller ids.
-    Clauses are not mutated after construction.
-    """
-
-    id: int
-    literals: tuple[Literal, ...]
-    parents: tuple[int, ...] = ()
-
-
-def _symbols(clause: Clause, var: float):
+def _symbols(clause: tuple[Literal, ...], var: float):
     """Symbol occurrences in the clause, each variable counting ``var``; a
     literal's predicate counts, its polarity is not a symbol."""
 
@@ -214,10 +203,10 @@ def _symbols(clause: Clause, var: float):
             return var
         return 1 + sum(term(a) for a in t.args)
 
-    return sum(1 + sum(term(a) for a in lit.args) for lit in clause.literals)
+    return sum(1 + sum(term(a) for a in lit.args) for lit in clause)
 
 
-def clause_len(clause: Clause) -> int:
+def clause_len(clause: tuple[Literal, ...]) -> int:
     """Number of symbol occurrences in the clause (its "length")."""
     return _symbols(clause, 1)
 
@@ -228,11 +217,11 @@ def term_depth(t: Term) -> int:
     return 1 + max(term_depth(a) for a in t.args)
 
 
-def clause_depth(clause: Clause) -> int:
-    depths = [term_depth(a) for lit in clause.literals for a in lit.args]
+def clause_depth(clause: tuple[Literal, ...]) -> int:
+    depths = [term_depth(a) for lit in clause for a in lit.args]
     return 1 + max(depths, default=0)
 
 
-def weighted_symbol_count(clause: Clause) -> float:
+def weighted_symbol_count(clause: tuple[Literal, ...]) -> float:
     """Like :func:`clause_len` but variable occurrences count one half."""
     return float(_symbols(clause, 0.5))

@@ -16,8 +16,7 @@ import sys
 from . import pipeline, saturation, svm, tptp
 from .clauses import DEFAULT_SKOLEM_PREFIXES, Signature, SymbolMap
 from .features import (
-    FormatError, clause_features, format_multiset, read_examples,
-    write_examples,
+    clause_features, format_multiset, read_examples, write_examples,
 )
 from .guidance import STRATEGY_GRAMMAR, parse_strategy
 from .svm import EmptyClass, SolverConfig
@@ -102,9 +101,11 @@ def _skolem_signature(args) -> Signature:
 
 
 def _strategy(spec: str):
+    """The parsed strategy; a spec the grammar rejects is a usage error, a
+    corrupt model file it names a runtime failure."""
     try:
         return parse_strategy(spec)
-    except (ValueError, FormatError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad --strategy {spec!r}: {exc}") from exc
 
 
@@ -112,9 +113,9 @@ def cmd_featurize(args) -> int:
     sig = _skolem_signature(args)
     clauses = tptp.parse_problem(_read_text(args.problem), sig, args.problem)
     symbols = SymbolMap(sig, sig.freeze())
-    for clause in clauses:
+    for cid, clause in enumerate(clauses):
         counts = clause_features(clause, symbols)
-        print(f"% clause {clause.id}: {tptp.format_clause(clause, sig)}")
+        print(f"% clause {cid}: {tptp.format_clause(clause, sig)}")
         print(format_multiset(counts, sig))
     return 0
 

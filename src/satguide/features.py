@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 
 from .clauses import (
-    Clause, FrozenSignature, Literal, NEG_MARKER, POS_MARKER, Signature,
+    FrozenSignature, Literal, NEG_MARKER, POS_MARKER, Signature,
     SymbolMap, Term, VAR_MARKER, Var,
 )
 
@@ -67,10 +67,11 @@ def literal_features(lit: Literal, symbols: SymbolMap) -> FeatureMultiset:
     return counts
 
 
-def clause_features(clause: Clause, symbols: SymbolMap) -> FeatureMultiset:
+def clause_features(clause: tuple[Literal, ...],
+                    symbols: SymbolMap) -> FeatureMultiset:
     """Pointwise sum of the literal feature multisets."""
     counts: FeatureMultiset = {}
-    for lit in clause.literals:
+    for lit in clause:
         for key, n in literal_features(lit, symbols).items():
             counts[key] = counts.get(key, 0) + n
     return counts

@@ -4,7 +4,8 @@ A strategy is an ordered list of (frequency, CEF) pairs.  Selection step k
 uses the CEF whose block contains position k mod (sum of frequencies): the
 first CEF runs for its frequency's worth of consecutive picks, then the
 next, and so on.  Each CEF ranks unprocessed clauses by its own weight;
-lower weights are selected first.
+lower weights are selected first, and equal weights go to the oldest
+clause.  Fifo weighs every clause alike, so it picks in age order.
 
 The learned CEF scores a clause as gamma * len(C) + 1 if the model
 classifies it positive, gamma * len(C) + 10 otherwise.  :func:`evaluate`
@@ -17,15 +18,15 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .clauses import Clause, clause_len, weighted_symbol_count
+from .clauses import Literal, clause_len, weighted_symbol_count
 from .svm import Model, load_model
 
 LEARNED = "Learned"
-# weight of a clause under each CEF that needs no model, keyed by the CEF's
-# name in strategy strings
+# weight of a clause's literals under each CEF that needs no model, keyed
+# by the CEF's name in strategy strings; Fifo leaves the order to the ties
 PLAIN_WEIGHTS = {
     "ClauseLen": lambda clause: float(clause_len(clause)),
-    "Fifo": lambda clause: float(clause.id),
+    "Fifo": lambda clause: 0.0,
     "SymbolCount": weighted_symbol_count,
 }
 
@@ -87,7 +88,8 @@ def next_entry_index(strategy: Strategy, step: int) -> int:
     raise AssertionError("unreachable: cycle position out of range")
 
 
-def evaluate(clause: Clause, cef: CEF, positive: bool | None = None) -> float:
+def evaluate(clause: tuple[Literal, ...], cef: CEF,
+             positive: bool | None = None) -> float:
     """The CEF's weight for a clause; lower means selected earlier.
 
     A learned CEF needs ``positive``, its model's prediction for the clause.

@@ -15,7 +15,7 @@ the one an independent search would make.  A problem that cannot be read
 or parsed, or whose search raises, is logged and counted as unsolved, and
 the run carries on.
 Records carry clause text and are re-read under the trainer's signature
-when examples are collected.
+when examples are collected; an example is a clause's literal tuple.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .clauses import ArityClash, Clause, Signature, SymbolMap
+from .clauses import ArityClash, Signature, SymbolMap
 from .features import clause_features, vectorize
 from .guidance import Strategy, baseline_strategy, learned_cef
 from .saturation import (
@@ -121,8 +121,9 @@ def ancestor_ids(record: ProofSearchRecord) -> set[int]:
 
 def extract_examples(record: ProofSearchRecord, sig: Signature,
                      parsed: dict | None = None
-                     ) -> tuple[list[Clause], list[Clause]]:
-    """Split the record's given clauses into proof members and the rest.
+                     ) -> tuple[list, list]:
+    """Split the literals of the record's given clauses into proof members
+    and the rest, each list in given-clause order.
 
     ``parsed`` maps clause texts to their literals; a text found there is
     not parsed again, and each text parsed here is added to it.  A text
@@ -143,24 +144,24 @@ def extract_examples(record: ProofSearchRecord, sig: Signature,
                     text, sig, f"clause {cid}")
             except (ParseError, ArityClash) as exc:
                 raise ValueError(str(exc)) from exc
-        clause = Clause(cid, literals, record.dag[cid])
         if cid in ancestors:
-            positives.append(clause)
+            positives.append(literals)
         else:
-            negatives.append(clause)
+            negatives.append(literals)
     return positives, negatives
 
 
 def pool_examples(records,
-                  sig: Signature) -> tuple[list[Clause], list[Clause]]:
-    """Extract and pool ``(positives, negatives)`` from many proof records.
+                  sig: Signature) -> tuple[list, list]:
+    """Extract and pool ``(positives, negatives)`` from many proof records,
+    literal tuples in record order.
 
     Labels are pooled as-is: a clause can be positive in one search and
     negative in another, and both examples are kept.  Each distinct clause
     text is parsed once, so its copies share one literal tuple.
     """
-    positives: list[Clause] = []
-    negatives: list[Clause] = []
+    positives = []
+    negatives = []
     parsed: dict = {}
     for record in records:
         pos, neg = extract_examples(record, sig, parsed)
@@ -179,7 +180,7 @@ def boost_rows(rows: list, k: int) -> list:
     return positives * k + negatives
 
 
-def training_set(examples: tuple[list[Clause], list[Clause]],
+def training_set(examples: tuple[list, list],
                  sig: Signature) -> list:
     """``(vector, label)`` rows: positives labelled +1, then negatives -1,
     vectorized against the signature's current snapshot, through the map of
@@ -191,15 +192,15 @@ def training_set(examples: tuple[list[Clause], list[Clause]],
     rows = []
     for clauses, label in zip(examples, (1, -1)):
         for clause in clauses:
-            vec = vectors.get(clause.literals)
+            vec = vectors.get(clause)
             if vec is None:
-                vec = vectors[clause.literals] = vectorize(
+                vec = vectors[clause] = vectorize(
                     clause_features(clause, symbols), frozen)
             rows.append((vec, label))
     return rows
 
 
-def train_from_examples(examples: tuple[list[Clause], list[Clause]],
+def train_from_examples(examples: tuple[list, list],
                         sig: Signature,
                         cfg: SolverConfig | None = None) -> Model:
     """Train a clause classifier on ``(positives, negatives)``.

@@ -60,7 +60,7 @@ from dataclasses import dataclass, fields
 from itertools import product
 
 from .clauses import (
-    App, Clause, EQUALITY, Literal, Signature, SymbolMap, Term, Var,
+    App, EQUALITY, Literal, Signature, SymbolMap, Term, Var,
     clause_depth,
 )
 from .guidance import (
@@ -107,9 +107,8 @@ class ProofSearchRecord:
     # printed form of every kept clause, keyed by id
     clause_texts: dict[int, str]
 
-    def clause(self, cid: int, sig: Signature) -> Clause:
-        literals = parse_clause_text(self.clause_texts[cid], sig)
-        return Clause(cid, literals, self.dag[cid])
+    def clause(self, cid: int, sig: Signature) -> tuple[Literal, ...]:
+        return parse_clause_text(self.clause_texts[cid], sig)
 
 
 def _deref(t: Term, subst: dict) -> Term:
@@ -267,7 +266,7 @@ def factors(lits: tuple[Literal, ...]) -> list:
     return out
 
 
-def compile_matcher(clause: Clause):
+def compile_matcher(clause: tuple[Literal, ...]):
     """``match(literals)``: whether one substitution maps the clause's
     literals injectively onto some of ``literals``.
 
@@ -317,7 +316,7 @@ def compile_matcher(clause: Clause):
         return lambda ts, s: all(m(t, s) for m, t in zip(ms, ts))
 
     steps = [(lit.positive, lit.predicate, arguments(lit.args))
-             for lit in clause.literals]
+             for lit in clause]
     size = len(slots)
 
     def literal_step(positive: bool, predicate: int, ms, rest):
@@ -344,16 +343,17 @@ def compile_matcher(clause: Clause):
                                   [None] * size)
 
 
-def subsumes(c: Clause, d: Clause, match=None) -> bool:
+def subsumes(c: tuple[Literal, ...], d: tuple[Literal, ...],
+             match=None) -> bool:
     """Whether some substitution makes ``c`` a sub-multiset of ``d``.
 
     ``match`` is ``compile_matcher(c)``, made here when not given.
     """
-    if len(c.literals) > len(d.literals):
+    if len(c) > len(d):
         return False
     if match is None:
         match = compile_matcher(c)
-    return match(d.literals)
+    return match(d)
 
 
 def _literal_key(lit: Literal) -> tuple:
@@ -364,8 +364,8 @@ def _literal_key(lit: Literal) -> tuple:
                    for a in lit.args[:2]]))
 
 
-def is_tautology(clause: Clause) -> bool:
-    atoms = {(lit.predicate, lit.args, lit.positive) for lit in clause.literals}
+def is_tautology(clause: tuple[Literal, ...]) -> bool:
+    atoms = {(lit.predicate, lit.args, lit.positive) for lit in clause}
     return any((pred, args, not pos) in atoms for pred, args, pos in atoms)
 
 
@@ -380,7 +380,7 @@ def _symbols_in_clauses(clauses) -> tuple[set, set]:
                 scan(a)
 
     for clause in clauses:
-        for lit in clause.literals:
+        for lit in clause:
             predicates.add(lit.predicate)
             for a in lit.args:
                 scan(a)
@@ -430,9 +430,8 @@ class _Content:
     instance mask meets just when the two can resolve on sign and
     predicate.  The primed copy is filled when the content is first
     processed, the matcher on the first exact subsumption check that
-    reaches it, the text when a record first prints it.  A content reads as
-    a clause wherever only ``.literals`` matter.  It hashes by identity, so
-    no order may come from iterating a set of contents.
+    reaches it, the text when a record first prints it.  It hashes by
+    identity, so no order may come from iterating a set of contents.
     """
 
     __slots__ = ("literals", "size", "depth", "tautology", "mask", "pattern",
@@ -442,8 +441,8 @@ class _Content:
                  pattern: int, opposite: int):
         self.literals = literals
         self.size = len(literals)
-        self.depth = clause_depth(self)
-        self.tautology = is_tautology(self)
+        self.depth = clause_depth(literals)
+        self.tautology = is_tautology(literals)
         self.mask, self.pattern, self.opposite = mask, pattern, opposite
         self.primed = self.match = self.text = None
 
@@ -489,8 +488,8 @@ class _Processed:
         for old in self.subsumers[since:]:
             if old.size <= width and not old.pattern & missing:
                 if old.match is None:
-                    old.match = compile_matcher(old)
-                if subsumes(old, cand, old.match):
+                    old.match = compile_matcher(old.literals)
+                if subsumes(old.literals, cand.literals, old.match):
                     return True
         return False
 
@@ -505,13 +504,13 @@ class ContentMemo:
     factoring derive per content pair, each CEF's weight per content and
     each model's prediction per content.  Tables are keyed by the objects
     they describe: a CEF by ``(kind, gamma, model)``, a model by itself
-    (a :class:`Model` hashes by identity).  ``Fifo`` weighs a clause by its
-    id, so its weights are not kept.  The memo is the one place that asks a
-    model for a prediction: each model gets one :class:`SymbolMap` of the
-    signature into its snapshot, which its predictions read feature labels
-    through, and ``evaluate`` is handed the prediction.  A prediction keeps
-    the number of feature triples it dropped, which every search that uses
-    it, the first included, adds to its own ``dropped_triples``.
+    (a :class:`Model` hashes by identity).  The memo is the one place that
+    asks a model for a prediction: each model gets one :class:`SymbolMap`
+    of the signature into its snapshot, which its predictions read feature
+    labels through, and ``evaluate`` is handed the prediction.  A
+    prediction keeps the number of feature triples it dropped, which every
+    search that uses it, the first included, adds to its own
+    ``dropped_triples``.
 
     :meth:`_key_masks` is the one place that numbers key bits and makes a
     literal key's masks: ``key_bits`` gives every key a mask uses one bit
@@ -527,7 +526,7 @@ class ContentMemo:
         # (given content, partner content) or (given content,) -> the
         # contents resolution or factoring derives, None for one too deep
         self.derived: dict[tuple, list[_Content | None]] = {}
-        # (kind, gamma, model) of a CEF other than Fifo -> content -> weight
+        # (kind, gamma, model) of a CEF -> content -> weight
         self.weights: dict[tuple, dict[_Content, float]] = {}
         # model -> (the signature's map into it, content -> (positive,
         # triples dropped))
@@ -580,36 +579,33 @@ class ContentMemo:
                 bits.setdefault(opposite, 1 << len(bits)))
 
     def weigher(self, cef: CEF, stats: dict):
-        """``weigh(cid, content)``, the CEF's weight of the kept clause with
-        that id and content, that reuses what the memo knows of the
-        content.  Fifo alone weighs the clause, not its content."""
-        if cef.kind == "Fifo":
-            return lambda cid, content: evaluate(Clause(cid, content.literals),
-                                                 cef)
+        """``weigh(content)``, the CEF's weight of a kept clause with that
+        content, that reuses what the memo knows of the content."""
         weights = self.weights.setdefault((cef.kind, cef.gamma, cef.model), {})
         model = cef.model
         if model is None:
-            def weigh(cid: int, content: _Content) -> float:
+            def weigh(content: _Content) -> float:
                 weight = weights.get(content)
                 if weight is None:
-                    weight = weights[content] = evaluate(content, cef)
+                    weight = weights[content] = evaluate(content.literals, cef)
                 return weight
             return weigh
         if model not in self.models:
             self.models[model] = (SymbolMap(self.sig, model.signature), {})
         symbols, predictions = self.models[model]
 
-        def weigh_learned(cid: int, content: _Content) -> float:
+        def weigh_learned(content: _Content) -> float:
             prediction = predictions.get(content)
             if prediction is None:
                 counts: dict[str, int] = {}
-                positive = predict(content, model, symbols, counts) == POS
+                positive = predict(content.literals, model, symbols,
+                                   counts) == POS
                 prediction = predictions[content] = (
                     positive, counts.get("dropped_triples", 0))
             stats["dropped_triples"] += prediction[1]
             weight = weights.get(content)
             if weight is None:
-                weight = weights[content] = evaluate(content, cef,
+                weight = weights[content] = evaluate(content.literals, cef,
                                                      prediction[0])
             return weight
         return weigh_learned
@@ -621,13 +617,13 @@ class _CefQueue:
     ``seen`` is a watermark into the search's list of kept contents, whose
     indices are the clause ids: the clauses past it are weighed, once
     each, the next time this CEF is asked to select, and those still
-    unprocessed are pushed on a heap, ties broken by id.  Heap entries for
-    clauses that were selected by another CEF in the meantime are skipped
-    on pop.
+    unprocessed are pushed on a heap as ``(weight, id)``, so equal weights
+    pop the oldest clause first.  Heap entries for clauses that were
+    selected by another CEF in the meantime are skipped on pop.
     """
 
     def __init__(self, weigh):
-        # (clause id, content) -> weight under this queue's CEF
+        # content -> weight under this queue's CEF
         self.weigh = weigh
         self.heap: list[tuple[float, int]] = []
         self.seen = 0
@@ -637,7 +633,7 @@ class _CefQueue:
         weigh = self.weigh
         for cid, content in enumerate(kept[self.seen:], self.seen):
             if cid in unprocessed:
-                heapq.heappush(self.heap, (weigh(cid, content), cid))
+                heapq.heappush(self.heap, (weigh(content), cid))
         self.seen = len(kept)
         while self.heap:
             _, cid = heapq.heappop(self.heap)
@@ -650,7 +646,7 @@ class _CefQueue:
 def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
           problem_id: str = "", inject_equality: bool = True,
           memo: ContentMemo | None = None) -> ProofSearchRecord:
-    """Run the given-clause loop on a list of input clauses.
+    """Run the given-clause loop on a list of input clauses, literal tuples.
 
     The record stores the full given-clause sequence and derivation DAG
     regardless of outcome; hitting a limit is the ``resource_out`` outcome,
@@ -697,7 +693,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
                                    for literals in make(*args)]
         return [(cand, ids) for cand in made]
 
-    input_literal_sets = [clause.literals for clause in problem]
+    input_literal_sets = list(problem)
     if inject_equality:
         eq_axioms = equality_axioms(problem, sig)
         stats["equality_axioms"] = len(eq_axioms)
@@ -772,7 +768,7 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     # one text per content
     for content in kept:
         if content.text is None:
-            content.text = format_clause(content, sig)
+            content.text = format_clause(content.literals, sig)
     return ProofSearchRecord(
         problem=problem_id,
         strategy=format_strategy(strategy),

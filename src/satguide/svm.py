@@ -36,7 +36,8 @@ import random
 from dataclasses import dataclass, field
 
 from .clauses import (
-    DEFAULT_SKOLEM_PREFIXES, Clause, FrozenSignature, Symbol, SymbolMap,
+    DEFAULT_SKOLEM_PREFIXES, MARKERS, FrozenSignature, Literal, Symbol,
+    SymbolMap,
 )
 from .features import FormatError, SparseVector, clause_features, vectorize
 
@@ -296,7 +297,7 @@ def predict_vector(model: Model, vec: SparseVector) -> str:
     return POS if score_vector(model, vec) > 0.0 else NEG
 
 
-def predict(clause: Clause, model: Model, symbols: SymbolMap,
+def predict(clause: tuple[Literal, ...], model: Model, symbols: SymbolMap,
             stats: dict | None = None) -> str:
     """Classify a clause: positive iff w'x > 0 (strict), else negative.
     ``symbols`` maps the clause's signature into the model's snapshot."""
@@ -371,6 +372,13 @@ def _read_symbol_table(fp, path: str) -> FrozenSignature:
         symbols.append(Symbol(int(cells[0]), cells[1], int(cells[2]), cells[3]))
         if symbols[-1].id != len(symbols) - 1:
             raise FormatError(f"{path}: symbol ids must be dense")
+    # features write the marker ids themselves, and a Signature finds a
+    # symbol by its name
+    if tuple(symbols[:len(MARKERS)]) != MARKERS:
+        raise FormatError(f"{path}: rows 0-{len(MARKERS) - 1} must hold "
+                          f"the marker symbols")
+    if len({sym.name for sym in symbols}) < len(symbols):
+        raise FormatError(f"{path}: symbol names must be unique")
     return FrozenSignature(tuple(symbols), tuple(prefixes))
 
 

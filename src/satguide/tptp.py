@@ -5,6 +5,8 @@ Supported input: ``cnf(name, role, ( lit | lit | ... )).`` statements with
 negations ``~p(t,...)``, and equalities ``t = s`` / ``t != s``.  Identifiers
 starting with an uppercase letter are variables; everything else is a
 function or predicate symbol.  ``$false`` stands for the empty clause.
+A parsed clause is its tuple of literals, and a problem is the list of its
+clauses in file order, so a clause's index is its id.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .clauses import (
-    App, ArityClash, Clause, EQUALITY, KIND_FUNCTION, KIND_PREDICATE, Literal,
+    App, ArityClash, EQUALITY, KIND_FUNCTION, KIND_PREDICATE, Literal,
     Signature, Term, Var,
 )
 
@@ -187,13 +189,14 @@ class _Parser:
         return name, role, literals
 
 
-def parse_problem(text: str, sig: Signature, path: str = "<string>") -> list[Clause]:
-    """Parse a whole problem file; clause ids follow file order."""
+def parse_problem(text: str, sig: Signature,
+                  path: str = "<string>") -> list[tuple[Literal, ...]]:
+    """Parse a whole problem file into its clauses' literals, in file order."""
     parser = _Parser(text, sig, path)
     clauses = []
     while parser.peek()[0] != "eof":
         _, _, literals = parser.parse_cnf_statement()
-        clauses.append(Clause(len(clauses), literals))
+        clauses.append(literals)
     return clauses
 
 
@@ -226,9 +229,9 @@ def format_literal(lit: Literal, sig: Signature) -> str:
     return atom if lit.positive else f"~{atom}"
 
 
-def format_clause(clause: Clause, sig: Signature) -> str:
-    if not clause.literals:
+def format_clause(clause: tuple[Literal, ...], sig: Signature) -> str:
+    if not clause:
         return "$false"
-    return " | ".join(format_literal(lit, sig) for lit in clause.literals)
+    return " | ".join(format_literal(lit, sig) for lit in clause)
 
 

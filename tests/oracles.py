@@ -426,7 +426,7 @@ def _clause_vars(clause):
                 walk(a, out)
 
     out = set()
-    for lit in clause.literals:
+    for lit in clause:
         for a in lit.args:
             walk(a, out)
     return sorted(out)
@@ -450,7 +450,7 @@ def ground_instances(clause, terms):
     for combo in itertools.product(terms, repeat=len(names)):
         assignment = dict(zip(names, combo))
         instances.append(tuple(_ground_literal(lit, assignment)
-                               for lit in clause.literals))
+                               for lit in clause))
     return instances
 
 
@@ -465,7 +465,7 @@ def ground_unsatisfiable(clauses, sig, max_atoms=18):
 
     constants = set()
     for c in clauses:
-        for lit in c.literals:
+        for lit in c:
             for a in lit.args:
                 stack = [a]
                 while stack:
@@ -517,7 +517,7 @@ def ground_entails(parents, clause, sig, depth=2, max_atoms=18):
                 scan(a)
 
     for c in list(parents) + [clause]:
-        for lit in c.literals:
+        for lit in c:
             for a in lit.args:
                 scan(a)
     if not constants:
@@ -795,7 +795,7 @@ def record_proof_faults(record, problem_text):
     """:func:`proof_step_faults` of a proof-search record's proof, the
     record's clauses parsed beside the problem's."""
     sig = Signature()
-    problem = [c.literals for c in parse_problem(problem_text, sig)]
+    problem = parse_problem(problem_text, sig)
     clauses = {cid: parse_clause_text(text, sig)
                for cid, text in record.clause_texts.items()}
     return proof_step_faults(record.dag, clauses, record.empty_clause,

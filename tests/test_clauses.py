@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import _symbols
 from satguide.clauses import (
-    App, ArityClash, Clause, DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION,
+    App, ArityClash, DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION,
     KIND_PREDICATE, Literal, NEG_MARKER, POS_MARKER, SKOLEM_MARKER, Signature,
     SymbolMap, VAR_MARKER, Var, clause_len, weighted_symbol_count,
 )
@@ -114,7 +114,7 @@ def test_clause_len_counts_symbols_not_polarity():
     # =, f, x, y, g, sko1, sko2, x
     assert clause_len(parse_one("f(X,Y) = g(sko1,sko2(X))", sig)) == 8
     empty = parse_one("$false", sig)
-    assert clause_len(empty) == 0 and not empty.literals
+    assert clause_len(empty) == 0 and not empty
 
 
 def test_clause_len_additive_over_literals():
@@ -152,8 +152,7 @@ _LITERAL = st.builds(Literal, st.booleans(), st.integers(7, 8),
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_LITERAL, max_size=4).map(tuple))
 def test_symbol_counts_agree_with_the_reference_walker(literals):
-    clause = Clause(0, literals)
-    length = clause_len(clause)
-    weighted = weighted_symbol_count(clause)
+    length = clause_len(literals)
+    weighted = weighted_symbol_count(literals)
     assert type(length) is int and length == _symbols(literals, 1)
     assert type(weighted) is float and weighted == _symbols(literals, 0.5)

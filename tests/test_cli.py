@@ -584,6 +584,18 @@ def test_usage_and_runtime_exit_codes(tmp_path, capsys):
     examples.write_text("+1 1:1\n")
     code, _, err = run(capsys, "eval", str(junk), str(examples))
     assert code == 2 and "junk.bin" in err
+    # the same corrupt model named inside a strategy; a missing one stays a
+    # usage error (test_a_named_file_that_cannot_be_opened_is_a_usage_error)
+    problem = tmp_path / "chain.p"
+    problem.write_text(CHAIN_PROBLEM)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("chain chain.p\n")
+    strategy = f"1*Learned({junk},gamma=0)"
+    code, _, err = run(capsys, "prove", str(problem), "--strategy", strategy)
+    assert code == 2 and "junk.bin: not a model file" in err
+    code, _, err = run(capsys, "loop", str(manifest), "--base-strategy",
+                       strategy, "-o", str(tmp_path / "out"))
+    assert code == 2 and "junk.bin: not a model file" in err
     # bad ENIGMA_LOG value
     os.environ["ENIGMA_LOG"] = "shouting"
     try:

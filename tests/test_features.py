@@ -87,11 +87,11 @@ def test_propositional_literals_are_padded():
 def test_clause_features_union_and_empty():
     sig = Signature()
     clause = parse_one("p(X) | p(Y)", sig)
-    pid = clause.literals[0].predicate
+    pid = clause[0].predicate
     assert clause_features(clause, own(sig)) == {(POS_MARKER, pid, VAR_MARKER): 2}
     assert clause_features(parse_one("$false", sig), own(sig)) == {}
     single = parse_one("f(X,Y) = g(sko1,sko2(X))", sig)
-    (lit,) = single.literals
+    (lit,) = single
     assert clause_features(single, own(sig)) == literal_features(lit, own(sig))
 
 
@@ -111,7 +111,7 @@ def test_walk_count_conservation_against_tree_oracle():
         counts = clause_features(clause, own(sig))
         expected = {}
         total_walks = 0
-        for lit in clause.literals:
+        for lit in clause:
             tree = feature_tree(lit, sig)
             walks = tree_walks(tree)
             if not walks:  # depth-2 tree: the padded walk

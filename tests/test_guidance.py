@@ -133,9 +133,9 @@ def test_round_robin_window_exactness_exhaustive():
 def test_evaluate_dispatch(trained):
     sig, clauses, model = trained
     clause = clauses[0]
-    clause17 = parse_problem("cnf(c, axiom, (good(q))).", sig)[0]
-    clause17.id = 17
-    assert evaluate(clause17, CEF("Fifo")) == 17.0
+    # Fifo weighs every clause alike; the queue's tie-break by id orders it
+    for other in clauses + parse_problem("cnf(c, axiom, (good(q))).", sig):
+        assert evaluate(other, CEF("Fifo")) == 0.0
     assert evaluate(clause, CEF("ClauseLen")) == 2.0
     pc = parse_problem("cnf(c, axiom, (good(X))).", sig)[0]
     assert evaluate(pc, CEF("SymbolCount")) == 1.5
@@ -168,15 +168,12 @@ def test_argmin_invariance_under_weight_scaling(trained):
     texts = ["good(a)", "bad(f(a,b))", "good(f(a,a))", "bad(c)"]
     clauses = [parse_problem(f"cnf(c, axiom, ({t})).", sig)[0]
                for t in texts]
-    for i, c in enumerate(clauses):
-        c.id = i
     cef = learned_cef(model, 0.2)
 
     def argmin(scale):
-        best = min(clauses,
-                   key=lambda c: (scale * evaluate(
-                       c, cef, positive(c, model, sig)), c.id))
-        return best.id
+        return min(range(len(clauses)),
+                   key=lambda i: (scale * evaluate(
+                       clauses[i], cef, positive(clauses[i], model, sig)), i))
 
     assert argmin(1.0) == argmin(3.5) == argmin(0.25)
 

@@ -62,10 +62,13 @@ class TestExtract:
         record = chain_record(sig)
         positives, negatives = extract_examples(record, sig)
         assert negatives, "decoy clauses must show up as negatives"
-        pos_ids = {c.id for c in positives}
-        neg_ids = {c.id for c in negatives}
-        assert pos_ids.isdisjoint(neg_ids)
-        assert pos_ids | neg_ids == set(record.given_sequence)
+        ancestors = ancestor_ids(record)
+        assert positives == [record.clause(cid, sig)
+                             for cid in record.given_sequence
+                             if cid in ancestors]
+        assert negatives == [record.clause(cid, sig)
+                             for cid in record.given_sequence
+                             if cid not in ancestors]
 
     def test_positives_match_independent_reachability(self):
         sig = Signature()
@@ -81,8 +84,9 @@ class TestExtract:
                 continue
             reached.add(node)
             frontier.extend(edges[node])
-        assert {c.id for c in positives} == \
-            {g for g in record.given_sequence if g in reached}
+        assert positives == [record.clause(cid, sig)
+                             for cid in record.given_sequence
+                             if cid in reached]
         assert ancestor_ids(record) == reached
 
     def test_extract_requires_a_proof(self):
@@ -212,7 +216,7 @@ def test_pooling_parses_each_text_once_and_featurizes_each_clause_once(
     features = pipeline.clause_features
 
     def counting_features(clause, sig):
-        featurized.append(clause.literals)
+        featurized.append(clause)
         return features(clause, sig)
 
     monkeypatch.setattr(pipeline, "clause_features", counting_features)
@@ -231,9 +235,7 @@ def test_pooling_parses_each_text_once_and_featurizes_each_clause_once(
         for cid in record.given_sequence:
             expected[cid not in ancestors].append(record.clause(cid, own))
     assert own.freeze() == sig.freeze()
-    for got, want in zip(pool, expected):
-        assert [(c.id, c.literals, c.parents) for c in got] \
-            == [(c.id, c.literals, c.parents) for c in want]
+    assert pool == expected
     frozen = own.freeze()
     symbols = SymbolMap(own, frozen)
     assert rows == [(vectorize(clause_features(clause, symbols), frozen), label)

@@ -16,7 +16,7 @@ from oracles import (
 )
 from satguide import saturation
 from satguide.clauses import (
-    App, Clause, Literal, Signature, Var, clause_depth,
+    App, Literal, Signature, Var, clause_depth,
 )
 from satguide.guidance import (
     Strategy, baseline_strategy, learned_cef, parse_strategy,
@@ -106,7 +106,7 @@ def test_unify_agrees_with_the_robinson_oracle(t1_text, t2_text):
 
 def resolve(given, partner):
     """Resolvents against the primed partner, as ``prove`` passes it."""
-    return resolvents(given.literals, rename_apart(partner.literals))
+    return resolvents(given, rename_apart(partner))
 
 
 class TestResolvents:
@@ -120,7 +120,7 @@ class TestResolvents:
         sig = Signature()
         given = parse_one("p(X) | q(X)", sig)
         partner = parse_one("~p(a)", sig)
-        assert resolve(given, partner) == [parse_one("q(a)", sig).literals]
+        assert resolve(given, partner) == [parse_one("q(a)", sig)]
 
     def test_no_complementary_pair(self):
         sig = Signature()
@@ -133,7 +133,7 @@ class TestResolvents:
         clause = parse_one("~le(X, Y) | le(f(X), Y)", sig)
         out = resolve(clause, clause)
         # the shared variable names must not block the unifications
-        assert parse_one("~le(X0,X1) | le(f(f(X0)),X1)", sig).literals in out
+        assert parse_one("~le(X0,X1) | le(f(f(X0)),X1)", sig) in out
 
 
 _TERM = st.recursive(st.sampled_from(["a", "b", "X", "Y", "Z"]),
@@ -152,9 +152,9 @@ def _renamed(clause, mapping):
             return Var(mapping[t.name])
         return App(t.symbol, tuple(walk(a) for a in t.args))
 
-    return Clause(clause.id, tuple(
+    return tuple(
         Literal(lit.positive, lit.predicate, tuple(walk(a) for a in lit.args))
-        for lit in clause.literals))
+        for lit in clause)
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,7 +163,7 @@ def test_resolvents_ignore_the_partners_variable_names(g_text, p_text, same,
                                                         names):
     sig = Signature()
     g = parse_one(g_text, sig)
-    p = g if same else Clause(1, parse_one(p_text, sig).literals)
+    p = g if same else parse_one(p_text, sig)
     rho_p = _renamed(p, dict(zip("XYZ", names)))
     assert resolve(g, p) == resolve(g, rho_p)
 
@@ -199,23 +199,22 @@ def _oracle_unify_atoms(a, b):
 
 
 def _oracle_resolvents(given, partner):
-    primed = _renamed(partner, {v: v + "'" for v in "XYZ"}).literals
+    primed = _renamed(partner, {v: v + "'" for v in "XYZ"})
     out = []
-    for i, lit_g in enumerate(given.literals):
+    for i, lit_g in enumerate(given):
         for j, lit_p in enumerate(primed):
             if lit_g.positive == lit_p.positive \
                     or lit_g.predicate != lit_p.predicate:
                 continue
             subst = _oracle_unify_atoms(lit_g, lit_p)
             if subst is not None:
-                rest = [l for k, l in enumerate(given.literals) if k != i]
+                rest = [l for k, l in enumerate(given) if k != i]
                 rest += [l for k, l in enumerate(primed) if k != j]
                 out.append(_oracle_derived(rest, subst))
     return out
 
 
-def _oracle_factors(clause):
-    lits = clause.literals
+def _oracle_factors(lits):
     out = []
     for i, j in itertools.combinations(range(len(lits)), 2):
         if lits[i].positive != lits[j].positive \
@@ -238,24 +237,24 @@ def test_derived_clauses_agree_with_the_oracle_construction(g_text, p_text,
     # clauses must be equal, literal for literal
     sig = Signature()
     g = parse_one(g_text, sig)
-    p = g if same else Clause(1, parse_one(p_text, sig).literals)
+    p = g if same else parse_one(p_text, sig)
     assert resolve(g, p) == _oracle_resolvents(g, p)
-    assert factors(g.literals) == _oracle_factors(g)
+    assert factors(g) == _oracle_factors(g)
 
 
 class TestFactors:
     def test_basic_factoring(self):
         sig = Signature()
         clause = parse_one("p(X) | p(a)", sig)
-        assert factors(clause.literals) == [parse_one("p(a)", sig).literals]
+        assert factors(clause) == [parse_one("p(a)", sig)]
 
     def test_opposite_polarity_does_not_factor(self):
         sig = Signature()
-        assert factors(parse_one("p(X) | ~p(a)", sig).literals) == []
+        assert factors(parse_one("p(X) | ~p(a)", sig)) == []
 
     def test_different_predicates_do_not_factor(self):
         sig = Signature()
-        assert factors(parse_one("p(a) | q(b)", sig).literals) == []
+        assert factors(parse_one("p(a) | q(b)", sig)) == []
 
 
 class TestSubsumes:
@@ -311,15 +310,15 @@ _PATTERN_TEXTS = st.lists(
 def _target(c, d_texts, instance, subst_texts, seed, sig):
     """The clause of ``d_texts``; with ``instance``, an instance of every
     literal of ``c`` is shuffled in among them."""
-    d_literals = list(parse_one(" | ".join(d_texts), sig).literals)
+    d_literals = list(parse_one(" | ".join(d_texts), sig))
     if instance:
         # a simultaneous substitution, as apply_subst would chase X -> f(X)
         subst = dict(zip("XYZ", parse_terms(",".join(subst_texts), sig)))
         d_literals += [Literal(lit.positive, lit.predicate,
                                tuple(substitute(a, subst) for a in lit.args))
-                       for lit in c.literals]
+                       for lit in c]
         random.Random(seed).shuffle(d_literals)
-    return Clause(1, tuple(d_literals))
+    return tuple(d_literals)
 
 
 @settings(max_examples=300, deadline=None)
@@ -350,11 +349,11 @@ def test_subsumes_agrees_with_the_brute_force_oracle(
     sig = Signature()
     c = parse_one(" | ".join(c_texts), sig)
     d = _target(c, d_texts, instance, subst_texts, seed, sig)
-    want = clause_subsumes(c.literals, d.literals)
+    want = clause_subsumes(c, d)
     assert subsumes(c, d) == want
     # one matcher serves many targets: a call leaves nothing behind
     match = saturation.compile_matcher(c)
-    assert match(c.literals)
+    assert match(c)
     assert subsumes(c, d, match) == want
 
 
@@ -374,10 +373,9 @@ def test_subsumption_implies_the_literal_key_filter_passes(
     # each content made first, before the other's keys have bits
     for first, second in ((c, d), (d, c)):
         memo = saturation.ContentMemo(sig)
-        memo.content(first.literals)
-        memo.content(second.literals)
-        assert (memo.content(c.literals).pattern
-                & ~memo.content(d.literals).mask == 0)
+        memo.content(first)
+        memo.content(second)
+        assert (memo.content(c).pattern & ~memo.content(d).mask == 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -391,23 +389,23 @@ def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
     sig = Signature()
     memo = saturation.ContentMemo(sig)
     processed = saturation._Processed()
-    cand = memo.content(parse_one(cand_text, sig).literals)
+    cand = memo.content(parse_one(cand_text, sig))
     scanned = []
     for k, text in enumerate(texts):
-        given = Clause(k, parse_one(text, sig).literals)
-        content = memo.content(given.literals)
-        processed.add(given.id, content)
+        given = parse_one(text, sig)
+        content = memo.content(given)
+        processed.add(k, content)
         scanned.append(given)
         partners = [cid for cid, _ in processed.partners(content)]
         assert partners == [
-            c.id for c in scanned
+            cid for cid, c in enumerate(scanned)
             if any(g.positive != lit.positive and g.predicate == lit.predicate
-                   for g in given.literals for lit in c.literals)]
+                   for g in given for lit in c)]
         assert set(partners) >= {
             cid for cid, part in processed.slots
-            if resolvents(given.literals, part.primed)}
+            if resolvents(given, part.primed)}
         assert processed.subsumed(cand, 0) == \
-            any(subsumes(c, cand) for c in scanned)
+            any(subsumes(c, cand.literals) for c in scanned)
 
 
 @settings(max_examples=200, deadline=None)
@@ -423,28 +421,27 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
     # with a scan of this search's clauses
     sig = Signature()
     memo = saturation.ContentMemo(sig)
-    cand = memo.content(parse_one(cand_text, sig).literals)
+    cand = memo.content(parse_one(cand_text, sig))
     other = saturation._Processed()
     for k, text in enumerate(others):
-        clause = Clause(k, parse_one(text, sig).literals)
-        content = memo.content(clause.literals)
-        other.add(clause.id, content)
+        content = memo.content(parse_one(text, sig))
+        other.add(k, content)
         other.partners(content)
         other.subsumed(cand, 0)
     processed = saturation._Processed()
     scanned = []
     for k, text in enumerate(texts):
-        given = Clause(k, parse_one(text, sig).literals)
-        content = memo.content(given.literals)
-        processed.add(given.id, content)
+        given = parse_one(text, sig)
+        content = memo.content(given)
+        processed.add(k, content)
         scanned.append(given)
         partners = [cid for cid, _ in processed.partners(content)]
         assert partners == [
-            c.id for c in scanned
+            cid for cid, c in enumerate(scanned)
             if any(g.positive != lit.positive and g.predicate == lit.predicate
-                   for g in given.literals for lit in c.literals)]
+                   for g in given for lit in c)]
         assert processed.subsumed(cand, 0) == \
-            any(subsumes(c, cand) for c in scanned)
+            any(subsumes(c, cand.literals) for c in scanned)
 
 
 def _nested(levels, inner):
@@ -468,8 +465,8 @@ def test_a_resolvent_is_built_up_to_the_parser_bound(levels, built):
     partner = parse_one(f"~q(Y) | q({_nested(levels, 'Y')})", sig)
     (out,) = resolve(given, partner)
     if built:
-        assert out == parse_one(f"q({_nested(198, 'X0')})", sig).literals
-        assert clause_depth(Clause(0, out)) == MAX_TERM_DEPTH
+        assert out == parse_one(f"q({_nested(198, 'X0')})", sig)
+        assert clause_depth(out) == MAX_TERM_DEPTH
     else:
         assert out is None
 
@@ -483,7 +480,7 @@ def test_a_factor_nested_past_the_parser_bound_is_discarded(max_depth):
     assert record.outcome == OUTCOME_SATURATED
     assert record.stats["generated"] == record.stats["discarded"] == 1
     # the memo keeps the too-deep factor for the problem's other searches
-    content = memo.content(_problem(DEEP_FACTOR[:1], Signature())[0].literals)
+    content = memo.content(_problem(DEEP_FACTOR[:1], Signature())[0])
     assert memo.derived[(content,)] == [None]
 
 
@@ -533,8 +530,7 @@ def test_equality_axioms_generated_only_when_needed():
     assert equality_axioms(plain, sig) == []
     eq = parse_problem("cnf(a, axiom, (f(a) = b)).\ncnf(b, axiom, (p(a))).", sig)
     axioms = equality_axioms(eq, sig)
-    from satguide.clauses import Clause
-    texts = [format_clause(Clause(0, literals), sig) for literals in axioms]
+    texts = [format_clause(literals, sig) for literals in axioms]
     assert "X = X" in texts
     assert any("p(" in t for t in texts)  # predicate congruence
     assert any("f(" in t for t in texts)  # function congruence
@@ -1100,7 +1096,7 @@ def test_matchers_are_made_lazily_once_per_content_for_all_searches(
     rename_apart = saturation.rename_apart
 
     def counting(clause):
-        compiled.append(clause.literals)
+        compiled.append(clause)
         return compile_matcher(clause)
 
     def counting_primes(literals):
@@ -1255,13 +1251,16 @@ def test_every_selection_of_a_two_model_grid_sharing_a_memo_replays(
 
 
 def test_every_selection_of_the_hard_tier_replays():
-    base = baseline_strategy()
-    for problem in hard_tier():
-        sig = Signature()
-        record = prove(parse_problem(problem.text, sig), base,
-                       Limits(max_processed=60), sig)
-        assert record.stats["processed"] > 0
-        assert selection_faults(record, base, {}) == [], problem.family
+    # the baseline makes one Fifo pick in six; 1*Fifo makes every pick by
+    # age, against the replay's own id weights
+    for strategy in (baseline_strategy(), parse_strategy("1*Fifo")):
+        for problem in hard_tier():
+            sig = Signature()
+            record = prove(parse_problem(problem.text, sig), strategy,
+                           Limits(max_processed=60), sig)
+            assert record.stats["processed"] > 0
+            assert selection_faults(record, strategy, {}) == [], \
+                (record.strategy, problem.family)
 
 
 def test_the_selection_replay_rejects_a_swapped_pick_or_a_flipped_prediction(

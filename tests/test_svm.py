@@ -481,9 +481,16 @@ def _edit_row(header, new):
      "dimension 7 does not match signature"),
     ("bin", _edit_line("epochs ", "epoch 3"), "expected 'epochs ...'"),
     ("sig", _edit_line("symbols ", "symbols many"), "corrupt signature file"),
+    # features write the marker ids 0-3 themselves
+    ("bin", _edit_row("symbols ", lambda row: "0 p 0 predicate"),
+     "rows 0-3 must hold the marker symbols"),
+    # a Signature finds a symbol by its name; row 4 is good/1
+    ("sig", _edit_line("5 ", "5 good 1 predicate"),
+     "symbol names must be unique"),
 ], ids=["weight-row", "weight-index", "end-marker", "non-finite-weight",
         "symbol-row", "symbol-ids", "skolem-prefixes", "c-not-a-number",
-        "dimension-mismatch", "epochs-line-misnamed", "sig-file"])
+        "dimension-mismatch", "epochs-line-misnamed", "sig-file",
+        "marker-rows", "repeated-name"])
 def test_loaders_name_the_file_and_what_is_wrong(tmp_path, kind, edit,
                                                  message):
     sig = Signature()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from satguide.clauses import Clause, Signature
+from satguide.clauses import Signature
 from satguide.tptp import (
     MAX_TERM_DEPTH, ParseError, format_clause, parse_clause_text,
     parse_problem,
@@ -23,12 +23,15 @@ cnf(five, axiom, $false).
 def test_parse_problem_basics():
     sig = Signature()
     clauses = parse_problem(SAMPLE, sig, "sample.p")
-    assert [c.id for c in clauses] == [0, 1, 2, 3, 4]
-    assert len(clauses[0].literals) == 2
-    assert clauses[0].literals[0].positive
-    assert not clauses[0].literals[1].positive
-    assert not clauses[4].literals  # $false is the empty clause
-    neq = clauses[3].literals[0]
+    # the clauses in file order, so a clause's index is its id
+    assert clauses == [parse_clause_text(text, sig) for text in (
+        "p(X) | ~q(h(X), a)", "f(X, Y) = g(sko1, sko2(X))", "~p(a)",
+        "a != b | r", "$false")]
+    assert len(clauses[0]) == 2
+    assert clauses[0][0].positive
+    assert not clauses[0][1].positive
+    assert not clauses[4]  # $false is the empty clause
+    neq = clauses[3][0]
     assert not neq.positive and sig.name_of(neq.predicate) == "="
 
 
@@ -138,7 +141,7 @@ def test_print_parse_round_trip_on_random_clauses():
         clause = parse_problem(f"cnf(c, axiom, ({text})).", sig)[0]
         printed = format_clause(clause, sig)
         again = parse_clause_text(printed, sig)
-        assert again == clause.literals
+        assert again == clause
 
 
 def test_sample_clauses_round_trip():
@@ -146,5 +149,5 @@ def test_sample_clauses_round_trip():
     sig2 = Signature()
     for clause in parse_problem(SAMPLE, sig):
         printed = format_clause(clause, sig)
-        again = Clause(clause.id, parse_clause_text(printed, sig2))
+        again = parse_clause_text(printed, sig2)
         assert format_clause(again, sig2) == printed

@@ -10,7 +10,7 @@ data from proof records and drives grid evaluation and the retrain loop;
 """
 
 from .clauses import (
-    ArityClash, FrozenSignature, Literal, Signature, Symbol, Term, Var, App,
+    FrozenSignature, Literal, Signature, Symbol, Term, Var, App,
     clause_len,
 )
 from .features import (
@@ -22,8 +22,8 @@ from .guidance import (
     parse_strategy,
 )
 from .pipeline import (
-    GridSpec, NoProof, extract_examples, greedy_cover, loop, pool_examples,
-    run_grid, train_from_examples,
+    GridSpec, NoProof, greedy_cover, loop, pool_examples, run_grid,
+    train_from_examples,
 )
 from .saturation import (
     Limits, ProofSearchRecord, factors, prove, resolvents,
@@ -33,6 +33,6 @@ from .svm import (
     AccuracyReport, EmptyClass, Model, NonFinite, SolverConfig, accuracy,
     load_model, predict, save_model,
 )
-from .tptp import ParseError, format_clause, parse_problem
+from .tptp import ParseError, format_clause, parse_problem, read_problem
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ ids 0-3: one standing for all variables, one for all Skolem functions, and
 one for each literal polarity.  The featurizer relies on these ids being
 fixed.  A :class:`SymbolMap` is the one thing that turns a signature's
 symbol ids into feature labels: the ids of a snapshot's table, with Skolem
-functions collapsed to their marker.
+functions collapsed to their marker.  A name registered again at another
+arity or kind is a ValueError; the parser reports it as a ParseError.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ NEG_MARKER = 3
 DEFAULT_SKOLEM_PREFIXES = ("sko", "esk")
 
 EQUALITY = "="
-
-
-class ArityClash(Exception):
-    """A symbol name was re-registered with a different arity or kind."""
 
 
 @dataclass(frozen=True)
@@ -111,14 +108,15 @@ class Signature:
         return len(self._symbols)
 
     def intern_symbol(self, name: str, arity: int, kind: str) -> int:
-        """Return the id for ``name``, registering it on first sight."""
+        """Return the id for ``name``, registering it on first sight; a
+        name already held at another arity or kind is a ValueError."""
         if not name:
             raise ValueError("symbol name must be nonempty")
         existing = self._lookup.get(name)
         if existing is not None:
             sym = self._symbols[existing]
             if sym.arity != arity or sym.kind != kind:
-                raise ArityClash(
+                raise ValueError(
                     f"symbol {name!r} already registered as {sym.kind}/{sym.arity}, "
                     f"cannot re-register as {kind}/{arity}")
             return existing
@@ -144,7 +142,7 @@ class Signature:
         for sym in frozen.symbols[len(MARKERS):]:
             got = sig.intern_symbol(sym.name, sym.arity, sym.kind)
             if got != sym.id:
-                raise ArityClash(f"snapshot ids are not dense at {sym.name!r}")
+                raise ValueError(f"snapshot ids are not dense at {sym.name!r}")
         return sig
 
 
@@ -218,8 +216,10 @@ def term_depth(t: Term) -> int:
 
 
 def clause_depth(clause: tuple[Literal, ...]) -> int:
+    """A literal's predicate is one level above its arguments; the empty
+    clause has depth 0, so that no depth cap discards a proof."""
     depths = [term_depth(a) for lit in clause for a in lit.args]
-    return 1 + max(depths, default=0)
+    return 1 + max(depths, default=0) if clause else 0
 
 
 def weighted_symbol_count(clause: tuple[Literal, ...]) -> float:

@@ -41,14 +41,6 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(message)s")
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            return fp.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-
 def _check_writable(path: str | None) -> None:
     """Open an output file before any search, so that one that cannot be
     written costs no run; the OSError names the path.  A file made here
@@ -111,7 +103,7 @@ def _strategy(spec: str):
 
 def cmd_featurize(args) -> int:
     sig = _skolem_signature(args)
-    clauses = tptp.parse_problem(_read_text(args.problem), sig, args.problem)
+    clauses = tptp.read_problem(args.problem, sig)
     symbols = SymbolMap(sig, sig.freeze())
     for cid, clause in enumerate(clauses):
         counts = clause_features(clause, symbols)
@@ -124,7 +116,7 @@ def cmd_prove(args) -> int:
     limits = _limits(args)
     strategy = _strategy(args.strategy)
     sig = Signature()
-    clauses = tptp.parse_problem(_read_text(args.problem), sig, args.problem)
+    clauses = tptp.read_problem(args.problem, sig)
     if not clauses:
         raise UsageError(f"{args.problem}: no clauses found")
     _check_writable(args.record)
@@ -172,8 +164,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     cfg = _solver_config(args)
     frozen = svm.load_signature(args.signature or args.examples + ".sig")
-    with open(args.examples, "r", encoding="utf-8") as fp:
-        rows = read_examples(fp, frozen.dimension, args.examples)
+    rows = read_examples(args.examples, frozen.dimension)
     try:
         model = svm.train_vectors(rows, frozen, cfg)
     except EmptyClass as exc:
@@ -188,8 +179,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = svm.load_model(args.model)
-    with open(args.examples, "r", encoding="utf-8") as fp:
-        rows = read_examples(fp, model.signature.dimension, args.examples)
+    rows = read_examples(args.examples, model.signature.dimension)
     report = svm.accuracy(model, rows)
     print(f"examples: {len(rows)} ({report.positives} positive, "
           f"{report.negatives} negative)")

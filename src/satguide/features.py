@@ -9,7 +9,9 @@ literals.  Trees too shallow to contain a three-node chain (propositional
 atoms) yield a single chain padded with the reserved symbol EPSILON, so no
 literal is featureless.  Symbols are labelled through a :class:`SymbolMap`
 of their signature into a snapshot: the training signature's own for
-training and ``featurize``, the model's for guided proving.
+training and ``featurize``, the model's for guided proving.  Examples
+files are written by :func:`write_examples` and read, from their path, by
+:func:`read_examples` alone.
 """
 
 from __future__ import annotations
@@ -144,24 +146,25 @@ def write_examples(fp, rows) -> None:
         fp.write(" ".join(cells) + "\n")
 
 
-def read_examples(fp, dimension: int, path: str = "<examples>"):
-    """Parse the sparse text format back into (vector, label) pairs.
+def read_examples(path: str, dimension: int):
+    """Read the examples file at ``path`` back into (vector, label) pairs.
 
     Each distinct line is parsed once, and its repeats share that row."""
     rows = []
     parsed: dict[str, tuple] = {}
-    try:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            row = parsed.get(line)
-            if row is None:
-                row = parsed[line] = _example_row(line, dimension,
-                                                  f"{path}:{lineno}")
-            rows.append(row)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            for lineno, line in enumerate(fp, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                row = parsed.get(line)
+                if row is None:
+                    row = parsed[line] = _example_row(line, dimension,
+                                                      f"{path}:{lineno}")
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
     return rows
 
 

@@ -8,14 +8,14 @@ whose proofs feed the next round.  Proofs accumulate across rounds, so the
 training set only grows.
 
 A corpus run hands out one task per problem, serially or in a process
-pool.  The task reads and parses the problem file once, into a fresh
+pool.  The task reads the problem with ``read_problem``, once, into a fresh
 signature; all strategies share that parse and one content memo, a model
 maps the problem's symbols into its own table by name, and each record is
 the one an independent search would make.  A problem that cannot be read
-or parsed, or whose search raises, is logged and counted as unsolved, and
-the run carries on.
-Records carry clause text and are re-read under the trainer's signature
-when examples are collected; an example is a clause's literal tuple.
+(OSError) or parsed (ParseError), or whose search raises, is logged and
+counted as unsolved, and the run carries on.  Records carry clause text,
+which :func:`pool_examples`, the one extractor, re-reads under the
+trainer's signature; an example is a clause's literal tuple.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .clauses import ArityClash, Signature, SymbolMap
+from .clauses import Signature, SymbolMap
 from .features import clause_features, vectorize
 from .guidance import Strategy, baseline_strategy, learned_cef
 from .saturation import (
     ContentMemo, Limits, OUTCOME_PROOF, ProofSearchRecord, prove,
 )
 from .svm import Model, SolverConfig, accuracy, train_vectors
-from .tptp import ParseError, parse_clause_text, parse_problem
+from .tptp import ParseError, parse_clause_text, read_problem
 
 log = logging.getLogger("satguide")
 
@@ -119,54 +119,40 @@ def ancestor_ids(record: ProofSearchRecord) -> set[int]:
     return seen
 
 
-def extract_examples(record: ProofSearchRecord, sig: Signature,
-                     parsed: dict | None = None
-                     ) -> tuple[list, list]:
-    """Split the literals of the record's given clauses into proof members
-    and the rest, each list in given-clause order.
-
-    ``parsed`` maps clause texts to their literals; a text found there is
-    not parsed again, and each text parsed here is added to it.  A text
-    that does not parse, or that uses a symbol at another arity than
-    ``sig`` holds, is a ValueError naming the clause id."""
-    if record.outcome != OUTCOME_PROOF:
-        raise NoProof(f"record for {record.problem!r} has outcome {record.outcome}")
-    parsed = {} if parsed is None else parsed
-    ancestors = ancestor_ids(record)
-    positives = []
-    negatives = []
-    for cid in record.given_sequence:
-        text = record.clause_texts[cid]
-        literals = parsed.get(text)
-        if literals is None:
-            try:
-                literals = parsed[text] = parse_clause_text(
-                    text, sig, f"clause {cid}")
-            except (ParseError, ArityClash) as exc:
-                raise ValueError(str(exc)) from exc
-        if cid in ancestors:
-            positives.append(literals)
-        else:
-            negatives.append(literals)
-    return positives, negatives
-
-
-def pool_examples(records,
-                  sig: Signature) -> tuple[list, list]:
-    """Extract and pool ``(positives, negatives)`` from many proof records,
-    literal tuples in record order.
+def pool_examples(records, sig: Signature) -> tuple[list, list]:
+    """Split the given clauses of proof records into proof members
+    (``positives``) and the rest (``negatives``), literal tuples in record
+    and given-clause order; a single record is ``pool_examples([record],
+    sig)``.
 
     Labels are pooled as-is: a clause can be positive in one search and
     negative in another, and both examples are kept.  Each distinct clause
-    text is parsed once, so its copies share one literal tuple.
+    text is parsed once, so its copies share one literal tuple.  A record
+    that is not a proof is a :class:`NoProof`; a text that does not parse,
+    or that uses a symbol at another arity than ``sig`` holds, is a
+    ValueError naming the clause id.
     """
     positives = []
     negatives = []
     parsed: dict = {}
     for record in records:
-        pos, neg = extract_examples(record, sig, parsed)
-        positives.extend(pos)
-        negatives.extend(neg)
+        if record.outcome != OUTCOME_PROOF:
+            raise NoProof(f"record for {record.problem!r} has outcome "
+                          f"{record.outcome}")
+        ancestors = ancestor_ids(record)
+        for cid in record.given_sequence:
+            text = record.clause_texts[cid]
+            literals = parsed.get(text)
+            if literals is None:
+                try:
+                    literals = parsed[text] = parse_clause_text(
+                        text, sig, f"clause {cid}")
+                except ParseError as exc:
+                    raise ValueError(str(exc)) from exc
+            if cid in ancestors:
+                positives.append(literals)
+            else:
+                negatives.append(literals)
     return positives, negatives
 
 
@@ -216,9 +202,8 @@ def run_problem(problem: CorpusProblem, strategy: Strategy,
     """Run one proof search with its own file read, fresh signature and
     private memo: the search :func:`run_corpus` must agree with."""
     sig = Signature()
-    with open(problem.path, "r", encoding="utf-8") as fp:
-        clauses = parse_problem(fp.read(), sig, problem.path)
-    return prove(clauses, strategy, limits, sig, problem_id=problem.pid)
+    return prove(read_problem(problem.path, sig), strategy, limits, sig,
+                 problem_id=problem.pid)
 
 
 def _solve_problem(problem: CorpusProblem, strategies: dict[str, Strategy],
@@ -231,19 +216,15 @@ def _solve_problem(problem: CorpusProblem, strategies: dict[str, Strategy],
     or parsed, or a search that raises, gives no records and a message
     naming the file.
     """
-    try:
-        with open(problem.path, "r", encoding="utf-8") as fp:
-            text = fp.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        return {}, (f"{problem.path}: cannot read: "
-                    f"{getattr(exc, 'strerror', None) or exc}")
     sig = Signature()
     try:
-        clauses = parse_problem(text, sig, problem.path)
-        if not clauses:
-            raise ParseError(f"{problem.path}: no clauses found")
-    except (ParseError, ArityClash) as exc:
-        return {}, str(exc)  # names path and line
+        clauses = read_problem(problem.path, sig)
+    except OSError as exc:
+        return {}, f"{problem.path}: cannot read: {exc.strerror or exc}"
+    except ParseError as exc:
+        return {}, str(exc)  # names the path, and the line if it has one
+    if not clauses:
+        return {}, f"{problem.path}: no clauses found"
     memo = ContentMemo(sig)
     try:
         return {key: prove(clauses, strategy, limits, sig,

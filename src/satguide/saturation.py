@@ -859,6 +859,12 @@ def record_from_json(data) -> ProofSearchRecord:
     for cid in named:
         if not _known(cid, record.dag) or cid not in record.clause_texts:
             raise ValueError(f"clause {cid!r} has no dag entry or no text")
+    # a search gives each clause once; dag parents may repeat
+    given = set()
+    for cid in record.given_sequence:
+        if cid in given:
+            raise ValueError(f"clause {cid} is given twice")
+        given.add(cid)
     if record.outcome == OUTCOME_PROOF and (
             record.empty_clause is None
             or record.clause_texts[record.empty_clause] != "$false"):

@@ -36,8 +36,8 @@ import random
 from dataclasses import dataclass, field
 
 from .clauses import (
-    DEFAULT_SKOLEM_PREFIXES, MARKERS, FrozenSignature, Literal, Symbol,
-    SymbolMap,
+    DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION, KIND_PREDICATE, MARKERS,
+    FrozenSignature, Literal, Symbol, SymbolMap,
 )
 from .features import FormatError, SparseVector, clause_features, vectorize
 
@@ -379,6 +379,10 @@ def _read_symbol_table(fp, path: str) -> FrozenSignature:
                           f"the marker symbols")
     if len({sym.name for sym in symbols}) < len(symbols):
         raise FormatError(f"{path}: symbol names must be unique")
+    for sym in symbols[len(MARKERS):]:
+        if sym.arity < 0 or sym.kind not in (KIND_FUNCTION, KIND_PREDICATE):
+            raise FormatError(f"{path}: symbol {sym.id} must be a function "
+                              f"or predicate of arity >= 0")
     return FrozenSignature(tuple(symbols), tuple(prefixes))
 
 

@@ -6,7 +6,10 @@ negations ``~p(t,...)``, and equalities ``t = s`` / ``t != s``.  Identifiers
 starting with an uppercase letter are variables; everything else is a
 function or predicate symbol.  ``$false`` stands for the empty clause.
 A parsed clause is its tuple of literals, and a problem is the list of its
-clauses in file order, so a clause's index is its id.
+clauses in file order, so a clause's index is its id.  A problem file is
+read in one place, :func:`read_problem`; every malformed problem, whether
+its text does not decode, does not parse or uses a symbol at two arities,
+is one :class:`ParseError` naming the file.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .clauses import (
-    App, ArityClash, EQUALITY, KIND_FUNCTION, KIND_PREDICATE, Literal,
+    App, EQUALITY, KIND_FUNCTION, KIND_PREDICATE, Literal,
     Signature, Term, Var,
 )
 
@@ -91,8 +94,8 @@ class _Parser:
         """Intern a symbol; a clash names the file and line of this use."""
         try:
             return self.sig.intern_symbol(name, arity, kind)
-        except ArityClash as exc:
-            raise ArityClash(f"{self.path}:{line}: {exc}") from None
+        except ValueError as exc:
+            raise ParseError(f"{self.path}:{line}: {exc}") from None
 
     # raw terms are (name, args-or-None, line) triples; args None marks a
     # variable
@@ -139,7 +142,7 @@ class _Parser:
         if op == "=" or op == "!=":
             self.next()
             rhs = self.parse_raw_term()
-            pred = self.sig.intern_symbol(EQUALITY, 2, KIND_PREDICATE)
+            pred = self.intern(EQUALITY, 2, KIND_PREDICATE, raw[2])
             positive = (op == "=") != negated
             return Literal(positive, pred, (self.to_term(raw), self.to_term(rhs)))
         name, args, line = raw
@@ -198,6 +201,17 @@ def parse_problem(text: str, sig: Signature,
         _, _, literals = parser.parse_cnf_statement()
         clauses.append(literals)
     return clauses
+
+
+def read_problem(path: str, sig: Signature) -> list[tuple[Literal, ...]]:
+    """Read and parse the problem file at ``path``; text that does not
+    decode is a ParseError naming the file, and an OSError propagates."""
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            text = fp.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    return parse_problem(text, sig, path)
 
 
 def parse_clause_text(text: str, sig: Signature, path: str = "<clause>") -> tuple[Literal, ...]:

@@ -31,7 +31,6 @@ from satguide.clauses import (
     App, KIND_FUNCTION, Literal, NEG_MARKER, POS_MARKER, SKOLEM_MARKER,
     VAR_MARKER, Signature, Var,
 )
-from satguide.guidance import next_entry_index
 from satguide.svm import _ACTIVE_FRACTION, NonFinite, SolverInfo
 from satguide.tptp import parse_clause_text, parse_problem
 
@@ -385,6 +384,9 @@ def selection_faults(record, strategy, models):
                     + (1.0 if positive else 10.0)
         return weights[key]
 
+    # the round-robin schedule written out: each cycle gives an entry of
+    # frequency f the next f steps, in entry order
+    cycle = [cef for freq, cef in strategy.entries for _ in range(freq)]
     by_birth = sorted(record.dag, key=lambda cid: (born[cid], cid))
     nborn = 0
     waiting = set()
@@ -393,7 +395,7 @@ def selection_faults(record, strategy, models):
         while nborn < len(by_birth) and born[by_birth[nborn]] < k:
             waiting.add(by_birth[nborn])
             nborn += 1
-        cef = strategy.entries[next_entry_index(strategy, k)][1]
+        cef = cycle[k % len(cycle)]
         want = min(waiting, key=lambda c: (weight(cef, c), c), default=None)
         if cid != want:
             faults.append((k, f"gave clause {cid}, not {want}"))

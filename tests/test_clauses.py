@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import _symbols
 from satguide.clauses import (
-    App, ArityClash, DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION,
+    App, DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION,
     KIND_PREDICATE, Literal, NEG_MARKER, POS_MARKER, SKOLEM_MARKER, Signature,
     SymbolMap, VAR_MARKER, Var, clause_len, weighted_symbol_count,
 )
@@ -38,9 +38,9 @@ def test_intern_is_idempotent_and_dense():
 def test_intern_rejects_arity_and_kind_clashes():
     sig = Signature()
     sig.intern_symbol("f", 2, KIND_FUNCTION)
-    with pytest.raises(ArityClash):
+    with pytest.raises(ValueError, match="already registered as function/2"):
         sig.intern_symbol("f", 3, KIND_FUNCTION)
-    with pytest.raises(ArityClash):
+    with pytest.raises(ValueError, match="already registered as function/2"):
         sig.intern_symbol("f", 2, KIND_PREDICATE)
     with pytest.raises(ValueError):
         sig.intern_symbol("", 0, KIND_FUNCTION)

@@ -341,6 +341,9 @@ def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
      "stat processed must be int, not bool"),
     (lambda r: dict(r, outcome="saturated", empty_clause=None),
      "has outcome saturated"),
+    # a search gives each clause once
+    (lambda r: dict(r, given_sequence=r["given_sequence"] * 2),
+     "clause 0 is given twice"),
 ], ids=["no-problem-key", "empty-clause-not-in-dag",
         "given-clause-without-text", "parent-not-in-dag", "record-not-an-object",
         "dag-a-list", "given-sequence-an-int", "given-id-a-list",
@@ -348,7 +351,7 @@ def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
         "dag-key-not-an-id", "empty-clause-null", "empty-clause-not-false",
         "clause-text-not-a-clause", "clause-text-arity-clash",
         "given-id-true", "empty-clause-true", "dag-parent-true", "stat-true",
-        "not-a-proof"])
+        "not-a-proof", "given-id-repeated"])
 def test_extract_on_a_malformed_record_is_a_usage_error(tmp_path, capsys,
                                                         breaks, reason):
     problem = tmp_path / "chain.p"
@@ -552,6 +555,16 @@ def test_max_depth_past_the_parser_bound_is_a_usage_error(tmp_path, capsys):
                        "--record", str(record))
     assert code == 1 and "--max-depth must be at most 200" in err
     assert not record.exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "1"])
+def test_a_depth_cap_keeps_the_empty_clause(tmp_path, capsys, cap):
+    # the empty clause has depth 0, so no cap discards a proof
+    problem = tmp_path / "unit.p"
+    problem.write_text("cnf(a,axiom,p(X)). cnf(b,negated_conjecture,~p(a)).")
+    code, out, err = run(capsys, "prove", str(problem), "--max-depth", cap)
+    assert code == 0, err
+    assert out.startswith("proof_found ")
 
 
 def test_train_on_empty_class_is_a_usage_error(tmp_path, capsys):
@@ -820,11 +833,16 @@ CLASH_MESSAGE = ("symbol 'p' already registered as predicate/1, "
     (CLASH_PROBLEM, f"bad.p:2: {CLASH_MESSAGE}; counted as unsolved"),
     (None, "bad.p: cannot read"),
     ("% only a comment\n", "bad.p: no clauses found; counted as unsolved"),
-], ids=["malformed", "arity-clash", "missing", "no-clauses"])
+    # the text prove reports for the same file
+    (b"cnf(a, axiom, (p)).\n\xff\n", "bad.p: 'utf-8' codec can't decode "
+     "byte 0xff in position 20: invalid start byte; counted as unsolved"),
+], ids=["malformed", "arity-clash", "missing", "no-clauses", "not-utf8"])
 def test_loop_counts_a_problem_it_cannot_read_as_unsolved(tmp_path, capsys,
                                                           caplog, text,
                                                           warning):
-    if text is not None:
+    if isinstance(text, bytes):
+        (tmp_path / "bad.p").write_bytes(text)
+    elif text is not None:
         (tmp_path / "bad.p").write_text(text)
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(f"prob00 {CORPUS / 'prob00.p'}\nbad bad.p\n")

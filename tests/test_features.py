@@ -202,8 +202,7 @@ def test_examples_file_round_trip(tmp_path):
     path = tmp_path / "ex.txt"
     with open(path, "w") as fp:
         write_examples(fp, rows)
-    with open(path) as fp:
-        parsed = read_examples(fp, frozen.dimension, str(path))
+    parsed = read_examples(str(path), frozen.dimension)
     assert parsed == rows
     lines = path.read_text().splitlines()
     assert lines[0].startswith("+1 ")
@@ -216,33 +215,29 @@ def test_examples_file_round_trip(tmp_path):
 def test_examples_file_rejects_malformed_lines(line, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(line + "\n")
-    with open(path) as fp:
-        with pytest.raises(FormatError):
-            read_examples(fp, 125, str(path))
+    with pytest.raises(FormatError):
+        read_examples(str(path), 125)
 
 
 def test_examples_file_rejects_a_count_past_the_float_range(tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("-1 2:1\n+1 1:1" + "0" * 400 + "\n")
-    with open(path) as fp:
-        with pytest.raises(FormatError, match=re.escape(
-                f"{path}:2: count at index 1 is too large")):
-            read_examples(fp, 125, str(path))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}:2: count at index 1 is too large")):
+        read_examples(str(path), 125)
 
 
 def test_examples_file_parses_each_distinct_line_once(tmp_path):
     path = tmp_path / "ex.txt"
     path.write_text("+1 1:2\n-1 3:1\n  +1 1:2 \n+1 1:2\n")
-    with open(path) as fp:
-        rows = read_examples(fp, 125, str(path))
+    rows = read_examples(str(path), 125)
     assert rows == [(((1, 2),), 1), (((3, 1),), -1)] + [(((1, 2),), 1)] * 2
     assert rows[0] is rows[2] is rows[3]
     # a repeated bad line is reported at its first occurrence
     path.write_text("+1 1:2\n-1 4:x\n+1 1:2\n-1 4:x\n")
-    with open(path) as fp:
-        with pytest.raises(FormatError, match=re.escape(
-                f"{path}:2: bad entry '4:x'")):
-            read_examples(fp, 125, str(path))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}:2: bad entry '4:x'")):
+        read_examples(str(path), 125)
 
 
 def test_format_multiset_debug_view():

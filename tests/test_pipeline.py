@@ -18,9 +18,9 @@ from satguide.guidance import (
 )
 from satguide.pipeline import (
     CorpusProblem, GridSpec, NoProof, ancestor_ids, boost_rows,
-    extract_examples, greedy_cover, grid_strategies, grid_table,
-    load_manifest, loop, pool_examples, run_corpus, run_grid, run_problem,
-    training_set, train_from_examples,
+    greedy_cover, grid_strategies, grid_table, load_manifest, loop,
+    pool_examples, run_corpus, run_grid, run_problem, training_set,
+    train_from_examples,
 )
 from satguide.saturation import Limits, OUTCOME_PROOF, prove, record_to_json
 from satguide.svm import SolverConfig, predict
@@ -54,13 +54,13 @@ class TestExtract:
     def test_trivial_contradiction_gives_all_positives(self):
         sig = Signature()
         record = tiny_record(sig)
-        positives, negatives = extract_examples(record, sig)
+        positives, negatives = pool_examples([record], sig)
         assert len(positives) == 2 and negatives == []
 
     def test_irrelevant_given_clause_is_negative(self):
         sig = Signature()
         record = chain_record(sig)
-        positives, negatives = extract_examples(record, sig)
+        positives, negatives = pool_examples([record], sig)
         assert negatives, "decoy clauses must show up as negatives"
         ancestors = ancestor_ids(record)
         assert positives == [record.clause(cid, sig)
@@ -73,7 +73,7 @@ class TestExtract:
     def test_positives_match_independent_reachability(self):
         sig = Signature()
         record = chain_record(sig)
-        positives, _ = extract_examples(record, sig)
+        positives, _ = pool_examples([record], sig)
         # independent backwards walk over reversed edge lists
         edges = {cid: set(ps) for cid, ps in record.dag.items()}
         reached = set()
@@ -94,12 +94,12 @@ class TestExtract:
         clauses = parse_problem("cnf(a, axiom, (p(a))).", sig)
         record = prove(clauses, baseline_strategy(), Limits(), sig)
         with pytest.raises(NoProof):
-            extract_examples(record, sig)
+            pool_examples([record], sig)
 
     def test_partition_counts(self):
         sig = Signature()
         record = chain_record(sig)
-        positives, negatives = extract_examples(record, sig)
+        positives, negatives = pool_examples([record], sig)
         assert len(positives) + len(negatives) == len(record.given_sequence)
 
 

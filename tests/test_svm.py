@@ -487,10 +487,15 @@ def _edit_row(header, new):
     # a Signature finds a symbol by its name; row 4 is good/1
     ("sig", _edit_line("5 ", "5 good 1 predicate"),
      "symbol names must be unique"),
+    # past the markers, the writers make functions and predicates alone
+    ("sig", _edit_line("4 ", "4 p -3 predicate"),
+     "symbol 4 must be a function or predicate of arity >= 0"),
+    ("bin", _edit_line("5 ", "5 q 0 variable-marker"),
+     "symbol 5 must be a function or predicate of arity >= 0"),
 ], ids=["weight-row", "weight-index", "end-marker", "non-finite-weight",
         "symbol-row", "symbol-ids", "skolem-prefixes", "c-not-a-number",
         "dimension-mismatch", "epochs-line-misnamed", "sig-file",
-        "marker-rows", "repeated-name"])
+        "marker-rows", "repeated-name", "negative-arity", "marker-kind"])
 def test_loaders_name_the_file_and_what_is_wrong(tmp_path, kind, edit,
                                                  message):
     sig = Signature()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from satguide.clauses import Signature
+from satguide.clauses import KIND_FUNCTION, Signature
 from satguide.tptp import (
     MAX_TERM_DEPTH, ParseError, format_clause, parse_clause_text,
     parse_problem,
@@ -95,8 +95,7 @@ def test_nesting_is_bounded(literal):
 
 
 def test_arity_clash_is_reported():
-    from satguide.clauses import ArityClash
-    with pytest.raises(ArityClash):
+    with pytest.raises(ParseError):
         parse_problem("cnf(a, axiom, (p(X) | p(X, Y))).", Signature())
 
 
@@ -105,10 +104,18 @@ def test_arity_clash_is_reported():
     ("cnf(a, axiom, (q(f(a)))).\ncnf(b, axiom, (q(f(a,\nb)))).\n", 2, "f"),
 ], ids=["predicate", "function"])
 def test_arity_clash_names_the_file_and_line(text, line, symbol):
-    from satguide.clauses import ArityClash
-    with pytest.raises(ArityClash,
+    with pytest.raises(ParseError,
                        match=rf"^clash\.p:{line}: symbol '{symbol}' already"):
         parse_problem(text, Signature(), "clash.p")
+
+
+def test_an_equality_that_clashes_names_the_file_and_line():
+    # a signature thawed from a model's table may hold "=" at another kind
+    sig = Signature()
+    sig.intern_symbol("=", 2, KIND_FUNCTION)
+    with pytest.raises(ParseError, match=r"^eq\.p:2: symbol '=' already"):
+        parse_problem("cnf(a, axiom, (p(a))).\ncnf(b, axiom, (a = b)).\n",
+                      sig, "eq.p")
 
 
 def random_clause_text(rng):

@@ -6,7 +6,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from satguide import cli, pipeline
+from satguide import cli, pipeline, tptp
 from satguide.guidance import format_strategy
 
 ROOT = Path(__file__).parent.parent
@@ -61,7 +61,7 @@ def test_a_corpus_run_proves_each_pair_once_and_parses_once_per_problem(
     # run must call it, by that name, once per (strategy, problem) pair
     runs = []
     run_corpus, prove, parse_problem = (
-        pipeline.run_corpus, pipeline.prove, pipeline.parse_problem)
+        pipeline.run_corpus, pipeline.prove, tptp.parse_problem)
 
     def counting_run_corpus(problems, strategies, *args, **kwargs):
         runs.append((problems, strategies, Counter(), Counter()))
@@ -77,7 +77,8 @@ def test_a_corpus_run_proves_each_pair_once_and_parses_once_per_problem(
 
     monkeypatch.setattr(pipeline, "run_corpus", counting_run_corpus)
     monkeypatch.setattr(pipeline, "prove", counting_prove)
-    monkeypatch.setattr(pipeline, "parse_problem", counting_parse)
+    # the tracer's span: tptp.read_problem parses by this global name
+    monkeypatch.setattr(tptp, "parse_problem", counting_parse)
     manifest = ROOT / "tests" / "fixtures" / "corpus" / "manifest.txt"
     assert cli.main(["loop", str(manifest), "--rounds", "1",
                      "-o", str(tmp_path / "out")]) == 0

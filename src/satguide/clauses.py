@@ -3,13 +3,14 @@
 A clause is a tuple of :class:`Literal`, read as their disjunction; the
 empty tuple is the empty clause.  Every symbol that appears in a term or
 literal is registered in a :class:`Signature`, the symbol table, which
-hands out dense, stable integer ids.  Four marker symbols are reserved at
-ids 0-3: one standing for all variables, one for all Skolem functions, and
+hands out dense, stable integer ids.  A symbol is its name, arity and
+kind together, in every table.  Four marker symbols are reserved at ids
+0-3: one standing for all variables, one for all Skolem functions, and
 one for each literal polarity.  The featurizer relies on these ids being
 fixed.  A :class:`SymbolMap` is the one thing that turns a signature's
 symbol ids into feature labels: the ids of a snapshot's table, with Skolem
-functions collapsed to their marker.  A name registered again at another
-arity or kind is a ValueError; the parser reports it as a ParseError.
+functions collapsed to their marker.  That one text uses a name as one
+symbol is the parser's rule.
 """
 
 from __future__ import annotations
@@ -93,34 +94,23 @@ class Signature:
     def __init__(self, skolem_prefixes: tuple[str, ...] = DEFAULT_SKOLEM_PREFIXES):
         self.skolem_prefixes = tuple(skolem_prefixes)
         self._symbols: list[Symbol] = []
-        self._lookup: dict[str, int] = {}
+        self._lookup: dict[tuple[str, int, str], int] = {}
         for marker in MARKERS:
-            self._append(marker.name, marker.arity, marker.kind)
-
-    def _append(self, name: str, arity: int, kind: str) -> int:
-        sym_id = len(self._symbols)
-        self._symbols.append(Symbol(sym_id, name, arity, kind))
-        self._lookup[name] = sym_id
-        return sym_id
+            self.intern_symbol(marker.name, marker.arity, marker.kind)
 
     @property
     def size(self) -> int:
         return len(self._symbols)
 
     def intern_symbol(self, name: str, arity: int, kind: str) -> int:
-        """Return the id for ``name``, registering it on first sight; a
-        name already held at another arity or kind is a ValueError."""
+        """Return the id of the symbol, registering it on first sight."""
         if not name:
             raise ValueError("symbol name must be nonempty")
-        existing = self._lookup.get(name)
-        if existing is not None:
-            sym = self._symbols[existing]
-            if sym.arity != arity or sym.kind != kind:
-                raise ValueError(
-                    f"symbol {name!r} already registered as {sym.kind}/{sym.arity}, "
-                    f"cannot re-register as {kind}/{arity}")
-            return existing
-        return self._append(name, arity, kind)
+        size = len(self._symbols)
+        sym_id = self._lookup.setdefault((name, arity, kind), size)
+        if sym_id == size:
+            self._symbols.append(Symbol(sym_id, name, arity, kind))
+        return sym_id
 
     def symbol(self, sym_id: int) -> Symbol:
         return self._symbols[sym_id]

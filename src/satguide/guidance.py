@@ -126,14 +126,14 @@ def _split_entries(text: str) -> list[str]:
     return parts
 
 
-STRATEGY_GRAMMAR = """\
+STRATEGY_GRAMMAR = f"""\
 strategy grammar:
   strategy  := "baseline" | entries | entries "+baseline"
   entries   := entry ("," entry)*
   entry     := FREQ "*" cef                  (FREQ a positive integer)
-  cef       := "ClauseLen" | "Fifo" | "SymbolCount"
+  cef       := {" | ".join(f'"{name}"' for name in PLAIN_WEIGHTS)}
              | "Learned(" PATH ",gamma=" GAMMA ")"
-"baseline" stands for 5*ClauseLen,1*Fifo; "+baseline" appends those entries.
+"baseline" stands for {BASELINE_SPEC}; "+baseline" appends those entries.
 Each frequency says how many consecutive selections its CEF makes per
 round-robin cycle.
 """

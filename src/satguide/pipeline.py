@@ -10,12 +10,12 @@ training set only grows.
 A corpus run hands out one task per problem, serially or in a process
 pool.  The task reads the problem with ``read_problem``, once, into a fresh
 signature; all strategies share that parse and one content memo, a model
-maps the problem's symbols into its own table by name, and each record is
-the one an independent search would make.  A problem that cannot be read
-(OSError) or parsed (ParseError), or whose search raises, is logged and
-counted as unsolved, and the run carries on.  Records carry clause text,
-which :func:`pool_examples`, the one extractor, re-reads under the
-trainer's signature; an example is a clause's literal tuple.
+maps the problem's symbols into its own table by name, arity and kind, and
+each record is the one an independent search would make.  A problem that
+cannot be read (OSError) or parsed (ParseError), or whose search raises,
+is logged and counted as unsolved, and the run carries on.  Records carry
+clause text, which :func:`pool_examples`, the one extractor, re-reads
+under the trainer's signature; an example is a clause's literal tuple.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def pool_examples(records, sig: Signature) -> tuple[list, list]:
     negative in another, and both examples are kept.  Each distinct clause
     text is parsed once, so its copies share one literal tuple.  A record
     that is not a proof is a :class:`NoProof`; a text that does not parse,
-    or that uses a symbol at another arity than ``sig`` holds, is a
-    ValueError naming the clause id.
+    such as one using a name at two arities, is a ValueError naming the
+    clause id.
     """
     positives = []
     negatives = []

@@ -359,8 +359,9 @@ def _read_symbol_table(fp, path: str) -> FrozenSignature:
     prefixes = DEFAULT_SKOLEM_PREFIXES
     if line.startswith("skolem-prefixes "):
         prefixes = json.loads(_header_value(line, "skolem-prefixes", path))
+        # an empty prefix would match every function symbol
         if not isinstance(prefixes, list) \
-                or not all(isinstance(p, str) for p in prefixes):
+                or not all(isinstance(p, str) and p for p in prefixes):
             raise FormatError(f"{path}: bad Skolem prefixes {line!r}")
         line = _read_line(fp, path)
     n_symbols = int(_header_value(line, "symbols", path))
@@ -373,12 +374,13 @@ def _read_symbol_table(fp, path: str) -> FrozenSignature:
         if symbols[-1].id != len(symbols) - 1:
             raise FormatError(f"{path}: symbol ids must be dense")
     # features write the marker ids themselves, and a Signature finds a
-    # symbol by its name
+    # symbol by its name, arity and kind
     if tuple(symbols[:len(MARKERS)]) != MARKERS:
         raise FormatError(f"{path}: rows 0-{len(MARKERS) - 1} must hold "
                           f"the marker symbols")
-    if len({sym.name for sym in symbols}) < len(symbols):
-        raise FormatError(f"{path}: symbol names must be unique")
+    if len({(s.name, s.arity, s.kind) for s in symbols}) < len(symbols):
+        raise FormatError(f"{path}: symbols must be unique by name, arity "
+                          f"and kind")
     for sym in symbols[len(MARKERS):]:
         if sym.arity < 0 or sym.kind not in (KIND_FUNCTION, KIND_PREDICATE):
             raise FormatError(f"{path}: symbol {sym.id} must be a function "

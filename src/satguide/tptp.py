@@ -8,8 +8,9 @@ function or predicate symbol.  ``$false`` stands for the empty clause.
 A parsed clause is its tuple of literals, and a problem is the list of its
 clauses in file order, so a clause's index is its id.  A problem file is
 read in one place, :func:`read_problem`; every malformed problem, whether
-its text does not decode, does not parse or uses a symbol at two arities,
-is one :class:`ParseError` naming the file.
+its text does not decode, does not parse or uses a name at two arities or
+kinds, is one :class:`ParseError` naming the file.  Only the parser holds
+a text to that rule; a signature may hold a name at several arities.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class _Parser:
         self.sig = sig
         self.path = path
         self.i = 0
+        # name -> (arity, kind, id) of each symbol this text has used
+        self.names: dict[str, tuple[int, str, int]] = {}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -91,11 +94,16 @@ class _Parser:
         return ParseError(f"{self.path}:{line}: {message} (at {value!r})")
 
     def intern(self, name: str, arity: int, kind: str, line: int) -> int:
-        """Intern a symbol; a clash names the file and line of this use."""
-        try:
-            return self.sig.intern_symbol(name, arity, kind)
-        except ValueError as exc:
-            raise ParseError(f"{self.path}:{line}: {exc}") from None
+        """Intern a symbol; one text uses a name at one arity and kind."""
+        held = self.names.get(name)
+        if held is None:
+            held = self.names[name] = (
+                arity, kind, self.sig.intern_symbol(name, arity, kind))
+        elif held[0] != arity or held[1] != kind:
+            raise ParseError(
+                f"{self.path}:{line}: symbol {name!r} already registered as "
+                f"{held[1]}/{held[0]}, cannot re-register as {kind}/{arity}")
+        return held[2]
 
     # raw terms are (name, args-or-None, line) triples; args None marks a
     # variable

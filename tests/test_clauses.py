@@ -9,7 +9,7 @@ from oracles import _symbols
 from satguide.clauses import (
     App, DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION,
     KIND_PREDICATE, Literal, NEG_MARKER, POS_MARKER, SKOLEM_MARKER, Signature,
-    SymbolMap, VAR_MARKER, Var, clause_len, weighted_symbol_count,
+    Symbol, SymbolMap, VAR_MARKER, Var, clause_len, weighted_symbol_count,
 )
 from satguide.tptp import parse_problem
 
@@ -35,14 +35,16 @@ def test_intern_is_idempotent_and_dense():
     assert sig.symbol(g).arity == 1
 
 
-def test_intern_rejects_arity_and_kind_clashes():
+def test_intern_keys_a_symbol_by_name_arity_and_kind():
+    # one name at another arity or kind is another symbol, not a clash
     sig = Signature()
-    sig.intern_symbol("f", 2, KIND_FUNCTION)
-    with pytest.raises(ValueError, match="already registered as function/2"):
-        sig.intern_symbol("f", 3, KIND_FUNCTION)
-    with pytest.raises(ValueError, match="already registered as function/2"):
-        sig.intern_symbol("f", 2, KIND_PREDICATE)
-    with pytest.raises(ValueError):
+    triples = [("f", 2, KIND_FUNCTION), ("f", 3, KIND_FUNCTION),
+               ("f", 2, KIND_PREDICATE)]
+    assert [sig.intern_symbol(*t) for t in triples] == [4, 5, 6]
+    assert [sig.intern_symbol(*t) for t in reversed(triples)] == [6, 5, 4]
+    assert [sig.symbol(i) for i in (4, 5, 6)] == [
+        Symbol(i, *t) for i, t in zip((4, 5, 6), triples)]
+    with pytest.raises(ValueError, match="symbol name must be nonempty"):
         sig.intern_symbol("", 0, KIND_FUNCTION)
 
 

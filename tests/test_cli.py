@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import satguide
+from oracles import selection_faults
 from satguide import pipeline, saturation
 from satguide.cli import main
 from satguide.clauses import Signature, SymbolMap
@@ -328,9 +329,11 @@ def test_bad_gamma_is_a_usage_error(tmp_path, capsys, argv, reason):
      "field 'empty_clause' of a proof must name a $false clause, not 0"),
     (lambda r: dict(r, clauses={**r["clauses"], "2": "p("}),
      "clause 2:1: expected a term, found ''"),
-    # clause 0, junk0(e), is given first
-    (lambda r: dict(r, clauses={**r["clauses"], "2": "junk0(e, e)"}),
-     "clause 2:1: symbol 'junk0' already registered as predicate/1"),
+    # one clause text may use a name at one arity and kind alone
+    (lambda r: dict(r, clauses={**r["clauses"],
+                                "2": "junk0(e) | junk0(e, e)"}),
+     "clause 2:1: symbol 'junk0' already registered as predicate/1, "
+     "cannot re-register as predicate/2"),
     (lambda r: dict(r, given_sequence=[True, *r["given_sequence"][1:]]),
      "clause id True must be int, not bool"),
     (lambda r: dict(r, empty_clause=True),
@@ -791,6 +794,52 @@ def test_grid_solves_a_problem_that_reuses_a_trained_name_at_another_arity(
     assert csv_out.read_text().splitlines() == ["gamma,0,1,5,50,inf",
                                                 "0,3,3,3,3,3",
                                                 "0.2,3,3,3,3,3"]
+    # the reference replay thaws the model's table and reads p1/2 into it
+    # as a symbol of its own
+    trained = load_model(str(model))
+    rows = pipeline.run_grid(pipeline.load_manifest(str(manifest)), trained,
+                             baseline_strategy(),
+                             pipeline.GridSpec([0, 0.2], [1, 5, 50]),
+                             Limits(), model_path=str(model)).rows
+    guided = [(row, record) for row in rows[1:]
+              for record in row.records.values()]
+    assert len(guided) == 24
+    assert any("p1(X0,X0)" in text for _, record in guided
+               for text in record.clause_texts.values())
+    for row, record in guided:
+        assert selection_faults(record, row.strategy,
+                                {str(model): trained}) == [], \
+            (row.key, record.problem)
+
+
+def test_corpus_commands_pool_a_name_used_at_two_arities(tmp_path, capsys):
+    # prob00 with p1/2 in place of p1/1, beside prob01, which keeps p1/1:
+    # the pooled signature holds both symbols
+    (tmp_path / "prob00.p").write_text((CORPUS / "prob00.p").read_text()
+                                       .replace("p1(X)", "p1(X,X)"))
+    (tmp_path / "prob01.p").write_text((CORPUS / "prob01.p").read_text())
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("prob00 prob00.p\nprob01 prob01.p\n")
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, "loop", str(manifest), "--rounds", "2",
+                         "-o", str(outdir))
+    assert code == 0, err
+    assert out.startswith("round 0: solved 2/2 (+2 new), cover [0], "
+                          "examples 22+/120-, accuracy 1.0000")
+    assert (outdir / "model_round0.bin").exists()
+    records = []
+    for pid in ("prob00", "prob01"):
+        records.append(str(tmp_path / f"{pid}.json"))
+        assert run(capsys, "prove", str(tmp_path / f"{pid}.p"),
+                   "--record", records[-1])[0] == 0
+    examples, model = tmp_path / "ex.txt", tmp_path / "model.bin"
+    code, _, err = run(capsys, "extract", *records, "-o", str(examples))
+    assert code == 0, err
+    rows = {tuple(line.split()[1:]) for line
+            in (tmp_path / "ex.txt.sig").read_text().splitlines()}
+    assert {("p1", "1", "predicate"), ("p1", "2", "predicate")} <= rows
+    assert run(capsys, "train", str(examples), "-o", str(model))[0] == 0
+    assert run(capsys, "eval", str(model), str(examples))[0] == 0
 
 
 def loop_on_one_problem(tmp_path, capsys, text):

@@ -7,13 +7,16 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     numpy_dcd_reference, svm_primal_value, svm_reference_minimizer,
 )
 from satguide import svm
-from satguide.clauses import DEFAULT_SKOLEM_PREFIXES, Signature, SymbolMap
+from satguide.clauses import (
+    DEFAULT_SKOLEM_PREFIXES, KIND_FUNCTION, KIND_PREDICATE, Signature,
+    SymbolMap,
+)
 from satguide.features import FormatError
 from satguide.pipeline import train_from_examples
 from satguide.svm import (
@@ -484,9 +487,12 @@ def _edit_row(header, new):
     # features write the marker ids 0-3 themselves
     ("bin", _edit_row("symbols ", lambda row: "0 p 0 predicate"),
      "rows 0-3 must hold the marker symbols"),
-    # a Signature finds a symbol by its name; row 4 is good/1
+    # a Signature finds a symbol by its name, arity and kind; row 4 is good/1
     ("sig", _edit_line("5 ", "5 good 1 predicate"),
-     "symbol names must be unique"),
+     "symbols must be unique by name, arity and kind"),
+    # an empty prefix would label every function as the Skolem marker
+    ("sig", _edit_line("skolem-prefixes ", 'skolem-prefixes ["sko", ""]'),
+     "bad Skolem prefixes"),
     # past the markers, the writers make functions and predicates alone
     ("sig", _edit_line("4 ", "4 p -3 predicate"),
      "symbol 4 must be a function or predicate of arity >= 0"),
@@ -495,7 +501,8 @@ def _edit_row(header, new):
 ], ids=["weight-row", "weight-index", "end-marker", "non-finite-weight",
         "symbol-row", "symbol-ids", "skolem-prefixes", "c-not-a-number",
         "dimension-mismatch", "epochs-line-misnamed", "sig-file",
-        "marker-rows", "repeated-name", "negative-arity", "marker-kind"])
+        "marker-rows", "repeated-name", "empty-skolem-prefix",
+        "negative-arity", "marker-kind"])
 def test_loaders_name_the_file_and_what_is_wrong(tmp_path, kind, edit,
                                                  message):
     sig = Signature()
@@ -512,6 +519,28 @@ def test_loaders_name_the_file_and_what_is_wrong(tmp_path, kind, edit,
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "
                                           f"{message}"):
         load(str(path))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abpq"), st.integers(0, 3),
+                          st.sampled_from([KIND_FUNCTION, KIND_PREDICATE])),
+                max_size=30))
+@example([("p", 1, KIND_PREDICATE), ("p", 2, KIND_PREDICATE),
+          ("p", 1, KIND_FUNCTION)])
+def test_a_table_that_overloads_names_round_trips_with_its_ids(
+        tmp_path_factory, triples):
+    sig = Signature()
+    ids = [sig.intern_symbol(*triple) for triple in triples]
+    path = tmp_path_factory.mktemp("sig") / "table.sig"
+    svm.save_signature(sig.freeze(), str(path))
+    loaded = svm.load_signature(str(path))
+    assert loaded == sig.freeze()
+    thawed = Signature.from_frozen(loaded)
+    assert [thawed.intern_symbol(*triple) for triple in triples] == ids
+    assert thawed.size == sig.size
+    symbols = SymbolMap(sig, loaded)
+    assert [symbols.feature_label(i) for i in range(sig.size)] \
+        == list(range(sig.size))
 
 
 def test_load_model_needs_strictly_increasing_weight_indices(tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from satguide.clauses import KIND_FUNCTION, Signature
+from satguide.clauses import KIND_FUNCTION, KIND_PREDICATE, Signature, Symbol
 from satguide.tptp import (
     MAX_TERM_DEPTH, ParseError, format_clause, parse_clause_text,
     parse_problem,
@@ -109,13 +109,17 @@ def test_arity_clash_names_the_file_and_line(text, line, symbol):
         parse_problem(text, Signature(), "clash.p")
 
 
-def test_an_equality_that_clashes_names_the_file_and_line():
-    # a signature thawed from a model's table may hold "=" at another kind
+def test_an_equality_beside_a_function_named_equals_is_its_own_symbol():
+    # a signature thawed from a model's table may hold "=" at another kind;
+    # the problem's equality is then a symbol of its own, not a clash
     sig = Signature()
-    sig.intern_symbol("=", 2, KIND_FUNCTION)
-    with pytest.raises(ParseError, match=r"^eq\.p:2: symbol '=' already"):
-        parse_problem("cnf(a, axiom, (p(a))).\ncnf(b, axiom, (a = b)).\n",
-                      sig, "eq.p")
+    function = sig.intern_symbol("=", 2, KIND_FUNCTION)
+    _, (equality,) = parse_problem(
+        "cnf(a, axiom, (p(a))).\ncnf(b, axiom, (a = b)).\n", sig, "eq.p")
+    assert equality.predicate != function
+    assert sig.symbol(equality.predicate) == Symbol(
+        equality.predicate, "=", 2, KIND_PREDICATE)
+    assert format_clause((equality,), sig) == "a = b"
 
 
 def random_clause_text(rng):

@@ -121,8 +121,7 @@ def cmd_prove(args) -> int:
         raise UsageError(f"{args.problem}: no clauses found")
     _check_writable(args.record)
     record = saturation.prove(clauses, strategy, limits, sig,
-                              problem_id=args.problem,
-                              inject_equality=not args.no_equality_axioms)
+                              problem_id=args.problem)
     print(f"{record.outcome} problem={args.problem} "
           f"processed={record.stats['processed']} "
           f"generated={record.stats['generated']}")
@@ -307,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "'1*Learned(model.bin,gamma=0.2)+baseline'")
     p.add_argument("--record", default=None,
                    help="write the proof-search record to this JSON file")
-    p.add_argument("--no-equality-axioms", action="store_true",
-                   help="do not inject equality axioms when '=' occurs")
     _add_limit_flags(p)
     p.set_defaults(func=cmd_prove)
 

@@ -45,12 +45,14 @@ class FormatError(Exception):
 
 def literal_features(lit: Literal, symbols: SymbolMap) -> FeatureMultiset:
     """All three-node directed walks of the literal's feature tree."""
+    return clause_features((lit,), symbols)
+
+
+def clause_features(clause: tuple[Literal, ...],
+                    symbols: SymbolMap) -> FeatureMultiset:
+    """All three-node directed walks of the clause's literal feature trees,
+    counted across its literals, keys in order of first occurrence."""
     counts: FeatureMultiset = {}
-    root = POS_MARKER if lit.positive else NEG_MARKER
-    pred = symbols.feature_label(lit.predicate)
-    if not lit.args:
-        counts[(root, pred, EPSILON)] = 1
-        return counts
 
     def walk(a: int, b: int, t: Term) -> None:
         if isinstance(t, Var):
@@ -64,18 +66,14 @@ def literal_features(lit: Literal, symbols: SymbolMap) -> FeatureMultiset:
         for arg in args:
             walk(b, c, arg)
 
-    for arg in lit.args:
-        walk(root, pred, arg)
-    return counts
-
-
-def clause_features(clause: tuple[Literal, ...],
-                    symbols: SymbolMap) -> FeatureMultiset:
-    """Pointwise sum of the literal feature multisets."""
-    counts: FeatureMultiset = {}
     for lit in clause:
-        for key, n in literal_features(lit, symbols).items():
-            counts[key] = counts.get(key, 0) + n
+        root = POS_MARKER if lit.positive else NEG_MARKER
+        pred = symbols.feature_label(lit.predicate)
+        if not lit.args:
+            key = (root, pred, EPSILON)
+            counts[key] = counts.get(key, 0) + 1
+        for arg in lit.args:
+            walk(root, pred, arg)
     return counts
 
 

@@ -362,14 +362,9 @@ def greedy_cover(items) -> list:
         remaining |= solved
     chosen = []
     while remaining:
-        best = None
-        best_gain = 0
-        for key, solved in pairs:
-            gain = len(solved & remaining)
-            if gain > best_gain:
-                best, best_gain = (key, solved), gain
-        chosen.append(best[0])
-        remaining -= best[1]
+        key, solved = max(pairs, key=lambda p: len(p[1] & remaining))
+        chosen.append(key)
+        remaining -= solved
     return chosen
 
 

@@ -25,8 +25,11 @@ content) pair and factors once per given content; a repeat reuses the
 derived contents under its own parent ids, since derived literals depend
 only on the parents' literals.  A candidate content that was subsumed
 stays so, because the processed set only grows; a kept one is checked
-again only against the subsumers processed since, and only the first
-processed clause of each content is a subsumer.
+again only against the subsumers processed since.  A processed content
+subsumes every later derivation of itself, and it becomes a subsumer only
+if no subsumer had subsumed it yet.  A content derived again while an
+equal clause is still unprocessed is not subsumed: it is kept again under
+a new id, and both clauses can be given.
 The same literal-key masks pick the partners: only processed clauses with
 a literal complementary in sign and predicate can resolve with the given
 clause, and visiting them in slot order keeps the candidate order, so
@@ -42,9 +45,9 @@ first needed.  The contents, the derived contents and each CEF's weights
 :class:`ContentMemo`.  All of it depends only on a content and the
 problem's signature, so a corpus run gives each problem one memo for all
 its strategies.  A search keeps only what depends on its own processed
-set: its kept clauses, its processed ones and, per kept content, how many
-subsumers it was checked against.  A search without a memo makes its own,
-and the records are the same either way.
+set: its kept clauses and a :class:`_Processed`, which holds its
+processed clauses, its subsumers and every subsumption verdict.  A search
+without a memo makes its own, and the records are the same either way.
 
 Equality is an ordinary predicate here; when it occurs, the standard
 equality axioms (reflexivity, symmetry, transitivity, and congruence for
@@ -448,29 +451,33 @@ class _Content:
 
 
 class _Processed:
-    """The processed clauses of one search and the loop's lookups into them.
+    """The processed clauses of one search and its subsumption verdicts.
 
     Each processed clause takes the next *slot*, a ``(clause id, content)``
     pair.  :meth:`partners` keeps the slots whose content's instance mask
-    meets the given content's opposite mask, in slot order.  Only the
-    first processed clause of each content is a subsumer: equal clauses
-    subsume the same candidates.  What depends only on a content lives on
-    its :class:`_Content`, shared with the problem's other searches; the
-    slots and the subsumers are this search's own.
+    meets the given content's opposite mask, in slot order.  ``checked``
+    maps a content to the number of subsumers it was checked against, or
+    to None once subsumed, which is final since the processed set only
+    grows.  Processing a content marks it None, since it subsumes every
+    later derivation of itself; it becomes a subsumer only if it was not
+    None already, because an equal clause or a subsumer of it subsumes all
+    it would.  What depends only on a content lives on its
+    :class:`_Content`, shared with the problem's other searches; the
+    slots, the subsumers and ``checked`` are this search's own.
     """
 
     def __init__(self):
         self.slots: list[tuple[int, _Content]] = []
-        # one per processed content, in processing order
+        # in processing order
         self.subsumers: list[_Content] = []
-        self.subsuming: set[_Content] = set()
+        self.checked: dict[_Content, int | None] = {}
 
     def add(self, cid: int, content: _Content) -> None:
         if content.primed is None:
             content.primed = rename_apart(content.literals)
         self.slots.append((cid, content))
-        if content not in self.subsuming:
-            self.subsuming.add(content)
+        if self.checked.get(content, 0) is not None:
+            self.checked[content] = None
             self.subsumers.append(content)
 
     def partners(self, content: _Content) -> list:
@@ -479,10 +486,14 @@ class _Processed:
         opposite = content.opposite
         return [slot for slot in self.slots if slot[1].mask & opposite]
 
-    def subsumed(self, cand: _Content, since: int) -> bool:
-        """Whether a subsumer added at or after index ``since`` subsumes
-        ``cand``.  Subsumers with more literals than ``cand`` or a key
-        outside its instance mask cannot subsume it and are not tried."""
+    def subsumed(self, cand: _Content) -> bool:
+        """Whether a subsumer subsumes ``cand``; only those added since
+        ``cand`` was last checked are tried.  Subsumers with more literals
+        than ``cand`` or a key outside its instance mask cannot subsume it
+        and are not tried either."""
+        since = self.checked.get(cand, 0)
+        if since is None:
+            return True
         missing = ~cand.mask
         width = cand.size
         for old in self.subsumers[since:]:
@@ -490,7 +501,9 @@ class _Processed:
                 if old.match is None:
                     old.match = compile_matcher(old.literals)
                 if subsumes(old.literals, cand.literals, old.match):
+                    self.checked[cand] = None
                     return True
+        self.checked[cand] = len(self.subsumers)
         return False
 
 
@@ -516,8 +529,8 @@ class ContentMemo:
     literal key's masks: ``key_bits`` gives every key a mask uses one bit
     for good, so masks made at any time agree, and ``key_masks`` keeps
     each literal key's masks, so none is made again.  Per-search state
-    (kept and processed clauses, queues, subsumption watermarks) stays in
-    :func:`prove`.
+    (kept clauses and queues in :func:`prove`, processed clauses and
+    subsumption verdicts in :class:`_Processed`) stays out of the memo.
     """
 
     def __init__(self, sig: Signature):
@@ -644,7 +657,7 @@ class _CefQueue:
 
 
 def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
-          problem_id: str = "", inject_equality: bool = True,
+          problem_id: str = "",
           memo: ContentMemo | None = None) -> ProofSearchRecord:
     """Run the given-clause loop on a list of input clauses, literal tuples.
 
@@ -670,10 +683,6 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
     kept: list[_Content] = []
     parents: list[tuple[int, ...]] = []
     derived = memo.derived
-    # a candidate content -> the number of subsumers it had been checked
-    # against when last kept, or None once subsumed, which is final since
-    # the processed set only grows
-    checked: dict[_Content, int | None] = {}
 
     # entries with equal CEFs share one queue: they would pick alike.  A
     # learned CEF is told apart by its model object, not its model path.
@@ -693,12 +702,9 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
                                    for literals in make(*args)]
         return [(cand, ids) for cand in made]
 
-    input_literal_sets = list(problem)
-    if inject_equality:
-        eq_axioms = equality_axioms(problem, sig)
-        stats["equality_axioms"] = len(eq_axioms)
-        input_literal_sets.extend(eq_axioms)
-    for literals in input_literal_sets:
+    eq_axioms = equality_axioms(problem, sig)
+    stats["equality_axioms"] = len(eq_axioms)
+    for literals in [*problem, *eq_axioms]:
         kept.append(memo.content(tuple(literals)))
         parents.append(())
     # the ids of the kept clauses not yet processed
@@ -749,12 +755,9 @@ def prove(problem, strategy: Strategy, limits: Limits, sig: Signature,
             if cand.tautology:
                 stats["tautologies"] += 1
                 continue
-            since = checked.get(cand, 0)
-            if since is None or processed.subsumed(cand, since):
-                checked[cand] = None
+            if processed.subsumed(cand):
                 stats["subsumed"] += 1
                 continue
-            checked[cand] = len(processed.subsumers)
             cid = len(kept)
             kept.append(cand)
             parents.append(ids)

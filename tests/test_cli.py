@@ -919,19 +919,6 @@ def test_prove_on_an_arity_clash_names_the_line(tmp_path, capsys):
     assert err == f"error: {problem}:2: {CLASH_MESSAGE}\n"
 
 
-def test_prove_no_equality_axioms_flag(tmp_path, capsys):
-    problem = tmp_path / "eq.p"
-    problem.write_text("cnf(a, axiom, (f(a) = b)).\n"
-                       "cnf(goal, negated_conjecture, (f(a) != b)).\n")
-    counts = []
-    for flags in ([], ["--no-equality-axioms"]):
-        record = tmp_path / "rec.json"
-        assert run(capsys, "prove", str(problem), "--record", str(record),
-                   *flags)[0] == 0
-        counts.append(json.loads(record.read_text())["stats"]["equality_axioms"])
-    assert counts[0] > 0 and counts[1] == 0
-
-
 def test_loop_cli_two_rounds_solved_count_never_drops(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     lines = []

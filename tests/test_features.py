@@ -82,6 +82,10 @@ def test_propositional_literals_are_padded():
     assert literal_features(lit, own(sig)) == {(POS_MARKER, lit.predicate, EPSILON): 1}
     neg = parse_lit("~p0", sig)
     assert literal_features(neg, own(sig)) == {(NEG_MARKER, neg.predicate, EPSILON): 1}
+    # a repeated propositional literal pads once per occurrence
+    counts = clause_features((lit, neg, lit), own(sig))
+    assert list(counts.items()) == [((POS_MARKER, lit.predicate, EPSILON), 2),
+                                    ((NEG_MARKER, neg.predicate, EPSILON), 1)]
 
 
 def test_clause_features_union_and_empty():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import logging
 import random
 from pathlib import Path
@@ -17,7 +18,7 @@ from satguide.guidance import (
     Strategy, baseline_strategy, learned_cef, parse_strategy,
 )
 from satguide.pipeline import (
-    CorpusProblem, GridSpec, NoProof, ancestor_ids, boost_rows,
+    BASE_ALONE, CorpusProblem, GridSpec, NoProof, ancestor_ids, boost_rows,
     greedy_cover, grid_strategies, grid_table, load_manifest, loop,
     pool_examples, run_corpus, run_grid, run_problem, training_set,
     train_from_examples,
@@ -693,3 +694,28 @@ def test_loop_weights_are_pinned(corpus, rounds, cap):
     scores = [(r.accuracy, r.positive_recall, r.negative_recall)
               for r in report.rounds if r.n_positive]
     assert (digests, scores) == LOOP_PINS[(rounds, cap)]
+
+
+# sha256 over the JSON of a grid's proof records, sorted by (row key,
+# problem): learned rows of every gamma, which share one memo per problem,
+# around the model trained on round 0's baseline proofs
+LEARNED_GRID_DIGEST = \
+    "6358a1053f5980ff6e50f51f421f65e277d6e799e91c579ad1f71720c8dfac6c"
+
+
+def test_learned_grid_records_are_pinned(corpus):
+    base = baseline_strategy()
+    records = run_corpus(corpus, {BASE_ALONE: base}, Limits())
+    sig = Signature()
+    model = train_from_examples(pool_examples(
+        [records[BASE_ALONE, p.pid] for p in corpus], sig), sig)
+    grid = GridSpec(gammas=[0.0, 0.2, 8.0], frequencies=[1, 5, 10, 30, 50])
+    result = run_grid(corpus, model, base, grid, Limits())
+    h = hashlib.sha256()
+    for row in sorted(result.rows, key=lambda row: row.key):
+        for pid in sorted(row.records):
+            h.update(json.dumps(record_to_json(row.records[pid]),
+                                sort_keys=True).encode())
+            h.update(b"\n")
+    assert sum(len(row.records) for row in result.rows) == 19 * len(corpus)
+    assert h.hexdigest() == LEARNED_GRID_DIGEST

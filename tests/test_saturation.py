@@ -404,7 +404,7 @@ def test_processed_index_agrees_with_a_scan_of_every_clause(texts, cand_text):
         assert set(partners) >= {
             cid for cid, part in processed.slots
             if resolvents(given, part.primed)}
-        assert processed.subsumed(cand, 0) == \
+        assert processed.subsumed(cand) == \
             any(subsumes(c, cand.literals) for c in scanned)
 
 
@@ -427,7 +427,7 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
         content = memo.content(parse_one(text, sig))
         other.add(k, content)
         other.partners(content)
-        other.subsumed(cand, 0)
+        other.subsumed(cand)
     processed = saturation._Processed()
     scanned = []
     for k, text in enumerate(texts):
@@ -440,8 +440,44 @@ def test_processed_index_agrees_with_a_scan_over_a_memo_another_search_filled(
             cid for cid, c in enumerate(scanned)
             if any(g.positive != lit.positive and g.predicate == lit.predicate
                    for g in given for lit in c)]
-        assert processed.subsumed(cand, 0) == \
+        assert processed.subsumed(cand) == \
             any(subsumes(c, cand.literals) for c in scanned)
+
+
+
+# clauses over a few literals, so that one often subsumes another
+_LEDGER_CLAUSE = st.one_of(_CLAUSE, st.lists(
+    st.sampled_from(["p(X)", "p(a)", "~p(X)", "q(X,Y)", "q(a,X)", "q(a,b)",
+                     "~q(X,X)"]),
+    min_size=1, max_size=3).map(" | ".join))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LEDGER_CLAUSE, min_size=1, max_size=5),
+       st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 4)),
+                          st.integers(0, 4)), min_size=1, max_size=10))
+# p(a) is checked before and after q(a,b), subsumed by p(X), then
+# processed; p(a) | q(b,b) is subsumed, and checked again
+@example(["p(X)", "p(a)", "p(a) | q(b,b)", "q(a,b)"],
+         [(None, 1), (3, 1), (0, 1), (1, 2), (None, 2), (None, 1)])
+def test_processed_index_keeps_each_verdict_across_calls(texts, steps):
+    # each step may process a clause and then checks one: one ledger
+    # answers the run, each check true just when some clause processed so
+    # far subsumes the candidate, whatever the ledger remembered from the
+    # earlier checks and adds of that content
+    sig = Signature()
+    memo = saturation.ContentMemo(sig)
+    clauses = [parse_one(text, sig) for text in texts]
+    processed = saturation._Processed()
+    added = []
+    for k, (add, check) in enumerate(steps):
+        if add is not None:
+            clause = clauses[add % len(clauses)]
+            processed.add(k, memo.content(clause))
+            added.append(clause)
+        clause = clauses[check % len(clauses)]
+        assert processed.subsumed(memo.content(clause)) == \
+            any(clause_subsumes(c, clause) for c in added)
 
 
 def _nested(levels, inner):
